@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-stress test-differential test-chaos bench-smoke bench-micro bench-incremental bench-delete bench-encoding bench-recovery bench serve-bench examples lint format-check
+.PHONY: test test-stress test-differential test-chaos bench-smoke bench-incremental bench-delete bench-recovery bench serve-bench examples lint format-check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -25,9 +25,6 @@ test-chaos:
 bench-smoke:
 	$(PYTHON) -m repro.bench.smoke --scale 0.03 --out benchmarks/results/smoke.json
 
-bench-micro:
-	$(PYTHON) -m repro.bench.microbench --scale 0.03 --out benchmarks/results/microbench.json
-
 # delta ingest vs scorched-earth rebuild at 1/100/10k-row batches plus
 # seminaïve view refresh cost; exits non-zero if a <=1% delta is not
 # measurably sub-linear, a data-only write recompiles a plan, or the
@@ -43,13 +40,6 @@ bench-incremental:
 bench-delete:
 	$(PYTHON) -m repro.bench.delete --base-rows 20000 \
 		--out benchmarks/results/BENCH_delete.json
-
-# dictionary/sentinel encoding vs. the object-dtype path; exits non-zero
-# if a kernel microbenchmark falls below 2x or the q1-like hot path
-# materialises an object-dtype column
-bench-encoding:
-	$(PYTHON) -m repro.bench.encoding --scale 0.3 \
-		--out benchmarks/results/BENCH_encoding.json
 
 # WAL write-path overhead + recovery-time curve; exits non-zero if a
 # recovered database diverges from a clean load or buffered-WAL ingest

@@ -11,16 +11,15 @@ graph, one :class:`~repro.planner.cache.PlanCache` and one
 
 Built-in names (auto-registered on import):
 
-=============== ======================= =========================================
-name            aliases                 engine
-=============== ======================= =========================================
-tag             tag_join, tag_slotted   TAG-join executor (slotted hot path)
-tag_vectorized  vectorized              TAG-join over columnar numpy batches
-tag_dict        tag_dict_rows           TAG-join over dict rows (reference path)
-rdbms           rdbms_hash              RDBMS-style baseline, hash joins
-rdbms_sortmerge                         RDBMS-style baseline, sort-merge joins
-spark           spark_like              distributed shuffle/broadcast baseline
-=============== ======================= =========================================
+=============== ============ ====================================================
+name            aliases      engine
+=============== ============ ====================================================
+tag             tag_join     TAG-join executor (the size-adaptive kernel)
+tag_dict                     TAG-join over dict rows (the reference oracle)
+rdbms           rdbms_hash   RDBMS-style baseline, hash joins
+rdbms_sortmerge              RDBMS-style baseline, sort-merge joins
+spark           spark_like   distributed shuffle/broadcast baseline
+=============== ============ ====================================================
 
 Third parties register their own with :func:`register_engine`.
 """
@@ -180,12 +179,10 @@ def create_engine(name: str, context: EngineContext) -> Any:
 # ----------------------------------------------------------------------
 # built-in engines
 # ----------------------------------------------------------------------
-def _tag_factory(context: EngineContext, **defaults: Any) -> Any:
-    from ..core.executor import TagJoinExecutor
-
+def _tag_executor(executor_class: Any, context: EngineContext, **defaults: Any) -> Any:
     options = dict(defaults)
     options.update(context.options)
-    executor = TagJoinExecutor(
+    return executor_class(
         context.tag_graph(),
         context.catalog,
         num_workers=context.num_workers,
@@ -193,21 +190,18 @@ def _tag_factory(context: EngineContext, **defaults: Any) -> Any:
         statistics=context.statistics,
         **options,
     )
-    return executor
 
 
-def _tag_variant_factory(**defaults: Any) -> EngineFactory:
-    """A TAG engine entry with pinned row-representation defaults.
+def _tag_factory(context: EngineContext) -> Any:
+    from ..core.executor import TagJoinExecutor
 
-    User-supplied ``engine_options`` still win, so e.g.
-    ``{"tag_vectorized": {"cross_check_rows": True}}`` composes with the
-    variant's pinned kernel choice.
-    """
+    return _tag_executor(TagJoinExecutor, context)
 
-    def factory(context: EngineContext) -> Any:
-        return _tag_factory(context, **defaults)
 
-    return factory
+def _tag_dict_factory(context: EngineContext) -> Any:
+    from ..core.reference import ReferenceTagJoinExecutor
+
+    return _tag_executor(ReferenceTagJoinExecutor, context, name="tag_dict")
 
 
 def _rdbms_factory(join_algorithm: str) -> EngineFactory:
@@ -242,19 +236,12 @@ def _register_builtins() -> None:
         "tag",
         _tag_factory,
         description="vertex-centric TAG-join executor (the paper's TAG_tg)",
-        aliases=("tag_join", "tag_slotted"),
-    )
-    register_engine(
-        "tag_vectorized",
-        _tag_variant_factory(use_vectorized_kernel=True, name="tag_vectorized"),
-        description="TAG-join over columnar numpy batches (vectorized superstep kernel)",
-        aliases=("vectorized",),
+        aliases=("tag_join",),
     )
     register_engine(
         "tag_dict",
-        _tag_variant_factory(use_slotted_rows=False, name="tag_dict"),
-        description="TAG-join over dict rows (the original reference representation)",
-        aliases=("tag_dict_rows",),
+        _tag_dict_factory,
+        description="TAG-join over dict rows (the reference oracle the kernel is tested against)",
     )
     register_engine(
         "rdbms",
@@ -280,4 +267,4 @@ _register_builtins()
 
 def builtin_engine_names() -> List[str]:
     """The canonical names registered by this module itself."""
-    return ["tag", "tag_vectorized", "tag_dict", "rdbms", "rdbms_sortmerge", "spark"]
+    return ["tag", "tag_dict", "rdbms", "rdbms_sortmerge", "spark"]

@@ -11,7 +11,6 @@ from .harness import (
     run_workload,
 )
 from .memory import peak_memory_bytes, workload_peak_memory
-from .microbench import HOT_PATH_SQL, hot_path_report
 from .reporting import (
     aggregate_runtime_table,
     category_breakdown_table,
@@ -23,10 +22,8 @@ from .reporting import (
 )
 
 __all__ = [
-    "HOT_PATH_SQL",
     "QueryRun",
     "WorkloadReport",
-    "hot_path_report",
     "aggregate_runtime_table",
     "category_breakdown_table",
     "default_engines",

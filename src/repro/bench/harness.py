@@ -11,7 +11,6 @@ speedup tables).
 from __future__ import annotations
 
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -384,17 +383,13 @@ def concurrent_execution_report(
     name: str = "concurrent",
 ) -> Dict[str, Any]:
     """Measure batched throughput of one parameterized query under several
-    execution strategies, against the pre-run-scoped-state serialized path.
+    execution strategies.
 
     The report (part of the smoke-bench JSON artifact) executes one batch
-    of ``batch_size`` parameterized queries four ways:
+    of ``batch_size`` parameterized queries three ways:
 
     * ``serial`` — a plain one-thread loop; also the ground truth every
       other mode's row sets are compared against.
-    * ``serialized_legacy`` — a faithful emulation of the executor before
-      run-scoped vertex state: ``threads`` threads contending one global
-      execution lock, each run preceded by the engine's old
-      ``reset_all_state`` sweep over every vertex of the shared graph.
     * ``threads`` — :meth:`repro.api.Database.execute_many` with a thread
       pool.  Correctness under real interleaving; wall-clock bounded by
       the GIL for this pure-Python engine.
@@ -403,14 +398,12 @@ def concurrent_execution_report(
       unavailable).  This is where multi-core hardware shows up as
       throughput.
 
-    ``speedup_vs_serialized`` is the best concurrent mode's throughput
-    over the serialized-legacy baseline; ``cpu_count`` is recorded so a
-    single-core reading (where no strategy *can* beat a serialized loop)
-    is interpretable.
+    ``speedup_vs_serial`` is the best concurrent mode's throughput over
+    the serial loop; ``cpu_count`` is recorded so a single-core reading
+    (where no strategy *can* beat a serial loop) is interpretable.
     """
     items = [(sql, param_sets[index % len(param_sets)]) for index in range(batch_size)]
     session = database.connect()
-    graph = database.tag_graph()
     session.sql(sql, params=items[0][1])  # warm the shared plan cache
 
     def timed(run: Callable[[], List[Any]]) -> Tuple[float, List[Any]]:
@@ -423,40 +416,6 @@ def concurrent_execution_report(
     )
     truth = [result.to_tuples() for result in serial_results]
 
-    def run_serialized_legacy() -> List[Any]:
-        lock = threading.RLock()
-        results: List[Any] = [None] * len(items)
-        errors: List[BaseException] = []
-        cursor = [0]
-        cursor_lock = threading.Lock()
-
-        def worker() -> None:
-            try:
-                while True:
-                    with cursor_lock:
-                        index = cursor[0]
-                        if index >= len(items):
-                            return
-                        cursor[0] += 1
-                    query, bindings = items[index]
-                    with lock:
-                        # the old engine cleared scratch state off every
-                        # vertex of the shared graph before each run
-                        graph.reset_all_state()
-                        results[index] = session.sql(query, params=bindings)
-            except BaseException as exc:  # surfaced after join, like a future
-                errors.append(exc)
-
-        pool = [threading.Thread(target=worker) for _ in range(threads)]
-        for thread in pool:
-            thread.start()
-        for thread in pool:
-            thread.join()
-        if errors:
-            raise errors[0]
-        return results
-
-    serialized_seconds, serialized_results = timed(run_serialized_legacy)
     threaded_seconds, threaded_results = timed(
         lambda: database.execute_many(items, max_workers=threads)
     )
@@ -470,7 +429,6 @@ def concurrent_execution_report(
             "results_match_serial": [r.to_tuples() for r in results] == truth,
         }
 
-    record("serialized_legacy", serialized_seconds, serialized_results)
     record("threads", threaded_seconds, threaded_results)
     if hasattr(os, "fork"):
         forked_seconds, forked_results = timed(
@@ -478,9 +436,8 @@ def concurrent_execution_report(
         )
         record("processes", forked_seconds, forked_results)
 
-    concurrent_modes = {mode: data for mode, data in modes.items() if mode != "serialized_legacy"}
-    best_mode = min(concurrent_modes, key=lambda mode: concurrent_modes[mode]["seconds"])
-    best_seconds = concurrent_modes[best_mode]["seconds"]
+    best_mode = min(modes, key=lambda mode: modes[mode]["seconds"])
+    best_seconds = modes[best_mode]["seconds"]
     return {
         "query": name,
         "sql": " ".join(sql.split()),
@@ -490,7 +447,6 @@ def concurrent_execution_report(
         "serial_seconds": serial_seconds,
         "modes": modes,
         "best_concurrent_mode": best_mode,
-        "speedup_vs_serialized": serialized_seconds / best_seconds if best_seconds > 0 else 0.0,
         "speedup_vs_serial": serial_seconds / best_seconds if best_seconds > 0 else 0.0,
         "results_match": all(data["results_match_serial"] for data in modes.values()),
     }

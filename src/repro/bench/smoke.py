@@ -4,8 +4,8 @@ Runs a tiny-scale-factor subset of the TPC-H-like workload on the TAG-join
 executor and the RDBMS baseline, cross-checks their result checksums,
 re-executes a Q3-style query repeatedly to demonstrate the plan cache's
 compile-time amortization, runs a concurrent batch through
-``Database.execute_many`` against an emulation of the old lock-serialized
-execution path, and writes everything as a JSON report (the CI artifact).
+``Database.execute_many`` against a serial loop, and writes everything as
+a JSON report (the CI artifact).
 A non-zero exit code means a query crashed, engines disagreed, the plan
 cache failed to produce hits, or concurrent execution diverged from the
 serial baseline — so CI catches harness rot and planner/cache/concurrency
@@ -37,7 +37,6 @@ from .harness import (
     repeated_execution_report,
     run_workload,
 )
-from .microbench import hot_path_report, vectorized_kernel_report
 
 #: queries covering every aggregation class the paper drills into
 SMOKE_QUERIES = ("q1", "q3", "q5", "q6", "q10")
@@ -119,8 +118,7 @@ def run_smoke(
     )
 
     # concurrent batched execution: run-scoped vertex state lets N workers
-    # share one immutable encoded graph; the report compares execute_many
-    # against an emulation of the old lock-serialized, state-resetting path
+    # share one immutable encoded graph; every mode must equal the serial loop
     concurrent = concurrent_execution_report(
         database,
         PARAMETERIZED_SQL,
@@ -131,26 +129,7 @@ def run_smoke(
     )
     concurrent_ok = concurrent["results_match"]
 
-    # hot path: dict vs slotted vs vectorized row representations on a
-    # row-heavy fan-out join over the same encoded graph, equality asserted
-    hot_path = hot_path_report(catalog=workload.catalog, graph=graph, scale=scale)
-    hot_path_ok = hot_path["results_match"]
-
-    # the columnar kernel's own micro: large per-vertex batches, residual
-    # mask + whole-column aggregate reductions (smaller fan-out than the
-    # dedicated bench-micro run, to keep the smoke suite fast)
-    vectorized = vectorized_kernel_report(fanout=16, repeats=2)
-    vectorized_ok = vectorized["results_match"]
-
-    ok = (
-        not failures
-        and not disagreements
-        and cache_ok
-        and parameterized_ok
-        and concurrent_ok
-        and hot_path_ok
-        and vectorized_ok
-    )
+    ok = not failures and not disagreements and cache_ok and parameterized_ok and concurrent_ok
     return {
         "workload": workload.name,
         "scale": scale,
@@ -161,15 +140,11 @@ def run_smoke(
         "repeated_execution": repeated,
         "parameterized_execution": parameterized,
         "concurrent_execution": concurrent,
-        "hot_path": hot_path,
-        "vectorized_kernel": vectorized,
         "failures": failures,
         "agreement_failures": disagreements,
         "plan_cache_ok": cache_ok,
         "parameterized_cache_ok": parameterized_ok,
         "concurrent_ok": concurrent_ok,
-        "hot_path_ok": hot_path_ok,
-        "vectorized_ok": vectorized_ok,
         "ok": ok,
     }
 
@@ -215,16 +190,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not result["concurrent_ok"]:
             print(
                 "  concurrent executions diverged from the serial baseline",
-                file=sys.stderr,
-            )
-        if not result["hot_path_ok"]:
-            print(
-                "  slotted/vectorized hot path diverged from the dict-row baseline",
-                file=sys.stderr,
-            )
-        if not result["vectorized_ok"]:
-            print(
-                "  vectorized kernel diverged on the columnar fan-out micro",
                 file=sys.stderr,
             )
         return 1

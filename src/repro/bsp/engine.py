@@ -171,9 +171,9 @@ class SuperstepContext:
         fan-out and row *tables* (lists) are always sized by first-row
         sampling, so ``message_bytes`` for a small table of uneven rows
         may differ slightly from the per-target :meth:`send` total (which
-        walks containers of up to eight elements exactly).  The slotted
-        TAG-join program uses this to ship its per-superstep row batches
-        (one list of slotted tuples per destination vertex) without paying
+        walks containers of up to eight elements exactly).  The TAG-join
+        kernel uses this to ship its per-superstep row tables (one list of
+        tuples or one column batch per destination vertex) without paying
         the per-edge bookkeeping of the row-at-a-time path.
         """
         if not targets:
@@ -216,10 +216,9 @@ class SuperstepContext:
     def state(self, vertex: Union[Vertex, VertexId]) -> Dict[str, Any]:
         """The scratch dict of ``vertex``, private to the current run.
 
-        This replaces the old pattern of mutating ``vertex.state`` on the
-        shared graph: the returned dict lives in the run's
-        :class:`RunState`, so concurrent runs over one graph never observe
-        each other's scratch values and no cross-run reset is needed.
+        The returned dict lives in the run's :class:`RunState`, not on the
+        shared graph, so concurrent runs over one graph never observe each
+        other's scratch values and no cross-run reset is needed.
         """
         return self.run_state.of(vertex)
 
@@ -355,10 +354,7 @@ class BSPEngine:
                 addition to the program's initial active set).
             run_state: the run's scratch state; a fresh, empty
                 :class:`RunState` is created when omitted.  The graph itself
-                is never written to, so no cross-run reset happens here —
-                external programs still using the legacy ``vertex.state``
-                slot must call ``graph.reset_all_state()`` themselves
-                between runs (the engine no longer does it for them).
+                is never written to, so no cross-run reset happens here.
 
         A program instance is **single-run**: the engine binds the run's
         state to ``program.run_state`` and programs accumulate results on

@@ -44,26 +44,16 @@ class Vertex:
     :class:`~repro.bsp.engine.RunState` via ``context.state(vertex)``, so
     the graph stays immutable during execution and concurrent runs never
     interfere.
-
-    ``state`` is a **legacy** slot kept for external programs written
-    against the old shared-scratch model and for the serialized-baseline
-    emulation in the bench harness; the engine and every built-in program
-    neither read, write nor clear it.
     """
 
     vertex_id: VertexId
     label: str
     properties: Dict[str, Any] = field(default_factory=dict)
-    state: Dict[str, Any] = field(default_factory=dict)
     #: graph-assigned dense integer id, unique for the graph's lifetime
-    #: (never reused after removal).  The slotted/vectorized programs use
-    #: it as the provenance value so provenance columns stay native int64
+    #: (never reused after removal).  The TAG-join kernel uses it as the
+    #: provenance value so provenance columns stay native int64
     #: instead of falling back to object dtype on the vertex-id string.
     ordinal: int = -1
-
-    def reset_state(self) -> None:
-        """Legacy: clear the deprecated shared scratch slot."""
-        self.state.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Vertex({self.vertex_id}:{self.label})"
@@ -228,19 +218,6 @@ class Graph:
 
     def count_by_label(self) -> Dict[str, int]:
         return {label: len(ids) for label, ids in self._vertices_by_label.items()}
-
-    def reset_all_state(self) -> None:
-        """Legacy: the O(|V|) sweep the engine used to run between queries.
-
-        Run-scoped state (:class:`~repro.bsp.engine.RunState`) made this
-        unnecessary — no built-in code calls it anymore.  It is retained for
-        external programs still using ``vertex.state`` and so the bench
-        harness can faithfully reproduce the cost of the old serialized
-        execution path when measuring the concurrency speedup.
-        """
-        for vertex in self._vertices.values():
-            if vertex.state:
-                vertex.state.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph({self.name}, |V|={self.vertex_count}, |E|={self.edge_count})"

@@ -36,25 +36,19 @@ class CompileError(ValueError):
 class CompiledFragment:
     """A fragment config together with the structures it was derived from.
 
-    ``slotted`` is the compiled slotted-row execution plan (schemas, merge
-    closures, slot-compiled filters/outputs/aggregates) derived from the
-    same schedule; it rides along in the plan cache so warm executions get
-    ready-to-run closures.  None only for configs that cannot be
-    specialised — the executor falls back to the dict-row program then.
-
-    ``vectorized`` is the columnar twin: whole-batch residual masks,
-    output gathers and ``np.unique``-based aggregate reductions compiled
-    against the same schemas.  It also rides in the plan cache (warm hits
-    return ready batch closures) and is None exactly when ``slotted`` is —
-    or when numpy is unavailable.
+    ``slotted`` and ``vectorized`` are the kernel's two compiled forms of
+    the same schedule — slot-index closures over tuple rows, and
+    whole-batch masks, gathers and reductions over column batches.  Both
+    ride along in the plan cache so warm executions start from
+    ready-to-run closures; the reference program reads only ``config``.
     """
 
     config: FragmentConfig
     join_tree: JoinTree
     plan: TagPlan
     aggregation_class: AggregationClass
-    slotted: Optional["SlottedFragment"] = None
-    vectorized: Optional["VectorizedFragment"] = None
+    slotted: "SlottedFragment"
+    vectorized: "VectorizedFragment"
     #: alias -> decoder for pass-through outputs of encoded columns; the
     #: executor applies these exactly once, at the public result boundary
     output_decoders: Dict[str, Callable[[Any], Any]] = field(default_factory=dict)
@@ -140,7 +134,6 @@ def compile_fragment(
     eager_partial_aggregation: bool = True,
     collect_output_centrally: bool = False,
     preferred_root: Optional[str] = None,
-    use_encoded_columns: bool = True,
 ) -> CompiledFragment:
     """Compile a connected, non-degenerate query block into a fragment.
 
@@ -154,10 +147,6 @@ def compile_fragment(
         collect_output_centrally: ship output rows to a collector
             aggregator instead of leaving them distributed.
         preferred_root: force the join tree root to a specific alias.
-        use_encoded_columns: compile predicates/outputs/aggregates onto the
-            graph's encoded payloads (int32 string codes, epoch-day dates).
-            False keeps the object path: every encoded access is wrapped in
-            a decode, which is always correct but per-row slow.
     """
     if not spec.tables:
         raise CompileError("query has no tables")
@@ -218,9 +207,7 @@ def compile_fragment(
     # aggregate arguments decode at the aggregation site
     aggregates = list(spec.aggregates)
     output_decoders: Dict[str, Callable[[Any], Any]] = {}
-    rewriter = FragmentRewriter.for_catalog(
-        catalog, alias_tables, use_codes=use_encoded_columns
-    )
+    rewriter = FragmentRewriter.for_catalog(catalog, alias_tables)
     if rewriter is not None:
         filters = rewriter.rewrite_filters(filters)
         residuals = rewriter.rewrite_predicates(residuals)
@@ -241,24 +228,13 @@ def compile_fragment(
         eager_partial_aggregation=eager_partial_aggregation,
         collect_output_centrally=collect_output_centrally,
     )
-    # derive the slotted-row execution plan once, here, so plan-cache hits
+    # derive the kernel's compiled forms once, here, so plan-cache hits
     # (and every execution after the first) start from compiled closures
     from ..exec.fragment import compile_slotted_fragment  # local: breaks import cycle
-
-    try:
-        # the vectorized subpackage hard-imports numpy below its top level;
-        # without numpy the fragment simply compiles with vectorized=None
-        # and the executor runs the slotted/dict program instead
-        from ..exec.vectorized.fragment import compile_vectorized_fragment
-    except ImportError:  # pragma: no cover - numpy-less environments only
-        compile_vectorized_fragment = None  # type: ignore[assignment]
+    from ..exec.vectorized.fragment import compile_vectorized_fragment
 
     slotted = compile_slotted_fragment(config, catalog)
-    vectorized = (
-        compile_vectorized_fragment(config, slotted)
-        if compile_vectorized_fragment is not None
-        else None
-    )
+    vectorized = compile_vectorized_fragment(config, slotted)
     return CompiledFragment(
         config=config,
         join_tree=join_tree,

@@ -39,7 +39,7 @@ from ..bsp.engine import BSPEngine
 from ..bsp.metrics import RunMetrics
 from ..bsp.partition import HashPartitioner, Partitioner, SinglePartitioner
 from ..exec.operations import deduplicate_rows
-from ..exec.program import SlottedTagJoinProgram, register_slotted_group_aggregator
+from ..exec.program import TagJoinKernel, register_group_aggregator
 from ..relational.catalog import Catalog
 from ..storage.rewrite import FragmentRewriter, decode_output_rows
 from ..tag.encoder import TagGraph
@@ -49,12 +49,7 @@ from .compiler import CompiledFragment, compile_fragment, effective_aggregation_
 from .cyclic import CycleQueryProgram, CycleRelation
 from .hypergraph import connected_components, detect_simple_cycle
 from .subquery import compile_subquery_filters
-from .vertex_program import (
-    GLOBAL_GROUPS_AGGREGATOR,
-    GLOBAL_OUTPUT_AGGREGATOR,
-    TagJoinProgram,
-    register_group_aggregator,
-)
+from .vertex_program import GLOBAL_GROUPS_AGGREGATOR, GLOBAL_OUTPUT_AGGREGATOR
 
 
 class ExecutionError(RuntimeError):
@@ -189,11 +184,6 @@ class TagJoinExecutor:
         cross_check_plans: bool = False,
         statistics: Optional["CatalogStatistics"] = None,
         cost_config: Optional["CostModelConfig"] = None,
-        use_slotted_rows: bool = True,
-        use_vectorized_kernel: bool = False,
-        vectorized_batch_threshold: Optional[int] = None,
-        cross_check_rows: bool = False,
-        use_encoded_columns: bool = True,
         name: str = "tag",
     ) -> None:
         # local import: repro.planner depends on repro.core's submodules
@@ -209,25 +199,6 @@ class TagJoinExecutor:
         self.max_supersteps = max_supersteps
         self.use_cost_based_planner = use_cost_based_planner
         self.cross_check_plans = cross_check_plans
-        #: run fragments over slotted tuple rows (the compiled hot path);
-        #: False opts back onto the original dict-per-row vertex program
-        self.use_slotted_rows = use_slotted_rows
-        #: run fragments over columnar numpy batches (the vectorized
-        #: superstep kernel layered on the slotted substrate); fragments
-        #: that cannot be vectorized fall back per the flags above
-        self.use_vectorized_kernel = use_vectorized_kernel
-        #: table size at which the vectorized program converts a tuple-row
-        #: table to columns (None = kernel default; 0 = always columnar,
-        #: the setting the correctness suites use for maximal coverage)
-        self.vectorized_batch_threshold = vectorized_batch_threshold
-        #: execute every fragment on EVERY available row representation
-        #: (dict, slotted, vectorized) and require identical results — a
-        #: correctness harness, not a production mode
-        self.cross_check_rows = cross_check_rows
-        #: compile predicates/outputs onto the graph's encoded payloads
-        #: (int32 string codes, epoch-day dates) and decode once at the
-        #: result boundary; False opts back onto the per-row object path
-        self.use_encoded_columns = use_encoded_columns
         self.planner = CostBasedPlanner(
             catalog,
             statistics=statistics,
@@ -351,7 +322,6 @@ class TagJoinExecutor:
             eager_partial_aggregation=self.eager_partial_aggregation,
             collect_output_centrally=self.collect_output_centrally,
             num_workers=self.num_workers,
-            use_encoded_columns=self.use_encoded_columns,
         )
 
     def prepare_plan(self, spec: QuerySpec) -> bool:
@@ -445,13 +415,6 @@ class TagJoinExecutor:
             choice = self.last_plan_choice
             tree = compiled.join_tree
             lines.append(f"  aggregation class: {compiled.aggregation_class.value}")
-            representation = self._row_representation(compiled)
-            descriptions = {
-                "vectorized": "vectorized columnar batches (numpy array per slot)",
-                "slotted": "slotted tuple rows (slot-compiled closures)",
-                "dict": "dict rows (per-row name resolution)",
-            }
-            lines.append(f"  row representation: {descriptions[representation]}")
             lines.append(f"  join tree (root = {tree.root}):")
             lines.extend(self._render_tree(spec, tree, tree.root, depth=2))
             if tree.residual_conditions:
@@ -562,39 +525,7 @@ class TagJoinExecutor:
         result = self._run_compiled(spec, compiled, metrics, raw_rows)
         if self.cross_check_plans and self.use_cost_based_planner:
             self._cross_check(spec, extra_filters, extra_residuals, result, raw_rows)
-        if self.cross_check_rows:
-            self._cross_check_representations(spec, compiled, result, raw_rows)
         return result
-
-    def _cross_check_representations(
-        self,
-        spec: QuerySpec,
-        compiled: CompiledFragment,
-        result: QueryResult,
-        raw_rows: bool,
-    ) -> None:
-        """Re-run the fragment on every *other* available row representation
-        and require identical results (dict vs slotted vs vectorized)."""
-        primary = self._row_representation(compiled)
-        alternates = ["dict"]
-        if compiled.slotted is not None:
-            alternates.append("slotted")
-        if compiled.vectorized is not None:
-            alternates.append("vectorized")
-        reference = result.to_tuples()
-        for mode in alternates:
-            if mode == primary:
-                continue
-            scratch = RunMetrics(label=f"{spec.name}:row-cross-check:{mode}")
-            baseline = self._run_compiled(
-                spec, compiled, scratch, raw_rows, force_rows=mode
-            )
-            if reference != baseline.to_tuples():
-                raise ExecutionError(
-                    f"row-representation cross-check failed for {spec.name!r}: "
-                    f"{primary} path returned {len(result.rows)} rows, {mode} path "
-                    f"{len(baseline.rows)} rows (or differing contents)"
-                )
 
     # ------------------------------------------------------------------
     # compilation: plan cache in front of the cost-based planner
@@ -621,7 +552,6 @@ class TagJoinExecutor:
                     eager_partial_aggregation=self.eager_partial_aggregation,
                     collect_output_centrally=self.collect_output_centrally,
                     num_workers=self.num_workers,
-                    use_encoded_columns=self.use_encoded_columns,
                 )
                 cached = self.plan_cache.lookup(key)
                 if cached is not None:
@@ -665,7 +595,6 @@ class TagJoinExecutor:
             eager_partial_aggregation=self.eager_partial_aggregation,
             collect_output_centrally=self.collect_output_centrally,
             preferred_root=preferred_root,
-            use_encoded_columns=self.use_encoded_columns,
         )
 
     def _cross_check(
@@ -690,121 +619,50 @@ class TagJoinExecutor:
     # ------------------------------------------------------------------
     # running one compiled fragment
     # ------------------------------------------------------------------
-    def _row_representation(self, compiled: CompiledFragment) -> str:
-        """Which row representation this executor runs ``compiled`` on."""
-        if self.use_vectorized_kernel and compiled.vectorized is not None:
-            return "vectorized"
-        if self.use_slotted_rows and compiled.slotted is not None:
-            return "slotted"
-        return "dict"
-
     def _run_compiled(
         self,
         spec: QuerySpec,
         compiled: CompiledFragment,
         metrics: RunMetrics,
         raw_rows: bool = False,
-        force_rows: Optional[str] = None,
     ) -> QueryResult:
-        # pick the row representation: the vectorized columnar kernel when
-        # enabled and compiled, else the slotted hot path, else dict rows;
-        # ``force_rows`` pins one explicitly (cross-check harness)
-        mode = force_rows or self._row_representation(compiled)
-        slotted = compiled.slotted if mode in ("slotted", "vectorized") else None
-        vectorized = compiled.vectorized if mode == "vectorized" else None
+        slotted = compiled.slotted
         engine = self._make_engine()
         if compiled.aggregation_class in (AggregationClass.GLOBAL, AggregationClass.SCALAR):
-            if slotted is not None:
-                register_slotted_group_aggregator(engine, slotted.aggregates)
-            else:
-                register_group_aggregator(engine, compiled.config.aggregates)
+            register_group_aggregator(engine, slotted.aggregates)
         if self.collect_output_centrally:
             engine.register_aggregator(CollectAggregator(GLOBAL_OUTPUT_AGGREGATOR))
 
-        if vectorized is not None:
-            from ..exec.vectorized.program import (
-                DEFAULT_COLUMNAR_THRESHOLD,
-                VectorizedTagJoinProgram,
-            )
-
-            threshold = self.vectorized_batch_threshold
-            program = VectorizedTagJoinProgram(
-                self.graph,
-                compiled.config,
-                slotted,
-                vectorized,
-                columnar_threshold=(
-                    DEFAULT_COLUMNAR_THRESHOLD if threshold is None else threshold
-                ),
-            )
-        elif slotted is not None:
-            program = SlottedTagJoinProgram(self.graph, compiled.config, slotted)
-        else:
-            program = TagJoinProgram(self.graph, compiled.config)
+        program = TagJoinKernel(self.graph, compiled.config, slotted, compiled.vectorized)
         engine.run(program)
         metrics.merge(engine.last_metrics)
 
+        # rows stay tuples until here, the public result boundary: the only
+        # dict per row, and the single decode of pass-through codes
         if raw_rows or compiled.aggregation_class is AggregationClass.NONE:
             columns = [column.alias for column in compiled.config.output_columns]
-            if slotted is not None:
-                if vectorized is not None:
-                    # columnar batches plus any sub-threshold tuple tables
-                    produced = program.output_rows + program.collected_output_tuples()
-                else:
-                    produced = program.output_rows
-                if spec.distinct and not raw_rows:
-                    produced = deduplicate_rows(produced)
-                # the only dict per row on the slotted/vectorized paths:
-                # the public result boundary
-                rows = [dict(zip(columns, values)) for values in produced]
+            produced = program.result_tuples()
+            if spec.distinct and not raw_rows:
+                produced = deduplicate_rows(produced)
+        else:
+            columns = [column.alias for column in spec.output] + [
+                aggregate.alias for aggregate in spec.aggregates
+            ]
+            if compiled.aggregation_class is AggregationClass.LOCAL:
+                produced = program.local_groups
             else:
-                rows = program.output_rows
-                if spec.distinct and not raw_rows:
-                    rows = ops.deduplicate(rows)
-            # decode-once: pass-through outputs of encoded columns flowed
-            # as int32 codes until here, the public result boundary
-            decode_output_rows(rows, compiled.output_decoders)
-            return QueryResult(rows, columns, metrics, compiled.aggregation_class)
-
-        columns = [column.alias for column in spec.output] + [
-            aggregate.alias for aggregate in spec.aggregates
-        ]
-        if compiled.aggregation_class is AggregationClass.LOCAL:
-            if slotted is not None:
-                rows = [dict(zip(columns, values)) for values in program.local_groups]
-            else:
-                rows = program.local_groups
-            decode_output_rows(rows, compiled.output_decoders)
-            return QueryResult(rows, columns, metrics, compiled.aggregation_class)
-
-        # GLOBAL / SCALAR: finalize the partial aggregates gathered globally
-        groups = engine.aggregators.get(GLOBAL_GROUPS_AGGREGATOR).value()
-        rows = []
-        if slotted is not None:
-            aggregates = slotted.aggregates
-            for _key, (partial, sample) in groups.items():
-                values = slotted.output(sample) + aggregates.finalize(partial)
-                rows.append(dict(zip(columns, values)))
-            if compiled.aggregation_class is AggregationClass.SCALAR and not rows:
-                empty = aggregates.finalize(aggregates.empty())
-                rows = [dict(zip(aggregates.aliases, empty))]
-            decode_output_rows(rows, compiled.output_decoders)
-            return QueryResult(rows, columns, metrics, compiled.aggregation_class)
-        for _key, payload in groups.items():
-            # evaluate the *rewritten* outputs: the sample row context holds
-            # encoded values, which only the rewritten expressions read
-            # correctly (pass-through codes are decoded just below)
-            final = ops.finalize_partial(payload["partial"], compiled.config.aggregates)
-            row = ops.evaluate_output_columns(
-                compiled.config.output_columns, payload["sample"]
-            )
-            row.update(final)
-            rows.append(row)
-        if compiled.aggregation_class is AggregationClass.SCALAR and not rows:
-            empty = ops.finalize_partial(
-                ops.empty_partial(compiled.config.aggregates), compiled.config.aggregates
-            )
-            rows = [empty]
+                # GLOBAL / SCALAR: finalize the partial aggregates gathered globally
+                aggregates = slotted.aggregates
+                groups = engine.aggregators.get(GLOBAL_GROUPS_AGGREGATOR).value()
+                produced = [
+                    slotted.output(sample) + aggregates.finalize(partial)
+                    for partial, sample in groups.values()
+                ]
+                if compiled.aggregation_class is AggregationClass.SCALAR and not produced:
+                    # an aggregate over no rows still answers (COUNT = 0, SUM = NULL)
+                    empty = aggregates.finalize(aggregates.empty())
+                    produced = [(None,) * len(spec.output) + empty]
+        rows = [dict(zip(columns, values)) for values in produced]
         decode_output_rows(rows, compiled.output_decoders)
         return QueryResult(rows, columns, metrics, compiled.aggregation_class)
 
@@ -844,11 +702,9 @@ class TagJoinExecutor:
                 filters[alias] = combined
         # the cycle program reads encoded tuple payloads: compile its
         # filters onto the codes and decode the joined rows on the way out
-        # (the cycle result feeds legacy _post_assemble, which evaluates
+        # (the cycle result feeds _post_assemble, which evaluates
         # un-rewritten residuals/outputs and needs decoded values)
-        rewriter = FragmentRewriter.for_catalog(
-            self.catalog, alias_map, use_codes=self.use_encoded_columns
-        )
+        rewriter = FragmentRewriter.for_catalog(self.catalog, alias_map)
         if rewriter is not None:
             filters = rewriter.rewrite_filters(filters)
         engine = self._make_engine()

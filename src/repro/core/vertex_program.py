@@ -114,41 +114,9 @@ def build_schedule(plan: TagPlan) -> List[ScheduledStep]:
 class TagJoinProgram(VertexProgram):
     """Vertex-centric evaluation of one tree-shaped query fragment (Algorithm 2)."""
 
-    def __init__(
-        self,
-        graph: TagGraph,
-        config: FragmentConfig,
-        alias_ranges: Optional[Dict[str, Tuple[int, Optional[int]]]] = None,
-        alias_members: Optional[Dict[str, Set[int]]] = None,
-        alias_excluded: Optional[Dict[str, Set[int]]] = None,
-    ) -> None:
-        """
-        Args:
-            alias_ranges: optional per-alias tuple-index windows
-                ``alias -> (lo_exclusive, hi_inclusive | None)`` restricting
-                which tuple vertices of that alias participate.  Tuple
-                vertex ids encode their 1-based insertion index
-                (``R_7`` is the 7th ``R`` tuple), so a window selects a
-                contiguous slice of a relation's load history.  Seminaïve
-                materialized-view refresh uses windows to evaluate each
-                delta term ``Q(old, .., Δ_i, .., full)`` over only the
-                relevant old/new vertices.  Aliases without an entry see
-                the full relation.
-            alias_members: optional per-alias tuple-index *membership* sets
-                — an alias with an entry only accepts tuple vertices whose
-                index is in the set.  Deletion-delta terms use this to pin
-                one alias to exactly the deleted tuples (which are sparse,
-                not a contiguous window).
-            alias_excluded: optional per-alias tuple-index *exclusion* sets
-                — tuple vertices whose index is in the set are rejected.
-                The telescoping delete terms use this to keep earlier
-                aliases on the "already deleted" side of the product.
-        """
+    def __init__(self, graph: TagGraph, config: FragmentConfig) -> None:
         self.graph = graph
         self.config = config
-        self.alias_ranges: Dict[str, Tuple[int, Optional[int]]] = dict(alias_ranges or {})
-        self.alias_members: Dict[str, Set[int]] = dict(alias_members or {})
-        self.alias_excluded: Dict[str, Set[int]] = dict(alias_excluded or {})
         self.output_rows: List[Dict[str, Any]] = []
         self.local_groups: List[Dict[str, Any]] = []
         self._start_node = config.plan.node(config.start_node_id)
@@ -163,12 +131,7 @@ class TagJoinProgram(VertexProgram):
         if not start.is_relation:
             raise ValueError("the TAG plan traversal must start at a relation node")
         candidates = graph.vertices_with_label(start.table)
-        if (
-            not self.config.filters.get(start.alias)
-            and start.alias not in self.alias_ranges
-            and start.alias not in self.alias_members
-            and start.alias not in self.alias_excluded
-        ):
+        if not self.config.filters.get(start.alias):
             return candidates
         passing = []
         for vertex_id in candidates:
@@ -366,12 +329,6 @@ class TagJoinProgram(VertexProgram):
     def _tuple_passes_filters(self, vertex: Vertex, alias: Optional[str]) -> bool:
         if alias is None:
             return True
-        if self.alias_ranges and not self._vertex_in_range(vertex, alias):
-            return False
-        if (self.alias_members or self.alias_excluded) and not self._vertex_in_sets(
-            vertex, alias
-        ):
-            return False
         predicates = self.config.filters.get(alias)
         if not predicates:
             return True
@@ -380,32 +337,6 @@ class TagJoinProgram(VertexProgram):
             return True
         row = ops.row_context_for_tuple(alias, tuple_data)
         return ops.passes_filters(row, predicates)
-
-    def _vertex_in_range(self, vertex: Vertex, alias: str) -> bool:
-        window = self.alias_ranges.get(alias)
-        if window is None:
-            return True
-        try:
-            index = int(vertex.vertex_id.rsplit("_", 1)[1])
-        except (IndexError, ValueError):
-            return True  # not a tuple vertex id; windows don't apply
-        lo_exclusive, hi_inclusive = window
-        if index <= lo_exclusive:
-            return False
-        return hi_inclusive is None or index <= hi_inclusive
-
-    def _vertex_in_sets(self, vertex: Vertex, alias: str) -> bool:
-        members = self.alias_members.get(alias)
-        excluded = self.alias_excluded.get(alias)
-        if members is None and excluded is None:
-            return True
-        try:
-            index = int(vertex.vertex_id.rsplit("_", 1)[1])
-        except (IndexError, ValueError):
-            return True  # not a tuple vertex id; sets don't apply
-        if members is not None and index not in members:
-            return False
-        return excluded is None or index not in excluded
 
     def _own_row(self, vertex: Vertex, node: PlanNode) -> Dict[str, Any]:
         tuple_data = vertex.properties[TUPLE_DATA_KEY]

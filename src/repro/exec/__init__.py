@@ -1,7 +1,7 @@
-"""Slotted-row execution: the compiled TAG-join hot path.
+"""Compiled TAG-join execution: the production kernel behind ``engine="tag"``.
 
-This package replaces dict-per-row processing on the TAG-join inner loop
-with tuples shaped by compile-time :class:`RowSchema` objects:
+Intermediate result tables are shaped by compile-time :class:`RowSchema`
+objects instead of dict-per-row name resolution:
 
 * :mod:`repro.exec.schema` — column -> slot mapping and merge compilation;
 * :mod:`repro.exec.expr` — slot-compiling expression evaluator (with a
@@ -9,21 +9,22 @@ with tuples shaped by compile-time :class:`RowSchema` objects:
 * :mod:`repro.exec.operations` — slotted aggregates, outputs, group keys;
 * :mod:`repro.exec.fragment` — per-plan symbolic schedule replay producing
   a :class:`SlottedFragment`;
-* :mod:`repro.exec.program` — the slotted vertex program itself;
-* :mod:`repro.exec.vectorized` — the columnar (struct-of-arrays) superstep
-  kernel layered on the slotted substrate (imported lazily; enable with
-  ``TagJoinExecutor(use_vectorized_kernel=True)`` or engine
-  ``tag_vectorized``).
+* :mod:`repro.exec.vectorized` — the columnar (struct-of-arrays) form of a
+  table and its whole-batch operators;
+* :mod:`repro.exec.program` — :class:`TagJoinKernel`, the one Algorithm-2
+  vertex program: every table starts as tuple rows and converts to a
+  column batch when its observed size reaches
+  :data:`~repro.exec.program.COLUMNAR_THRESHOLD`.
 
-The public query API is unchanged: results still surface as dict rows;
-``TagJoinExecutor(use_slotted_rows=False)`` opts a fragment back onto the
-dict path (and ``cross_check_rows=True`` runs both, asserting equality).
+The public query API is unchanged: results surface as dict rows.  The
+dict-row :class:`~repro.core.vertex_program.TagJoinProgram` stays as the
+independent reference, reachable as the ``tag_dict`` engine.
 """
 
 from .expr import compile_expression, compile_predicates, slot_resolver
 from .fragment import SlottedFragment, compile_slotted_fragment, provenance_key
 from .operations import SlottedAggregates, compile_group_key, compile_output, deduplicate_rows
-from .program import SlottedTagJoinProgram, register_slotted_group_aggregator
+from .program import TagJoinKernel, register_group_aggregator
 from .schema import RowSchema, SlotError, merge_schemas
 
 __all__ = [
@@ -31,7 +32,7 @@ __all__ = [
     "SlotError",
     "SlottedAggregates",
     "SlottedFragment",
-    "SlottedTagJoinProgram",
+    "TagJoinKernel",
     "compile_expression",
     "compile_group_key",
     "compile_output",
@@ -40,6 +41,6 @@ __all__ = [
     "deduplicate_rows",
     "merge_schemas",
     "provenance_key",
-    "register_slotted_group_aggregator",
+    "register_group_aggregator",
     "slot_resolver",
 ]

@@ -33,7 +33,7 @@ from .schema import RowSchema, SlottedRow, merge_gather_plan, merge_schemas
 
 
 def provenance_key(alias: Optional[str]) -> str:
-    """The hidden per-alias provenance column (same name as the dict path's)."""
+    """The hidden per-alias provenance column (same name as the reference program's)."""
     return f"__vid.{alias}"
 
 
@@ -60,8 +60,8 @@ class CollectAction:
     concatenation); at relation nodes it combines an incoming row with the
     vertex's own row.  ``prov_slot`` is the provenance column's slot in
     the *incoming* schema when present — rows whose recorded contributor
-    for this alias is a different vertex are dropped, mirroring the dict
-    path's ``row.get(provenance, vid) == vid`` check.
+    for this alias is a different vertex are dropped, mirroring the
+    reference program's ``row.get(provenance, vid) == vid`` check.
     """
 
     merge: Optional[Callable[[SlottedRow, SlottedRow], SlottedRow]] = None
@@ -69,14 +69,14 @@ class CollectAction:
     concat: bool = False  # merge is a plain tuple concatenation (fast path)
     identity: bool = False  # incoming row already carries this alias's columns
     #: per-output-slot gather recipe ``(take_from_incoming, source_slot)`` for
-    #: overlapping merges; None for concat/identity/passthrough.  The
-    #: vectorized kernel turns it into column gathers + own-value broadcasts.
+    #: overlapping merges; None for concat/identity/passthrough.  On a
+    #: column batch it becomes column gathers + own-value broadcasts.
     plan: Optional[Tuple[Tuple[bool, int], ...]] = None
 
 
 @dataclass
 class SlottedFragment:
-    """Everything the slotted vertex program needs, compiled once per plan."""
+    """Everything the kernel's tuple-row form needs, compiled once per plan."""
 
     own: Dict[str, OwnRowSpec]  # alias -> own-row projection
     collect: Dict[int, CollectAction]  # schedule index -> compiled receive
@@ -89,12 +89,13 @@ class SlottedFragment:
     aggregates: Optional[SlottedAggregates]
 
 
-def compile_slotted_fragment(config: Any, catalog: Catalog) -> Optional[SlottedFragment]:
+def compile_slotted_fragment(config: Any, catalog: Catalog) -> SlottedFragment:
     """Derive the slotted execution plan of one fragment config.
 
-    Returns None when the config cannot be specialised (hand-built configs
-    with open-ended ``required_columns``); the executor then runs the dict
-    path for that fragment.
+    Raises ValueError for configs the compiler never produces and the
+    kernel cannot run: open-ended ``required_columns`` (row shapes must be
+    fixed at compile time) or a collection schedule that does not start at
+    a relation node.
     """
     from ..core.vertex_program import Phase  # local: avoid import cycle at package init
 
@@ -106,7 +107,7 @@ def compile_slotted_fragment(config: Any, catalog: Catalog) -> Optional[SlottedF
         alias = node.alias
         required = config.required_columns.get(alias)
         if required is None:
-            return None
+            raise ValueError(f"alias {alias!r} has open-ended required columns")
         table_columns = catalog.schema(config.alias_tables[alias]).column_names
         # keep only columns the tuple vertices actually store, in a fixed
         # deterministic order (mirrors project_tuple's membership filter)
@@ -139,7 +140,7 @@ def compile_slotted_fragment(config: Any, catalog: Catalog) -> Optional[SlottedF
         source_schema = schema_at.get(step.source)
         if source_schema is None:
             if not source_node.is_relation:
-                return None  # malformed schedule; let the dict path handle it
+                raise ValueError(f"collection step {index} starts at a valueless attribute node")
             source_schema = own[source_node.alias].schema
         if not target_node.is_relation:
             collect[index] = CollectAction()
@@ -170,7 +171,7 @@ def compile_slotted_fragment(config: Any, catalog: Catalog) -> Optional[SlottedF
     if root_schema is None:
         root_node = plan.node(config.root_node_id)
         if not root_node.is_relation:
-            return None
+            raise ValueError("the plan root is an attribute node no collection step reaches")
         root_schema = own[root_node.alias].schema
 
     residual = compile_residual(config.residual_predicates, root_schema)

@@ -153,7 +153,7 @@ def merge_gather_plan(
     """The gather recipe behind :func:`merge_schemas`, as inspectable data.
 
     One ``(take_from_left, slot_in_source)`` pair per merged output slot —
-    the form the vectorized kernel consumes directly (a left entry becomes
+    the form a column batch consumes directly (a left entry becomes
     a column gather of the incoming batch, a right entry a broadcast of the
     vertex's own value).
     """

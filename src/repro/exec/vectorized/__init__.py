@@ -1,6 +1,7 @@
-"""Columnar (struct-of-arrays) TAG-join execution: the vectorized kernel.
+"""Columnar (struct-of-arrays) tables and their whole-batch operators.
 
-The fourth execution representation, layered on the slotted substrate:
+The above-threshold form of a TAG-join intermediate table (see
+:mod:`repro.exec.program` for when a table takes it):
 
 * :mod:`repro.exec.vectorized.batch` — :class:`ColumnBatch`, one numpy
   array per slot with an object-dtype fallback for opaque values;
@@ -9,14 +10,10 @@ The fourth execution representation, layered on the slotted substrate:
 * :mod:`repro.exec.vectorized.operations` — ``np.unique``-based GROUP BY
   factorization and aggregate reductions with slotted-compatible partials;
 * :mod:`repro.exec.vectorized.fragment` — per-plan compilation riding in
-  :class:`~repro.core.compiler.CompiledFragment`;
-* :mod:`repro.exec.vectorized.program` — the batch vertex program.
-
-Enable per executor with ``TagJoinExecutor(use_vectorized_kernel=True)``,
-or by name through the engine registry (``tag_vectorized``).
+  :class:`~repro.core.compiler.CompiledFragment`.
 """
 
-from .batch import HAVE_NUMPY, ColumnBatch, column_array, concat_columns, full_column
+from .batch import ColumnBatch, column_array, concat_columns, full_column
 from .expr import (
     as_mask,
     compile_batch_expression,
@@ -25,14 +22,11 @@ from .expr import (
 )
 from .fragment import VectorizedFragment, compile_vectorized_fragment
 from .operations import VectorizedAggregates, compile_batch_group_key, factorize_groups
-from .program import VectorizedTagJoinProgram
 
 __all__ = [
-    "HAVE_NUMPY",
     "ColumnBatch",
     "VectorizedAggregates",
     "VectorizedFragment",
-    "VectorizedTagJoinProgram",
     "as_mask",
     "column_array",
     "compile_batch_expression",

@@ -19,20 +19,14 @@ Two invariants keep the columnar path byte-equal to the tuple path:
 * **boundary conversion** — :meth:`ColumnBatch.to_tuples` uses
   ``ndarray.tolist`` per column, which converts native values back into
   plain Python ``int``/``float``/``bool``.  Rows leaving a batch are
-  therefore indistinguishable from rows the slotted program built.
+  therefore indistinguishable from rows the tuple form built.
 """
 
 from __future__ import annotations
 
 from typing import Any, List, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - numpy is a declared dependency, but stay importable
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
+import numpy as np
 
 from ...bsp.metrics import payload_size_bytes
 from ..schema import SlottedRow
@@ -55,10 +49,7 @@ def reset_object_column_stats() -> None:
     OBJECT_COLUMN_STATS["native_columns"] = 0
 
 
-if HAVE_NUMPY:
-    _NATIVE_DTYPES = {int: np.int64, float: np.float64, bool: np.bool_}
-else:  # pragma: no cover
-    _NATIVE_DTYPES = {}
+_NATIVE_DTYPES = {int: np.int64, float: np.float64, bool: np.bool_}
 
 
 def full_column(length: int, value: Any) -> "np.ndarray":

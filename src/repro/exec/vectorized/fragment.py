@@ -9,11 +9,10 @@ operators — residual predicates, the SELECT list, the GROUP BY key and the
 aggregates — into whole-batch closures.
 
 The per-step collection behaviour needs no separate compilation: the
-vectorized program reads the same
-:class:`~repro.exec.fragment.CollectAction` table the slotted program
-runs from (``identity`` -> provenance mask, ``concat`` -> gather + own
-broadcast, ``plan`` -> column gather plan), which guarantees the two
-representations can never disagree about the shape of a step.
+program applies the same :class:`~repro.exec.fragment.CollectAction` to a
+table in either form (``identity`` -> provenance mask, ``concat`` ->
+gather + own broadcast, ``plan`` -> column gather plan), which guarantees
+the two forms can never disagree about the shape of a step.
 
 Like the slotted plan, the compiled result rides inside the cached
 :class:`~repro.core.compiler.CompiledFragment`, so a plan-cache hit hands
@@ -28,7 +27,7 @@ from typing import Any, Callable, List, Optional, Tuple
 from ...algebra.expressions import ColumnRef
 from ..fragment import SlottedFragment
 from ..schema import SlotError
-from .batch import HAVE_NUMPY, ColumnBatch
+from .batch import ColumnBatch
 from .expr import compile_batch_outputs, compile_batch_predicates
 from .operations import VectorizedAggregates, compile_batch_group_key
 
@@ -50,18 +49,8 @@ class VectorizedFragment:
     aggregates: Optional[VectorizedAggregates]
 
 
-def compile_vectorized_fragment(
-    config: Any, slotted: Optional[SlottedFragment]
-) -> Optional[VectorizedFragment]:
-    """Derive the columnar execution plan from a compiled slotted fragment.
-
-    Returns None when there is nothing to derive it from (the fragment
-    could not be slot-specialised) or numpy is unavailable — the executor
-    then runs the slotted or dict program for the fragment.
-    """
-    if slotted is None or not HAVE_NUMPY:
-        return None
-
+def compile_vectorized_fragment(config: Any, slotted: SlottedFragment) -> VectorizedFragment:
+    """Derive the columnar execution plan from a compiled slotted fragment."""
     root_schema = slotted.root_schema
     residual = compile_batch_predicates(config.residual_predicates, root_schema)
     outputs = compile_batch_outputs(config.output_columns, root_schema)

@@ -13,7 +13,7 @@ tuples of exactly one alias::
 the same table self-joined — grew in one write).  Tuple vertex ids encode
 their 1-based insertion index, so "old", "Δ" and "full" are per-alias
 *index windows*; each term compiles to the view's cached plan fragment
-run with :class:`~repro.core.vertex_program.TagJoinProgram`'s
+run with :class:`~repro.exec.program.TagJoinKernel`'s
 ``alias_ranges`` windows over only the relevant vertices — iterated
 supersteps on the BSP engine, touching nothing outside the delta's join
 neighbourhood.
@@ -149,11 +149,14 @@ def run_view_fragment(
     alias_excluded: Optional[Dict[str, Set[int]]] = None,
 ) -> List[Dict[str, Any]]:
     """Run a compiled NONE-aggregation fragment, windowed per alias."""
-    from ..core.vertex_program import TagJoinProgram
+    from ..exec.program import TagJoinKernel
+    from ..storage.rewrite import decode_output_rows
 
-    program = TagJoinProgram(
+    program = TagJoinKernel(
         graph,
         compiled.config,
+        compiled.slotted,
+        compiled.vectorized,
         alias_ranges=alias_ranges,
         alias_members=alias_members,
         alias_excluded=alias_excluded,
@@ -161,10 +164,10 @@ def run_view_fragment(
     engine = BSPEngine(graph, SinglePartitioner(), max_supersteps=VIEW_MAX_SUPERSTEPS)
     engine.run(program)
     # view rows are served directly, so this is their result boundary:
-    # decode pass-through codes exactly once, here
-    from ..storage.rewrite import decode_output_rows
-
-    return decode_output_rows(program.output_rows, compiled.output_decoders)
+    # the one dict per row, and pass-through codes decoded exactly once
+    columns = compiled.slotted.output_columns
+    rows = [dict(zip(columns, values)) for values in program.result_tuples()]
+    return decode_output_rows(rows, compiled.output_decoders)
 
 
 def refresh_view_delta(

@@ -8,8 +8,8 @@ arguments are rewritten so that the inner execution loop only ever sees
 the public result boundary.
 
 Correctness contract: every rewritten predicate must produce the
-*identical* boolean the legacy expression produces for **all** inputs,
-including NULLs (``None`` from outer-join padding as well as the in-band
+*identical* boolean the un-rewritten expression produces for **all**
+inputs, including NULLs (``None`` from outer-join padding as well as the in-band
 sentinels).  Composition under ``And``/``Or``/``Not`` is then
 automatically safe, because ``Not`` is plain boolean negation in this
 engine.
@@ -186,7 +186,7 @@ class DecodedContext(Expression):
     notably the :class:`~repro.core.operations.CallablePredicate` closures
     subquery compilation produces, which probe ``context.get(...)``
     directly.  The wrapper materialises a decoded copy of the context
-    dict, restoring exact legacy semantics at interpretation cost.
+    dict, restoring the un-rewritten semantics at interpretation cost.
     """
 
     inner: Expression
@@ -237,21 +237,10 @@ def _is_plain_date(value: Any) -> bool:
 
 
 class FragmentRewriter:
-    """Rewrites one fragment's expressions onto the encoded representation.
+    """Rewrites one fragment's expressions onto the encoded representation."""
 
-    ``use_codes=False`` is the explicit object-path opt-out: every encoded
-    column reference is wrapped in :class:`DecodeExpr` instead, restoring
-    decode-at-access (object dtype) behaviour — the baseline the encoding
-    benchmark measures against and the chicken switch for debugging.
-    """
-
-    def __init__(
-        self,
-        alias_codecs: Dict[str, RelationCodec],
-        use_codes: bool = True,
-    ) -> None:
+    def __init__(self, alias_codecs: Dict[str, RelationCodec]) -> None:
         self.alias_codecs = alias_codecs
-        self.use_codes = use_codes
         self._qualified: Dict[str, ColumnCodec] = {}
         by_name: Dict[str, Any] = {}
         seen_alias: Dict[str, str] = {}
@@ -274,7 +263,7 @@ class FragmentRewriter:
 
     @classmethod
     def for_catalog(
-        cls, catalog: Any, alias_tables: Dict[str, str], use_codes: bool = True
+        cls, catalog: Any, alias_tables: Dict[str, str]
     ) -> Optional["FragmentRewriter"]:
         """A rewriter for the fragment's aliases, or None when there is
         nothing encoded to rewrite (all-numeric fragments skip the pass)."""
@@ -289,7 +278,7 @@ class FragmentRewriter:
             any_encoded = any_encoded or codec.has_encoded
         if not any_encoded:
             return None
-        return cls(alias_codecs, use_codes=use_codes)
+        return cls(alias_codecs)
 
     # -- column resolution --------------------------------------------
     def _codec_of(self, ref: ColumnRef, scope: Optional[str]) -> Any:
@@ -414,15 +403,6 @@ class FragmentRewriter:
         """Rewrite one predicate (filter or residual)."""
         if isinstance(expression, (Literal, ParameterRef)):
             return expression
-        if not self.use_codes:
-            # explicit object-path opt-out: decode at access everywhere
-            if not isinstance(expression, _REBUILDABLE):
-                return self._wrap(expression)
-            return (
-                self._decode_subst(expression, scope)
-                if self._touches_encoded(expression, scope)
-                else expression
-            )
         if isinstance(expression, And):
             return And([self.rewrite(op, scope) for op in expression.operands])
         if isinstance(expression, Or):
@@ -477,9 +457,7 @@ class FragmentRewriter:
                 return OutputColumn(self._wrap(expression), output.alias), None
             if codec is None:
                 return output, None
-            if self.use_codes:
-                return output, codec.decode
-            return OutputColumn(DecodeExpr(expression, codec), output.alias), None
+            return output, codec.decode
         if not isinstance(expression, _REBUILDABLE):
             return OutputColumn(self._wrap(expression), output.alias), None
         if not self._touches_encoded(expression, None):
@@ -544,7 +522,7 @@ class FragmentRewriter:
             return self._wrap(expression)
         if codec.kind == CODE:
             if not isinstance(literal, str):
-                # cross-type comparison: preserve exact legacy semantics
+                # cross-type comparison: un-rewritten semantics via decode
                 return self._decode_subst(expression, scope)
             if op in _EQ_OPS:
                 return Comparison(op, ref, Literal(codec.dictionary.code_for(literal)))
@@ -589,7 +567,7 @@ class FragmentRewriter:
         if left_codec is _AMBIGUOUS or right_codec is _AMBIGUOUS:
             return self._wrap(expression)
         if left_codec is None or right_codec is None or left_codec.kind != right_codec.kind:
-            # mixed encoded/raw or mixed kinds: legacy semantics via decode
+            # mixed encoded/raw or mixed kinds: un-rewritten semantics via decode
             return self._decode_subst(expression, scope)
         op = expression.op
         sentinel = Literal(left_codec.null_sentinel)
@@ -732,7 +710,7 @@ def decode_output_rows(
     """Decode pass-through encoded columns in result rows, in place.
 
     The single decode at the public boundary: every row dict produced by
-    the fragment paths (dict, slotted, vectorized) funnels through here
+    the fragment paths (kernel and reference) funnels through here
     before it reaches :class:`~repro.core.executor.QueryResult`.
     """
     if not decoders:

@@ -10,6 +10,7 @@ import threading
 
 import pytest
 
+from conftest import graph_properties
 from repro.api import Database
 
 THREADS = 4
@@ -121,6 +122,7 @@ class TestConcurrentSessions:
         from repro.tag import encode_catalog
 
         graph = encode_catalog(mini_catalog)
+        before = graph_properties(graph)
         executors = [TagJoinExecutor(graph, mini_catalog) for _ in range(THREADS)]
         assert not hasattr(executors[0], "_execution_lock")
         assert not hasattr(graph, "_execution_lock")
@@ -137,7 +139,7 @@ class TestConcurrentSessions:
 
         run_in_threads(worker)
         # the shared graph accumulated no scratch residue from any run
-        assert all(not vertex.state for vertex in graph.vertices())
+        assert graph_properties(graph) == before
 
     def test_stale_executor_is_invalidated_by_note_data_change(self, mini_catalog_copy):
         """Out-of-band re-encoding retires executors bound to the old graph."""

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import graph_properties
 from repro.bsp import (
     BSPEngine,
     BSPError,
@@ -65,14 +66,6 @@ class TestGraph:
         assert graph.vertex_count == 4
         assert not graph.has_vertex("v4")
 
-    def test_legacy_state_slot_and_reset(self):
-        # vertex.state is retained for external programs and the bench's
-        # serialized-baseline emulation; the engine itself never touches it
-        graph = line_graph()
-        graph.vertex("v0").state["x"] = 1
-        graph.reset_all_state()
-        assert graph.vertex("v0").state == {}
-
 
 class TestClassicPrograms:
     def test_connected_components(self):
@@ -119,6 +112,7 @@ class _Broadcast(VertexProgram):
 class TestEngineSemantics:
     def test_messages_delivered_next_superstep_and_metrics(self):
         graph = line_graph(4)
+        before = graph_properties(graph)
         engine = BSPEngine(graph)
         program = _Broadcast()
         engine.run(program)
@@ -129,7 +123,7 @@ class TestEngineSemantics:
         assert metrics.supersteps[1].active_vertices == 3
         assert program.run_state.peek("v2")["got"] == ["v0"]
         # nothing leaked onto the shared graph
-        assert all(not vertex.state for vertex in graph.vertices())
+        assert graph_properties(graph) == before
 
     def test_unknown_message_target_raises(self):
         graph = line_graph(2)
@@ -224,6 +218,7 @@ class TestRunState:
         import threading
 
         graph = line_graph(3)
+        before = graph_properties(graph)
         results = [None] * 8
 
         def worker(index):
@@ -237,7 +232,7 @@ class TestRunState:
         for thread in threads:
             thread.join()
         assert results == [3] * 8
-        assert all(not vertex.state for vertex in graph.vertices())
+        assert graph_properties(graph) == before
 
     def test_peek_never_allocates_and_of_does(self):
         from repro.bsp import RunState

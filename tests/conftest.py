@@ -2,12 +2,40 @@
 
 from __future__ import annotations
 
+import copy
+import sys
+
 import pytest
 
 from repro.core import TagJoinExecutor
 from repro.engine import RelationalExecutor
 from repro.relational import Catalog, Column, DataType, ForeignKey, Relation, Schema
+from repro.exec import program as kernel_program
 from repro.tag import encode_catalog
+
+#: The kernel's one remaining choice is made from table size, so suites
+#: that must cover both sides of it pin ``COLUMNAR_THRESHOLD``: the shipped
+#: value, 0 (every table a column batch) and "never" (every table tuples).
+KERNEL_REGIMES = {"shipped": None, "columnar": 0, "tuples": sys.maxsize}
+
+
+@pytest.fixture(params=list(KERNEL_REGIMES))
+def kernel_regime(request, monkeypatch) -> str:
+    """Run the requesting test once per table-size regime of the ``tag`` kernel."""
+    threshold = KERNEL_REGIMES[request.param]
+    if threshold is not None:
+        monkeypatch.setattr(kernel_program, "COLUMNAR_THRESHOLD", threshold)
+    return request.param
+
+
+def graph_properties(graph):
+    """A deep copy of every vertex's durable properties.
+
+    Per-run scratch lives in the run's ``RunState``; taken before and after
+    an execution, equal snapshots show the run wrote nothing onto the
+    shared graph.
+    """
+    return {vertex.vertex_id: copy.deepcopy(vertex.properties) for vertex in graph.vertices()}
 
 
 def make_mini_catalog() -> Catalog:

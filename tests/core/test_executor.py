@@ -15,7 +15,7 @@ from repro.workloads.synthetic import (
     triangle_catalog,
     triangle_query,
 )
-from tests.conftest import brute_force_join_nco
+from tests.conftest import brute_force_join_nco, graph_properties
 
 
 def join_spec():
@@ -302,10 +302,11 @@ class TestRunScopedExecution:
 
     def test_explain_analyze_leaves_no_residue_on_the_graph(self, mini_catalog):
         graph = encode_catalog(mini_catalog)
+        before = graph_properties(graph)
         executor = TagJoinExecutor(graph, mini_catalog)
         plan = executor.explain(join_spec(), analyze=True)
         assert "actual:" in plan
-        assert all(not vertex.state for vertex in graph.vertices())
+        assert graph_properties(graph) == before
 
     def test_interleaved_explain_analyze_calls_do_not_corrupt_each_other(
         self, mini_catalog
@@ -313,6 +314,7 @@ class TestRunScopedExecution:
         import threading
 
         graph = encode_catalog(mini_catalog)
+        before = graph_properties(graph)
         executor = TagJoinExecutor(graph, mini_catalog)
         full = join_spec()
         selective = join_spec()
@@ -342,7 +344,7 @@ class TestRunScopedExecution:
             thread.join()
         if errors:
             raise errors[0]
-        assert all(not vertex.state for vertex in graph.vertices())
+        assert graph_properties(graph) == before
 
     def test_concurrent_executes_on_one_executor_match_serial(self, mini_catalog):
         import threading

@@ -7,15 +7,17 @@ predicates, parameters, and GROUP BY / scalar aggregates — and
 :func:`run_case` executes each across every execution path of the
 reproduction:
 
-========== =====================================================
-engine     execution path
-========== =====================================================
-tag_dict   TAG-join, dict rows (the original reference)
-tag        TAG-join, slotted tuple rows
-tag_vectorized TAG-join, columnar numpy batches (threshold 0)
-rdbms      iterator-model relational baseline
-spark      distributed shuffle/broadcast baseline
-========== =====================================================
+============ ===================================================
+engine       execution path
+============ ===================================================
+tag_dict     TAG-join, dict rows (the reference oracle)
+tag          TAG-join kernel at the shipped columnar threshold
+tag@columnar the same engine with the threshold pinned to 0
+             (every table a column batch)
+tag@tuples   ... and pinned to "never" (every table tuple rows)
+rdbms        iterator-model relational baseline
+spark        distributed shuffle/broadcast baseline
+============ ===================================================
 
 Row *multiset* equality is asserted (ordering is not part of any engine's
 contract), with floats rounded to 6 decimals across engine families and
@@ -26,9 +28,11 @@ falsifying example from CI can be replayed locally by copy-paste.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
+from unittest import mock
 
 import datetime as dt
 
@@ -36,14 +40,27 @@ from hypothesis import strategies as st
 
 from differential_dataset import build_catalog
 from repro.api import Database
+from repro.exec import program as kernel_program
 
-ENGINE_NAMES = ("tag_dict", "tag", "tag_vectorized", "rdbms", "spark")
-TAG_FAMILY = ("tag_dict", "tag", "tag_vectorized")
+ENGINE_NAMES = ("tag_dict", "tag", "rdbms", "spark")
 
-#: engine options every database of the harness uses: the vectorized
-#: engine pins its columnarization threshold to 0 so every generated query
-#: executes through the columnar code paths, however small its tables
-ENGINE_OPTIONS = {"tag_vectorized": {"vectorized_batch_threshold": 0}}
+#: the ``tag`` engine re-run with the kernel's size threshold pinned, so
+#: every generated query also executes fully columnar and fully as tuples
+#: however small or large its tables are
+TAG_REGIMES = {"tag@columnar": 0, "tag@tuples": sys.maxsize}
+TAG_FAMILY = ("tag_dict", "tag", *TAG_REGIMES)
+
+
+def run_on_every_path(database: Database, sql: str, params: Optional[Dict[str, Any]] = None):
+    """``{path name: QueryResult}`` over the engines plus the pinned ``tag`` regimes."""
+    results = {
+        engine: database.connect(engine=engine).sql(sql, params=params or None)
+        for engine in ENGINE_NAMES
+    }
+    for name, threshold in TAG_REGIMES.items():
+        with mock.patch.object(kernel_program, "COLUMNAR_THRESHOLD", threshold):
+            results[name] = database.connect(engine="tag").sql(sql, params=params or None)
+    return results
 
 #: FK edges of the dataset: (child table, child column, parent table, parent column)
 FK_EDGES = (
@@ -115,15 +132,12 @@ class QueryCase:
         return f'''# differential-harness repro (paste into a file at the repo root and run)
 import sys
 sys.path[:0] = ["src", "tests/differential"]
-from differential_dataset import build_catalog
-from repro.api import Database
+from differential_harness import make_database, run_on_every_path
 
-db = Database(build_catalog(), engine_options={ENGINE_OPTIONS!r})
 sql = """{self.sql}"""
 params = {self.params!r}
-for engine in {ENGINE_NAMES!r}:
-    result = db.connect(engine=engine).sql(sql, params=params or None)
-    print(engine, len(result.rows), sorted(result.to_tuples())[:10])
+for path, result in run_on_every_path(make_database(), sql, params).items():
+    print(path, len(result.rows), sorted(result.to_tuples())[:10])
 '''
 
 
@@ -395,7 +409,7 @@ def query_cases(draw) -> QueryCase:
 # execution + comparison
 # ----------------------------------------------------------------------
 def make_database() -> Database:
-    return Database(build_catalog(), engine_options=dict(ENGINE_OPTIONS))
+    return Database(build_catalog())
 
 
 def canonical_rows(result: Any, columns: List[str]) -> Counter:
@@ -413,12 +427,8 @@ def canonical_rows(result: Any, columns: List[str]) -> Counter:
 
 
 def run_case(database: Database, case: QueryCase) -> None:
-    """Execute ``case`` on every engine and assert row-multiset equality."""
-    results = {}
-    for engine in ENGINE_NAMES:
-        results[engine] = database.connect(engine=engine).sql(
-            case.sql, params=case.params or None
-        )
+    """Execute ``case`` on every path and assert row-multiset equality."""
+    results = run_on_every_path(database, case.sql, case.params)
     reference = results["tag"]
     columns = list(reference.columns)
     expected = canonical_rows(reference, columns)

@@ -1,4 +1,4 @@
-"""Randomized differential testing across all five execution paths.
+"""Randomized differential testing across every execution path.
 
 Two layers:
 

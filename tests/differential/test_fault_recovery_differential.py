@@ -11,7 +11,7 @@ with its original ``request_id``.
 
 After every crash+recover round, the full query battery must agree:
 
-* across all five engines of the recovered database, and
+* across every execution path of the recovered database, and
 * with a from-scratch rebuild that applied every acknowledged batch
   exactly once to a memory-only database.
 
@@ -29,7 +29,6 @@ import pytest
 
 from differential_harness import (
     ENGINE_NAMES,
-    ENGINE_OPTIONS,
     canonical_rows,
     run_case,
 )
@@ -70,13 +69,11 @@ def simulate_crash(database: Database) -> None:
 
 
 def durable_database(data_dir: str) -> Database:
-    return Database(
-        build_catalog(), data_dir=data_dir, engine_options=dict(ENGINE_OPTIONS)
-    )
+    return Database(build_catalog(), data_dir=data_dir)
 
 
 def rebuild_from_scratch(batches: List[Tuple[str, list]]) -> Database:
-    database = Database(build_catalog(), engine_options=dict(ENGINE_OPTIONS))
+    database = Database(build_catalog())
     for table, rows in batches:
         database.load_rows(table, rows)
     return database
@@ -85,7 +82,7 @@ def rebuild_from_scratch(batches: List[Tuple[str, list]]) -> Database:
 def assert_round_agreement(recovered: Database, acked: List[Tuple[str, list]]) -> None:
     rebuild = rebuild_from_scratch(acked)
     for case in QUERY_BATTERY:
-        # intra-database: all five engines of the recovered db agree
+        # intra-database: every execution path of the recovered db agrees
         run_case(recovered, case)
         # cross-database: recovered state == from-scratch rebuild
         got = recovered.connect(engine="tag").sql(case.sql, params=case.params or None)

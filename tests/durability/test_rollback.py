@@ -66,7 +66,7 @@ class TestLiveRollback:
         db.apply_write("ORDERS", ROW, request_id="req-1")
         counts = {
             name: db.connect(engine=name).sql(COUNT_SQL, params={"k": 9001}).single_value()
-            for name in ("tag", "tag_vectorized", "rdbms", "spark")
+            for name in ("tag", "tag_dict", "rdbms", "spark")
         }
         assert set(counts.values()) == {1}, counts
         db.close()

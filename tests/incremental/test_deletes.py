@@ -18,7 +18,7 @@ from repro.tag.statistics import CatalogStatistics
 
 from conftest import make_mini_catalog
 
-ENGINES = ("tag_dict", "tag", "tag_vectorized", "rdbms", "spark")
+ENGINES = ("tag_dict", "tag", "rdbms", "spark")
 
 
 def assert_graphs_equal(patched, rebuilt):

@@ -1,4 +1,4 @@
-"""Guard: the TPC-H vectorized hot path must never materialise object dtype.
+"""Guard: the TPC-H columnar hot path must never materialise object dtype.
 
 With dictionary/sentinel encoding on, every column a q1-like plan touches
 — string group keys, the date filter column, numeric measures, the hidden
@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Database
+from repro.exec import program as kernel_program
 from repro.exec.vectorized.batch import (
     OBJECT_COLUMN_STATS,
     reset_object_column_stats,
@@ -41,23 +42,20 @@ Q3_LIKE_SQL = (
 
 @pytest.fixture(scope="module")
 def session():
-    database = Database(
-        generate_tpch(scale=0.1, seed=7),
-        # threshold 0: every table columnarises, so any object fallback
-        # anywhere in the plan is observed, not skipped as "too small"
-        engine_options={"tag_vectorized": {"vectorized_batch_threshold": 0}},
-    )
-    return database.connect(engine="tag_vectorized")
+    return Database(generate_tpch(scale=0.1, seed=7)).connect(engine="tag")
 
 
 @pytest.mark.parametrize("sql", [Q1_SQL, Q3_LIKE_SQL], ids=["q1", "q3_like"])
-def test_tpch_plan_materialises_no_object_columns(session, sql):
+def test_tpch_plan_materialises_no_object_columns(session, sql, monkeypatch):
+    # threshold 0: every table columnarises, so any object fallback
+    # anywhere in the plan is observed, not skipped as "too small"
+    monkeypatch.setattr(kernel_program, "COLUMNAR_THRESHOLD", 0)
     session.sql(sql)  # compile outside the counted window
     reset_object_column_stats()
     result = session.sql(sql)
     assert len(result.rows) > 0
     assert OBJECT_COLUMN_STATS["object_columns"] == 0, (
-        "an object-dtype column leaked onto the vectorized hot path: "
+        "an object-dtype column leaked onto the columnar hot path: "
         f"{OBJECT_COLUMN_STATS}"
     )
     assert OBJECT_COLUMN_STATS["native_columns"] > 0, (

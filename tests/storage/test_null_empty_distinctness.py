@@ -3,8 +3,9 @@
 Dictionary encoding stores the empty string as a real code (>= 0) and SQL
 NULL as ``NULL_CODE`` (-1); epoch-day encoding stores NULL dates as
 ``DATE_NULL_SENTINEL`` (INT32_MIN).  These tests drive the same queries
-through every execution path — dict-row TAG, slotted TAG, vectorized TAG,
-the rdbms baseline and the spark-like baseline — and assert the three
+through every execution path — the dict-row TAG reference, the TAG kernel
+with its tables as tuples and as column batches, the rdbms baseline and
+the spark-like baseline — and assert the three
 representations stay distinct through encode -> execute -> decode:
 
 * ``= ''`` matches only genuine empty strings, never NULL;
@@ -20,9 +21,13 @@ import datetime as dt
 import pytest
 
 from repro.api import Database
+from repro.exec import program as kernel_program
 from repro.relational import Catalog, Column, DataType, Relation, Schema
 
-ENGINES = ("tag_dict", "tag", "tag_vectorized", "rdbms", "spark")
+#: six rows never reach the kernel's columnar threshold, so ``tag`` runs
+#: them as tuples; ``tag@columnar`` is the same engine with the threshold
+#: pinned to 0
+ENGINES = ("tag_dict", "tag", "tag@columnar", "rdbms", "spark")
 
 ROWS = [
     [1, "", dt.date(2021, 1, 1)],
@@ -49,14 +54,21 @@ def build_database() -> Database:
     )
     catalog = Catalog("distinctness")
     catalog.add(notes)
-    return Database(
-        catalog, engine_options={"tag_vectorized": {"vectorized_batch_threshold": 0}}
-    )
+    return Database(catalog)
 
 
 @pytest.fixture(scope="module")
 def database() -> Database:
     return build_database()
+
+
+@pytest.fixture
+def engine(request, monkeypatch) -> str:
+    """The registry engine behind one ``ENGINES`` entry, regime pinned."""
+    name, _, regime = request.param.partition("@")
+    if regime == "columnar":
+        monkeypatch.setattr(kernel_program, "COLUMNAR_THRESHOLD", 0)
+    return name
 
 
 def ids(database: Database, engine: str, where: str) -> list:
@@ -84,13 +96,13 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", ENGINES, indirect=True)
 @pytest.mark.parametrize("where,expected", CASES, ids=[case[0] for case in CASES])
 def test_predicates_keep_empty_and_null_distinct(database, engine, where, expected):
     assert ids(database, engine, where) == expected
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", ENGINES, indirect=True)
 def test_projection_decodes_exactly_once(database, engine):
     result = database.connect(engine=engine).sql(
         "SELECT n.ID AS id, n.S AS s, n.D AS d FROM NOTES n"
@@ -107,7 +119,7 @@ def test_projection_decodes_exactly_once(database, engine):
     assert isinstance(by_id[3]["d"], dt.date)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", ENGINES, indirect=True)
 def test_aggregates_see_null_not_sentinel(database, engine):
     connection = build_database().connect(engine=engine)
     counts = connection.sql(
@@ -117,7 +129,7 @@ def test_aggregates_see_null_not_sentinel(database, engine):
     assert counts["non_null"] == 5  # '' counts, NULL does not
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", ENGINES, indirect=True)
 def test_group_by_separates_empty_from_null(database, engine):
     """GROUP BY on a code column must key '' apart from NULL.
 

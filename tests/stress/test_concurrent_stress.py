@@ -13,6 +13,7 @@ import threading
 
 import pytest
 
+from conftest import graph_properties
 from repro.api import Database
 from repro.workloads import tpch_workload
 
@@ -86,6 +87,7 @@ class TestConcurrentStress:
         self, stress_db, serial_baseline
     ):
         sessions = [stress_db.connect() for _ in range(SESSIONS)]
+        before = graph_properties(stress_db.tag_graph())
 
         def worker(index):
             rng = random.Random(index)
@@ -103,8 +105,7 @@ class TestConcurrentStress:
 
         hammer(worker)
         # the immutable encoded graph took no scratch damage from the load
-        graph = stress_db.tag_graph()
-        assert all(not vertex.state for vertex in graph.vertices())
+        assert graph_properties(stress_db.tag_graph()) == before
 
     def test_plan_cache_counters_stay_consistent_under_load(self, stress_db):
         before = stress_db.cache_stats()
@@ -145,6 +146,7 @@ class TestConcurrentStress:
         corrupt each other or the graph (the old shared-scratch bug)."""
         sql_a, params_a = STATEMENTS[0][0], STATEMENTS[0][1][0]
         sql_b, params_b = STATEMENTS[1][0], STATEMENTS[1][1][0]
+        before = graph_properties(stress_db.tag_graph())
 
         def worker(index):
             session = stress_db.connect()
@@ -155,8 +157,7 @@ class TestConcurrentStress:
                 assert f"actual: {expected} rows" in plan
 
         hammer(worker)
-        graph = stress_db.tag_graph()
-        assert all(not vertex.state for vertex in graph.vertices())
+        assert graph_properties(stress_db.tag_graph()) == before
 
 
 if __name__ == "__main__":  # pragma: no cover
