@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-stress test-differential test-chaos bench-smoke bench-incremental bench-delete bench-recovery bench serve-bench examples lint format-check
+.PHONY: test test-stress test-differential test-chaos perf perf-quick perf-tests bench-smoke bench-incremental bench-delete bench-recovery bench serve-bench examples lint format-check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -21,6 +21,20 @@ test-differential:
 # applied, and answer golden queries identically to a clean load
 test-chaos:
 	$(PYTHON) -m pytest -m chaos -q tests/chaos
+
+# the perf ledger (perf/README.md): every workload of BENCHMARK.json with
+# its end-to-end metrics (~90 s); the same at smoke sizes (~10 s; exits
+# non-zero unless tag == rdbms and result digests repeat); the ledger's
+# own tests.  Interleaved parent/change pairs for a performance claim:
+#   python3 tools/perf_pairs.py BASE_REV WORKLOAD [-n 10]
+perf:
+	$(PYTHON) perf/run.py
+
+perf-quick:
+	$(PYTHON) perf/run.py --quick
+
+perf-tests:
+	$(PYTHON) -m pytest perf/tests -q
 
 bench-smoke:
 	$(PYTHON) -m repro.bench.smoke --scale 0.03 --out benchmarks/results/smoke.json

@@ -3,7 +3,10 @@
 The engine drives a :class:`VertexProgram` over a :class:`~repro.bsp.graph.Graph`
 in synchronous supersteps (paper Section 2):
 
-* every active vertex runs ``compute`` with the messages delivered to it;
+* every active vertex runs ``compute`` with the messages delivered to it —
+  the engine hands the program one superstep at a time
+  (``compute_superstep``), whose default is that per-vertex loop and which
+  a program may replace with a single loop over the frontier;
 * messages sent during superstep *i* are delivered at superstep *i + 1*;
 * a vertex deactivates at the end of a superstep and is reactivated only by
   an incoming message (the model used by the paper's Algorithm 2);
@@ -42,7 +45,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     Set,
     Tuple,
     Union,
@@ -126,10 +128,14 @@ class SuperstepContext:
         superstep: int,
         run_state: Optional[RunState] = None,
     ) -> None:
-        self._engine = engine
+        self.engine = engine
         self.superstep = superstep
         self.run_state = run_state if run_state is not None else RunState()
-        self._outbox: Dict[VertexId, List[Any]] = defaultdict(list)
+        #: the next superstep's inbox, ``target id -> [payloads]``.  A
+        #: frontier-at-a-time program appends here directly and reports
+        #: what it appended through :meth:`add_messages`; targets are
+        #: checked against the graph at the barrier.
+        self.outbox: Dict[VertexId, List[Any]] = defaultdict(list)
         self._aggregator_inbox: List[Tuple[str, Any]] = []
         self._messages_sent = 0
         self._message_bytes = 0
@@ -144,15 +150,15 @@ class SuperstepContext:
     # ------------------------------------------------------------------
     def send(self, target: VertexId, payload: Any) -> None:
         """Send ``payload`` to ``target``, delivered next superstep."""
-        if not self._engine.graph.has_vertex(target):
+        if not self.engine.graph.has_vertex(target):
             raise BSPError(f"message sent to unknown vertex {target!r}")
-        self._outbox[target].append(payload)
+        self.outbox[target].append(payload)
         self._messages_sent += 1
         size = payload_size_bytes(payload)
         self._message_bytes += size
         if self._current_vertex is not None:
-            source_partition = self._engine.partition_of(self._current_vertex.vertex_id)
-            target_partition = self._engine.partition_of(target)
+            source_partition = self.engine.partition_of(self._current_vertex.vertex_id)
+            target_partition = self.engine.partition_of(target)
             if source_partition != target_partition:
                 self._network_messages += 1
                 self._network_bytes += size
@@ -161,54 +167,30 @@ class SuperstepContext:
         """Send a message across ``edge`` (to its target)."""
         self.send(edge.target, payload)
 
-    def send_to_many(self, targets: Sequence[VertexId], payload: Any) -> None:
-        """Batched variant of :meth:`send`: one payload fanned out to many targets.
+    # ------------------------------------------------------------------
+    # bulk surface for programs that implement ``compute_superstep``
+    # ------------------------------------------------------------------
+    def add_messages(
+        self,
+        messages: int,
+        message_bytes: int,
+        network_messages: int = 0,
+        network_bytes: int = 0,
+    ) -> None:
+        """Account, once per superstep, for messages appended to :attr:`outbox`."""
+        self._messages_sent += messages
+        self._message_bytes += message_bytes
+        self._network_messages += network_messages
+        self._network_bytes += network_bytes
 
-        Semantically identical to calling :meth:`send` once per target:
-        the same messages land in the same inboxes, with the same message
-        count and the same cross-worker attribution.  Byte accounting is
-        cheaper, not identical — the payload is sized once for the whole
-        fan-out and row *tables* (lists) are always sized by first-row
-        sampling, so ``message_bytes`` for a small table of uneven rows
-        may differ slightly from the per-target :meth:`send` total (which
-        walks containers of up to eight elements exactly).  The TAG-join
-        kernel uses this to ship its per-superstep row tables (one list of
-        tuples or one column batch per destination vertex) without paying
-        the per-edge bookkeeping of the row-at-a-time path.
+    def set_current_vertex(self, vertex: Optional[Vertex]) -> None:
+        """Name the vertex whose computation runs now.
+
+        :meth:`send` and :meth:`aggregate` attribute cross-worker traffic
+        to it; the per-vertex default of ``compute_superstep`` sets it for
+        every vertex, a bulk implementation before it calls either.
         """
-        if not targets:
-            return
-        engine = self._engine
-        graph = engine.graph
-        outbox = self._outbox
-        if type(payload) is list and payload:
-            # a collection-phase row table: sample one row instead of
-            # walking up to eight (the small-container exact path)
-            size = 4 + len(payload) * payload_size_bytes(payload[0])
-        else:
-            size = payload_size_bytes(payload)
-        current = self._current_vertex
-        network = 0
-        if current is None or engine.num_workers == 1:
-            # single-worker runs can never cross a partition boundary, so
-            # skip the per-target partition lookups entirely
-            for target in targets:
-                if not graph.has_vertex(target):
-                    raise BSPError(f"message sent to unknown vertex {target!r}")
-                outbox[target].append(payload)
-        else:
-            source_partition = engine.partition_of(current.vertex_id)
-            for target in targets:
-                if not graph.has_vertex(target):
-                    raise BSPError(f"message sent to unknown vertex {target!r}")
-                outbox[target].append(payload)
-                if engine.partition_of(target) != source_partition:
-                    network += 1
-        count = len(targets)
-        self._messages_sent += count
-        self._message_bytes += size * count
-        self._network_messages += network
-        self._network_bytes += network * size
+        self._current_vertex = vertex
 
     # ------------------------------------------------------------------
     # run-scoped vertex state
@@ -233,21 +215,21 @@ class SuperstepContext:
         communication, and it is exactly the bottleneck the paper observes
         for global aggregation.
         """
-        if name not in self._engine.aggregators:
+        if name not in self.engine.aggregators:
             raise BSPError(f"unknown aggregator {name!r}")
         self._aggregator_inbox.append((name, value))
         self._messages_sent += 1
         size = payload_size_bytes(value)
         self._message_bytes += size
-        if self._current_vertex is not None and self._engine.num_workers > 1:
+        if self._current_vertex is not None and self.engine.num_workers > 1:
             # the aggregator lives on worker 0 by convention
-            if self._engine.partition_of(self._current_vertex.vertex_id) != 0:
+            if self.engine.partition_of(self._current_vertex.vertex_id) != 0:
                 self._network_messages += 1
                 self._network_bytes += size
 
     def aggregated_value(self, name: str) -> Any:
         """Read the value an aggregator held at the start of this superstep."""
-        return self._engine.aggregators.get(name).value()
+        return self.engine.aggregators.get(name).value()
 
     # ------------------------------------------------------------------
     # cost accounting & control
@@ -260,15 +242,12 @@ class SuperstepContext:
         """Request global termination after this superstep (master hook only)."""
         self._halt_requested = True
 
-    # internal -----------------------------------------------------------
-    def _set_current_vertex(self, vertex: Optional[Vertex]) -> None:
-        self._current_vertex = vertex
-
 
 class VertexProgram:
     """User-defined vertex program (paper Section 2).
 
-    Subclasses implement ``compute``; they may override the lifecycle hooks
+    Subclasses implement ``compute`` (or, to run a whole frontier in one
+    loop, ``compute_superstep``); they may override the lifecycle hooks
     to drive multi-phase computations.  Cross-superstep per-vertex scratch
     values go through ``context.state(vertex)`` — the engine binds the
     run's :class:`RunState` to :attr:`run_state` before the first superstep
@@ -296,6 +275,32 @@ class VertexProgram:
     ) -> None:
         """Per-vertex computation; must only touch local data and messages."""
         raise NotImplementedError
+
+    def compute_superstep(
+        self,
+        active: Set[VertexId],
+        inbox: Dict[VertexId, List[Any]],
+        graph: Graph,
+        context: SuperstepContext,
+    ) -> None:
+        """One superstep over the active frontier — the unit the engine runs.
+
+        The default is the vertex-at-a-time loop: ``compute`` once per
+        active vertex, in ``active`` order, with the messages delivered to
+        it.  A program may replace it with one loop over the frontier (an
+        edge-map), as long as each vertex still reads only its own data,
+        its delivered messages and its own out-edges.
+        """
+        graph_vertex = graph.vertex
+        inbox_get = inbox.get
+        compute = self.compute
+        for vertex_id in active:
+            vertex = graph_vertex(vertex_id)
+            context._current_vertex = vertex
+            # vertices active without messages get a fresh empty list
+            # (never a shared one: programs may use messages as scratch)
+            compute(vertex, inbox_get(vertex_id) or [], graph, context)
+        context._current_vertex = None
 
     def after_superstep(self, superstep: int, graph: Graph, context: SuperstepContext) -> None:
         """Master hook run after the superstep's vertex computations."""
@@ -395,17 +400,7 @@ class BSPEngine:
                 break
 
             step_metrics.active_vertices = len(active)
-            graph = self.graph
-            graph_vertex = graph.vertex
-            inbox_get = inbox.get
-            compute = program.compute
-            for vertex_id in active:
-                vertex = graph_vertex(vertex_id)
-                context._current_vertex = vertex
-                # vertices active without messages get a fresh empty list
-                # (never a shared one: programs may use messages as scratch)
-                compute(vertex, inbox_get(vertex_id) or [], graph, context)
-            context._current_vertex = None
+            program.compute_superstep(active, inbox, self.graph, context)
 
             program.after_superstep(superstep, self.graph, context)
 
@@ -416,7 +411,10 @@ class BSPEngine:
             # only their recipients are active then (paper Section 2).  The
             # context is dropped right after, so its outbox *is* the next
             # inbox — no per-superstep copy of every message list.
-            inbox = context._outbox
+            inbox = context.outbox
+            if not self.graph.has_vertices(inbox.keys()):
+                ghost = next(t for t in inbox if not self.graph.has_vertex(t))
+                raise BSPError(f"message sent to unknown vertex {ghost!r}")
             active = set(inbox)
             superstep += 1
             if context._halt_requested:

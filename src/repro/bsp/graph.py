@@ -3,15 +3,19 @@
 Vertices and edges carry a label and a property map, exactly the data model
 assumed by the paper's Section 2/3: a vertex has an id, a label, state, and
 a list of outgoing (labelled) edges.  The store keeps a per-vertex index of
-outgoing edges grouped by label because TAG-join's vertex programs
-constantly ask for "my out-edges labelled ``R.A``" (Algorithm 2, lines
-11-13).
+outgoing edges grouped by label, and beside it a label-first adjacency of
+bare target ids (``label -> vertex id -> [target ids]``), because TAG-join
+runs a superstep as one loop that asks every frontier vertex for "my
+out-edges labelled ``R.A``" (Algorithm 2, lines 11-13): the label is
+resolved once per superstep and each vertex costs one dict lookup.  Both
+are patched in place by every mutation; neither is ever rebuilt.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from types import MappingProxyType
+from typing import AbstractSet, Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 VertexId = str
 
@@ -20,14 +24,24 @@ class GraphError(KeyError):
     """Raised for unknown vertex ids or duplicate insertions."""
 
 
-@dataclass
+_NO_PROPERTIES: Mapping[str, Any] = MappingProxyType({})
+_NO_TARGETS: Mapping[VertexId, List[VertexId]] = MappingProxyType({})
+
+
+@dataclass(slots=True)
 class Edge:
-    """A directed, labelled edge with an optional property map."""
+    """A directed, labelled edge with an optional property map.
+
+    An edge added without properties shares one immutable empty map
+    instead of owning a dict (a TAG graph has one edge per attribute
+    occurrence and none of them carries properties).
+    """
 
     source: VertexId
     target: VertexId
     label: str
-    properties: Dict[str, Any] = field(default_factory=dict)
+    # a factory only because dataclasses reject an unhashable default
+    properties: Mapping[str, Any] = field(default_factory=lambda: _NO_PROPERTIES)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Edge({self.source} -[{self.label}]-> {self.target})"
@@ -67,6 +81,8 @@ class Graph:
         self._vertices: Dict[VertexId, Vertex] = {}
         # adjacency: vertex id -> edge label -> list of edges
         self._out_edges: Dict[VertexId, Dict[str, List[Edge]]] = {}
+        # the same edges label-first, as bare target ids, in edge order
+        self._targets: Dict[str, Dict[VertexId, List[VertexId]]] = {}
         self._vertices_by_label: Dict[str, List[VertexId]] = {}
         self._edge_count = 0
         self._next_ordinal = 0
@@ -106,13 +122,18 @@ class Graph:
             raise GraphError(f"unknown source vertex {source!r}")
         if target not in self._vertices:
             raise GraphError(f"unknown target vertex {target!r}")
-        edge = Edge(source, target, label, dict(properties or {}))
-        self._out_edges[source].setdefault(label, []).append(edge)
-        self._edge_count += 1
+        edge = self._link(source, target, label, properties)
         if undirected:
-            reverse = Edge(target, source, label, dict(properties or {}))
-            self._out_edges[target].setdefault(label, []).append(reverse)
-            self._edge_count += 1
+            self._link(target, source, label, properties)
+        return edge
+
+    def _link(
+        self, source: VertexId, target: VertexId, label: str, properties: Optional[Dict[str, Any]]
+    ) -> Edge:
+        edge = Edge(source, target, label, dict(properties) if properties else _NO_PROPERTIES)
+        self._out_edges[source].setdefault(label, []).append(edge)
+        self._targets.setdefault(label, {}).setdefault(source, []).append(target)
+        self._edge_count += 1
         return edge
 
     def remove_vertex(self, vertex_id: VertexId) -> None:
@@ -121,12 +142,7 @@ class Graph:
         Only used by incremental maintenance; TAG-join itself never
         mutates the graph.
         """
-        vertex = self.vertex(vertex_id)
-        self._vertices_by_label[vertex.label].remove(vertex_id)
-        removed = sum(len(edges) for edges in self._out_edges[vertex_id].values())
-        self._edge_count -= removed
-        del self._out_edges[vertex_id]
-        del self._vertices[vertex_id]
+        self.remove_vertices([vertex_id])
 
     def remove_vertices(self, vertex_ids: Iterable[VertexId]) -> None:
         """Batch form of :meth:`remove_vertex`.
@@ -141,12 +157,44 @@ class Graph:
         labels = {self.vertex(vertex_id).label for vertex_id in dead}
         for label in labels:
             survivors = [v for v in self._vertices_by_label[label] if v not in dead]
-            self._vertices_by_label[label] = survivors
+            if survivors:
+                self._vertices_by_label[label] = survivors
+            else:
+                del self._vertices_by_label[label]
         for vertex_id in dead:
-            removed = sum(len(edges) for edges in self._out_edges[vertex_id].values())
-            self._edge_count -= removed
-            del self._out_edges[vertex_id]
+            for label, edges in self._out_edges.pop(vertex_id).items():
+                self._edge_count -= len(edges)
+                self._forget_source(label, vertex_id)
             del self._vertices[vertex_id]
+
+    def _forget_source(self, label: str, source: VertexId) -> None:
+        """Drop ``source``'s target list under ``label`` — and the label with its last one."""
+        by_source = self._targets[label]
+        del by_source[source]
+        if not by_source:
+            del self._targets[label]
+
+    def remove_edges_to(self, source: VertexId, label: str, dead: AbstractSet[VertexId]) -> int:
+        """Remove the ``label``-edges from ``source`` into ``dead``; returns how many.
+
+        An emptied list is dropped, key and all, from both indexes: a
+        surviving vertex must look exactly like a fresh build, which never
+        creates empty adjacency lists.
+        """
+        by_label = self._out_edges[source]
+        edges = by_label.get(label)
+        if not edges:
+            return 0
+        kept = [edge for edge in edges if edge.target not in dead]
+        removed = len(edges) - len(kept)
+        if kept:
+            by_label[label] = kept
+            self._targets[label][source] = [edge.target for edge in kept]
+        else:
+            del by_label[label]
+            self._forget_source(label, source)
+        self._edge_count -= removed
+        return removed
 
     # ------------------------------------------------------------------
     # lookups
@@ -159,6 +207,10 @@ class Graph:
 
     def has_vertex(self, vertex_id: VertexId) -> bool:
         return vertex_id in self._vertices
+
+    def has_vertices(self, vertex_ids: AbstractSet[VertexId]) -> bool:
+        """Whether every id of a set (or dict key view) names a vertex."""
+        return vertex_ids <= self._vertices.keys()
 
     def vertices(self) -> Iterator[Vertex]:
         return iter(self._vertices.values())
@@ -181,17 +233,21 @@ class Graph:
             edges.extend(edge_list)
         return edges
 
-    def edge_targets(self, vertex_id: VertexId, label: str) -> List[VertexId]:
-        """Target ids of the ``label``-edges out of a vertex, without copying edges.
+    def adjacency(self, label: str) -> Mapping[VertexId, List[VertexId]]:
+        """``vertex id -> [target ids]`` of the ``label``-edges, in edge order.
 
-        The hot-path variant of ``[e.target for e in out_edges(v, label)]``:
-        :meth:`out_edges` defensively copies the edge list on every call,
-        which the TAG-join send loops pay once per vertex per superstep.
+        The live index, not a copy — read-only for callers.  A vertex
+        without such an edge has no entry.
         """
-        edges = self._out_edges.get(vertex_id, {}).get(label)
-        if not edges:
-            return []
-        return [edge.target for edge in edges]
+        return self._targets.get(label, _NO_TARGETS)
+
+    def edge_labels(self) -> List[str]:
+        """Every label at least one edge carries."""
+        return list(self._targets)
+
+    def edge_targets(self, vertex_id: VertexId, label: str) -> Sequence[VertexId]:
+        """Target ids of the ``label``-edges out of a vertex (read-only, no copy)."""
+        return self._targets.get(label, _NO_TARGETS).get(vertex_id, ())
 
     def out_edge_labels(self, vertex_id: VertexId) -> List[str]:
         return list(self._out_edges.get(vertex_id, {}))

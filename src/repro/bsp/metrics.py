@@ -13,6 +13,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
 
+# exact-type sizes of the scalars almost every payload is made of
+_SCALAR_SIZES = {int: 8, float: 8, bool: 1, type(None): 1}
+
+
 def payload_size_bytes(payload: Any) -> int:
     """Approximate serialized size of a message payload.
 
@@ -21,11 +25,27 @@ def payload_size_bytes(payload: Any) -> int:
     the fixed-width message-size assumption of the paper's analysis
     (Section 5.2.1) while still letting the collection phase's tuple-bearing
     messages weigh more than id-bearing ones.
+
+    The common shapes — a plain scalar, a string, a row of them — are
+    sized by exact-type lookup in one flat loop; subclasses (a numpy
+    float, an ``IntEnum``), sets, dicts and everything else take the
+    ``isinstance`` ladder below it, which gives the same numbers.
     """
-    if payload is None:
-        return 1
-    if isinstance(payload, bool):
-        return 1
+    kind = type(payload)
+    size = _SCALAR_SIZES.get(kind)
+    if size is not None:
+        return size
+    if kind is str:
+        return len(payload)
+    if kind is tuple or kind is list:
+        count = len(payload)
+        if count > 8:  # large containers: sample the first element
+            return 4 + count * payload_size_bytes(payload[0])
+        total = 4
+        for element in payload:
+            size = _SCALAR_SIZES.get(type(element))
+            total += size if size is not None else payload_size_bytes(element)
+        return total
     if isinstance(payload, (int, float)):
         return 8
     if isinstance(payload, str):

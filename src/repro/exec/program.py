@@ -26,33 +26,41 @@ forms, chosen per table from its observed size:
   residuals, outputs, GROUP BY keys and aggregate arguments evaluate as
   whole-column expressions.
 
-Both forms run the same supersteps, send the same messages (one
-:meth:`~repro.bsp.engine.SuperstepContext.send_to_many` per fan-out) and
-charge the same compute units, and rows crossing any boundary (samples,
-result tuples, aggregator payloads) are pure-Python values — so results
-do not depend on which form a table took.
+Both forms run the same supersteps, send the same messages and charge the
+same compute units, and rows crossing any boundary (samples, result
+tuples, aggregator payloads) are pure-Python values — so results do not
+depend on which form a table took.
+
+The kernel runs **frontier-at-a-time**: it implements
+:meth:`~repro.bsp.engine.VertexProgram.compute_superstep`, so a superstep
+is one receive loop and one send (or assembly) loop over the frontier, not
+one ``compute`` call per vertex.  What a superstep shares — step, phase,
+plan node, filter, collect action, plan-edge marks, the label's slice of
+the adjacency index — is resolved once; payloads go straight into the next
+inbox and the totals reach the context once.  A vertex still reads only
+its own data, messages and out-edges, in frontier order, so the cost the
+paper counts is exactly the vertex-at-a-time reference program's.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Collection, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..algebra.logical import AggregationClass
 from ..bsp.aggregators import GroupAggregator
 from ..bsp.engine import BSPEngine, SuperstepContext, VertexProgram
-from ..bsp.graph import Graph, Vertex
+from ..bsp.graph import Graph, Vertex, VertexId
+from ..bsp.metrics import payload_size_bytes
 from ..core.vertex_program import (
-    _MARKED_KEY,
-    _VALUE_KEY,
     GLOBAL_GROUPS_AGGREGATOR,
     GLOBAL_OUTPUT_AGGREGATOR,
     FragmentConfig,
     Phase,
     ScheduledStep,
 )
-from ..tag.encoder import TUPLE_DATA_KEY, TagGraph
+from ..tag.encoder import TUPLE_DATA_KEY, TUPLE_INDEX_KEY, TagGraph, tuple_vertex_id
 from .fragment import SlottedFragment
 from .operations import SlottedAggregates
 from .schema import SlottedRow
@@ -131,13 +139,20 @@ class TagJoinKernel(VertexProgram):
         self.alias_ranges = alias_ranges or {}
         self.alias_members = alias_members or {}
         self.alias_excluded = alias_excluded or {}
-        self._restricted = (
-            set(self.alias_ranges) | set(self.alias_members) | set(self.alias_excluded)
-        )
         self.output_rows: List[SlottedRow] = []
         self.output_batches: List[ColumnBatch] = []
         self.local_groups: List[SlottedRow] = []
         self._start_node = config.plan.node(config.start_node_id)
+        # per relation alias: the admission test of its tuple vertices
+        # (restrictions, then the pushed-down filter), None = all pass
+        self._admit: Dict[str, Optional[Callable[[Vertex], bool]]] = {
+            node.alias: self._admission(node.alias) for node in config.plan.relation_nodes()
+        }
+        # run-scoped scratch, keyed by what the schedule names, then vertex:
+        # plan edge id -> vertex id -> ids of the neighbours that marked it
+        self._marked: Dict[str, Dict[VertexId, Set[VertexId]]] = {}
+        # plan node id -> vertex id -> the node's table at that vertex
+        self._values: Dict[str, Dict[VertexId, Any]] = {}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -147,92 +162,120 @@ class TagJoinKernel(VertexProgram):
         start = self._start_node
         if not start.is_relation:
             raise ValueError("the TAG plan traversal must start at a relation node")
-        candidates = graph.vertices_with_label(start.table)
-        if start.alias not in self.slotted.filters and start.alias not in self._restricted:
-            return candidates
-        return [
-            vertex_id
-            for vertex_id in candidates
-            if self._tuple_passes_filters(graph.vertex(vertex_id), start.alias)
-        ]
+        admit = self._admit[start.alias]
+        if admit is None:
+            return graph.vertices_with_label(start.table)
+        # an alias pinned to a member set or an index window seeds the
+        # frontier from those indexes instead of scanning the whole label
+        pinned: Optional[Iterable[int]] = self.alias_members.get(start.alias)
+        window = self.alias_ranges.get(start.alias)
+        if pinned is None and window is not None:
+            last = window[1]
+            if last is None:
+                last = self.graph.tuple_index_ceiling(start.table)
+            pinned = range(window[0] + 1, last + 1)
+        if pinned is None:
+            candidates: Iterable[VertexId] = graph.vertices_with_label(start.table)
+        else:
+            ids = (tuple_vertex_id(start.table, index) for index in pinned)
+            candidates = [vertex_id for vertex_id in ids if graph.has_vertex(vertex_id)]
+        return [vertex_id for vertex_id in candidates if admit(graph.vertex(vertex_id))]
 
-    def compute(
+    def compute_superstep(
         self,
-        vertex: Vertex,
-        messages: List[Any],
+        active: Collection[VertexId],
+        inbox: Dict[VertexId, List[Any]],
         graph: Graph,
         context: SuperstepContext,
     ) -> None:
-        superstep = context.superstep
         schedule = self.config.schedule
-
+        superstep = context.superstep
         if superstep == 0:
-            # initial active set: no incoming messages, send for step 0 (or
+            # initial frontier: nothing delivered yet, send for step 0 (or
             # assemble immediately for single-relation plans)
             if not schedule:
-                self._assemble(vertex, self._initial_value(vertex, self._start_node), context)
+                for vertex_id in active:
+                    vertex = graph.vertex(vertex_id)
+                    context.set_current_vertex(vertex)
+                    self._assemble(self._initial_value(vertex, self._start_node), context)
+                context.set_current_vertex(None)
                 return
-            self._send(vertex, schedule[0], context)
-            return
-
-        received = schedule[superstep - 1]
-        if not self._receive(vertex, superstep - 1, received, messages, context):
-            return
-        if superstep < len(schedule):
-            self._send(vertex, schedule[superstep], context)
+            senders = active
         else:
-            # final superstep: the root's values are complete at this vertex
-            rows = context.state(vertex).get(_VALUE_KEY, {}).get(received.step.target, [])
-            self._assemble(vertex, rows, context)
+            senders = self._receive_frontier(superstep - 1, active, inbox, graph, context)
+        if superstep < len(schedule):
+            self._send_frontier(senders, schedule[superstep], graph, context)
+            return
+        # final superstep: the root's values are complete at these vertices
+        values = self._values.get(schedule[-1].step.target, {})
+        for vertex_id in senders:
+            context.set_current_vertex(graph.vertex(vertex_id))
+            self._assemble(values.get(vertex_id, []), context)
+        context.set_current_vertex(None)
 
     # ------------------------------------------------------------------
-    # receive
+    # receive: one loop over the frontier, returns the vertices that go on
     # ------------------------------------------------------------------
-    def _receive(
+    def _receive_frontier(
         self,
-        vertex: Vertex,
         step_index: int,
-        scheduled: ScheduledStep,
-        messages: List[Any],
+        active: Collection[VertexId],
+        inbox: Dict[VertexId, List[Any]],
+        graph: Graph,
         context: SuperstepContext,
-    ) -> bool:
+    ) -> Collection[VertexId]:
+        scheduled = self.config.schedule[step_index]
         step = scheduled.step
         target_node = self.config.plan.node(step.target)
-        context.charge(len(messages))
+        graph_vertex = graph.vertex
+        units = 0
 
         if scheduled.phase is not Phase.COLLECT:
-            if target_node.is_relation and not self._tuple_passes_filters(
-                vertex, target_node.alias
-            ):
-                return False
-            marked = context.state(vertex).setdefault(_MARKED_KEY, {})
-            marked[step.edge.edge_id] = set(messages)
-            return True
+            marked = self._marked.setdefault(step.edge.edge_id, {})
+            admit = self._admit[target_node.alias] if target_node.is_relation else None
+            accepted: List[VertexId] = []
+            for vertex_id in active:
+                messages = inbox[vertex_id]
+                units += len(messages)
+                if admit is None or admit(graph_vertex(vertex_id)):
+                    marked[vertex_id] = set(messages)
+                    accepted.append(vertex_id)
+            context.charge(units)
+            return accepted
 
         # collection: combine the incoming tables, then apply the compiled
         # step action in whichever form the combined table took
-        incoming = self._combine(messages)
+        values = self._values.setdefault(step.target, {})
         action = self.slotted.collect[step_index]
-        if action.merge is None:
-            rows = incoming
-        else:
-            # the paper's line 36 (v.value ⋈ {v.data}): joining the incoming
-            # table with the vertex's own tuple keeps only the rows whose
-            # contribution for this alias *is* this tuple.  Rows flowing back
-            # from a sibling subtree may have been seeded by a different
-            # tuple of the same relation sharing this join value; the
-            # provenance slot identifies and drops them.
-            own_row = self._own_row(vertex, target_node)
-            if type(incoming) is ColumnBatch:
-                rows = self._merge_batch(incoming, own_row, action, vertex.ordinal)
-            elif incoming:
-                rows = self._merge_rows(incoming, own_row, action, vertex.ordinal)
-            else:
-                rows = [own_row]
-        context.charge(len(rows))
-        values = context.state(vertex).setdefault(_VALUE_KEY, {})
-        values[step.target] = rows
-        return True
+        combine = self._combine
+        # attribute nodes (no merge) pass the union through; relation nodes
+        # join it with the vertex's own tuple — the paper's line 36
+        # (v.value ⋈ {v.data}), which keeps only the rows whose contribution
+        # for this alias *is* this tuple.  Rows flowing back from a sibling
+        # subtree may have been seeded by a different tuple of the same
+        # relation sharing this join value; the provenance slot identifies
+        # and drops them.
+        build_own = None if action.merge is None else self.slotted.own[target_node.alias].build
+        for vertex_id in active:
+            messages = inbox[vertex_id]
+            rows = combine(messages)
+            if build_own is not None:
+                vertex = graph_vertex(vertex_id)
+                # provenance is the graph-assigned integer ordinal, not the
+                # string vertex id: it keeps the hidden provenance column
+                # native int64 when a table is columnarised
+                ordinal = vertex.ordinal
+                own_row = build_own(vertex.properties[TUPLE_DATA_KEY], ordinal)
+                if type(rows) is ColumnBatch:
+                    rows = self._merge_batch(rows, own_row, action, ordinal)
+                elif rows:
+                    rows = self._merge_rows(rows, own_row, action, ordinal)
+                else:
+                    rows = [own_row]
+            values[vertex_id] = rows
+            units += len(messages) + len(rows)
+        context.charge(units)
+        return active
 
     def _combine(self, messages: List[Any]) -> Any:
         """Union the incoming tables; columnar once any is, or at the threshold.
@@ -305,40 +348,82 @@ class TagJoinKernel(VertexProgram):
         )
 
     # ------------------------------------------------------------------
-    # send (batched: one payload, many targets; a batch sizes itself via
-    # its payload_size_hint)
+    # send: one edge-map over the senders, straight into the next inbox
     # ------------------------------------------------------------------
-    def _send(self, vertex: Vertex, scheduled: ScheduledStep, context: SuperstepContext) -> None:
+    def _send_frontier(
+        self,
+        senders: Collection[VertexId],
+        scheduled: ScheduledStep,
+        graph: Graph,
+        context: SuperstepContext,
+    ) -> None:
         step = scheduled.step
-        targets = self.graph.edge_targets(vertex.vertex_id, step.label)
-        context.charge(len(targets))
+        adjacency = graph.adjacency(step.label)
+        outbox = context.outbox
+        # reduction up sends along every edge; the later phases only along
+        # the edges the reduction marked
+        marked = None
+        if scheduled.phase is not Phase.REDUCE_UP:
+            marked = self._marked.get(step.edge.edge_id, {})
+        collecting = scheduled.phase is Phase.COLLECT
+        if collecting:
+            values = self._values.get(step.source, {})
+            source_node = self.config.plan.node(step.source)
+            build_own = None
+            if source_node.is_relation:
+                build_own = self.slotted.own[source_node.alias].build
+        engine = context.engine
+        partition_of = engine.partition_of if engine.num_workers > 1 else None
+        units = messages = message_bytes = network_messages = network_bytes = 0
 
-        if scheduled.phase is Phase.REDUCE_UP:
-            context.send_to_many(targets, vertex.vertex_id)
-            return
+        for vertex_id in senders:
+            targets = adjacency.get(vertex_id)
+            if not targets:
+                continue
+            units += len(targets)
+            if marked is not None:
+                mine = marked.get(vertex_id)
+                if not mine:
+                    continue
+                targets = [target for target in targets if target in mine]
+                if not targets:
+                    continue
+            if collecting:
+                # propagate this node's value: its table, or at the start
+                # relation (no table yet) the vertex's own row
+                payload = values.get(vertex_id)
+                if payload is None and build_own is not None:
+                    vertex = graph.vertex(vertex_id)
+                    payload = [build_own(vertex.properties[TUPLE_DATA_KEY], vertex.ordinal)]
+                if not payload:
+                    continue
+                # a row table weighs its first row times its length
+                if type(payload) is ColumnBatch:
+                    size = payload.payload_size_hint()
+                else:
+                    size = 4 + len(payload) * payload_size_bytes(payload[0])
+            else:
+                # the reduction passes ship the sender's id (a string)
+                payload = vertex_id
+                size = len(vertex_id)
+            for target in targets:
+                outbox[target].append(payload)
+            count = len(targets)
+            messages += count
+            message_bytes += count * size
+            if partition_of is not None:
+                home = partition_of(vertex_id)
+                crossing = sum(1 for target in targets if partition_of(target) != home)
+                network_messages += crossing
+                network_bytes += crossing * size
 
-        marked = context.state(vertex).get(_MARKED_KEY, {}).get(step.edge.edge_id, set())
-        if scheduled.phase is Phase.REDUCE_DOWN:
-            context.send_to_many(
-                [target for target in targets if target in marked],
-                vertex.vertex_id,
-            )
-            return
-
-        # collection phase: propagate this node's value along marked edges
-        source_node = self.config.plan.node(step.source)
-        values = context.state(vertex).get(_VALUE_KEY, {})
-        table = values.get(step.source)
-        if table is None and source_node.is_relation:
-            table = [self._own_row(vertex, source_node)]
-        if not table:
-            return
-        context.send_to_many([target for target in targets if target in marked], table)
+        context.charge(units)
+        context.add_messages(messages, message_bytes, network_messages, network_bytes)
 
     # ------------------------------------------------------------------
     # result assembly (runs at the vertices holding the plan root's values)
     # ------------------------------------------------------------------
-    def _assemble(self, vertex: Vertex, rows: Any, context: SuperstepContext) -> None:
+    def _assemble(self, rows: Any, context: SuperstepContext) -> None:
         if type(rows) is ColumnBatch:
             self._assemble_batch(rows, context)
         else:
@@ -444,48 +529,37 @@ class TagJoinKernel(VertexProgram):
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _tuple_passes_filters(self, vertex: Vertex, alias: Optional[str]) -> bool:
-        if alias is None:
-            return True
-        if alias in self._restricted and not self._admits(vertex, alias):
-            return False
+    def _admission(self, alias: str) -> Optional[Callable[[Vertex], bool]]:
+        """Compile the alias's window / membership / exclusion sets and its
+        pushed-down filter into one test on a tuple vertex (None: all pass)."""
         predicate = self.slotted.filters.get(alias)
-        if predicate is None:
-            return True
-        tuple_data = vertex.properties.get(TUPLE_DATA_KEY)
-        if tuple_data is None:
-            return True
-        return predicate(tuple_data)
-
-    def _admits(self, vertex: Vertex, alias: str) -> bool:
-        """Whether the alias's window / membership / exclusion sets admit ``vertex``."""
-        try:
-            index = int(vertex.vertex_id.rsplit("_", 1)[1])
-        except (IndexError, ValueError):
-            return True  # not a tuple vertex id; restrictions don't apply
         window = self.alias_ranges.get(alias)
-        if window is not None:
-            lo_exclusive, hi_inclusive = window
+        members = self.alias_members.get(alias)
+        excluded = self.alias_excluded.get(alias)
+        if window is None and members is None and excluded is None:
+            if predicate is None:
+                return None
+            return lambda vertex: predicate(vertex.properties[TUPLE_DATA_KEY])
+        lo_exclusive, hi_inclusive = window if window is not None else (0, None)
+
+        def admit(vertex: Vertex) -> bool:
+            index = vertex.properties[TUPLE_INDEX_KEY]
             if index <= lo_exclusive or (hi_inclusive is not None and index > hi_inclusive):
                 return False
-        members = self.alias_members.get(alias)
-        if members is not None and index not in members:
-            return False
-        excluded = self.alias_excluded.get(alias)
-        return excluded is None or index not in excluded
+            if members is not None and index not in members:
+                return False
+            if excluded is not None and index in excluded:
+                return False
+            return predicate is None or predicate(vertex.properties[TUPLE_DATA_KEY])
 
-    def _own_row(self, vertex: Vertex, node) -> SlottedRow:
-        # provenance is the graph-assigned integer ordinal, not the string
-        # vertex id: it keeps the hidden provenance column native int64
-        # when a table is columnarised
-        return self.slotted.own[node.alias].build(
-            vertex.properties[TUPLE_DATA_KEY], vertex.ordinal
-        )
+        return admit
 
     def _initial_value(self, vertex: Vertex, node) -> Any:
-        if not self._tuple_passes_filters(vertex, node.alias):
+        admit = self._admit[node.alias]
+        if admit is not None and not admit(vertex):
             return []
-        rows = [self._own_row(vertex, node)]
+        build_own = self.slotted.own[node.alias].build
+        rows = [build_own(vertex.properties[TUPLE_DATA_KEY], vertex.ordinal)]
         if len(rows) >= self.columnar_threshold:
             return ColumnBatch.from_rows(rows)
         return rows

@@ -3,6 +3,7 @@
 from .encoder import (
     ATTRIBUTE_VALUE_KEY,
     TUPLE_DATA_KEY,
+    TUPLE_INDEX_KEY,
     LoadReport,
     TagEncoder,
     TagGraph,
@@ -24,6 +25,7 @@ __all__ = [
     "ATTRIBUTE_VALUE_KEY",
     "LoadReport",
     "TUPLE_DATA_KEY",
+    "TUPLE_INDEX_KEY",
     "TagEncoder",
     "TagGraph",
     "TagStatistics",

@@ -51,6 +51,10 @@ from ..storage.encoding import (
 #: ``column name -> value``; values are encoded when the graph has an
 #: encoding — use :meth:`TagGraph.decoded_tuple_data` at the boundary).
 TUPLE_DATA_KEY = "tuple"
+#: Property key under which a tuple vertex stores its 1-based tuple index
+#: (the ``7`` of ``R_7``: physical row position + 1), so windowed view
+#: refresh never parses it back out of the vertex id.
+TUPLE_INDEX_KEY = "index"
 #: Property key under which an attribute vertex stores its (decoded) value.
 ATTRIBUTE_VALUE_KEY = "value"
 #: Label prefix of attribute vertices, completed with the value's domain.
@@ -303,7 +307,7 @@ class TagGraph(Graph):
             if value is not NULL and materialise:
                 connects.append((column_name, dtype, value, encoded, codec))
 
-        self.add_vertex(vertex_id, schema.name, {TUPLE_DATA_KEY: data})
+        self.add_vertex(vertex_id, schema.name, {TUPLE_DATA_KEY: data, TUPLE_INDEX_KEY: index})
         report.tuple_bytes += tuple_bytes
         report.tuple_vertices += 1
         self._tuple_bytes[vertex_id] = tuple_bytes
@@ -373,16 +377,7 @@ class TagGraph(Graph):
                 drops[edge.target] = drops.get(edge.target, 0) + 1
                 touched.add((edge.target, edge.label))
         for attr_id, label in touched:
-            reverse_list = self._out_edges[attr_id].get(label, [])
-            kept = [reverse for reverse in reverse_list if reverse.target not in dead]
-            if kept:
-                self._out_edges[attr_id][label] = kept
-            else:
-                # drop the label key entirely: a surviving attribute vertex
-                # must look exactly like a re-encode, which never creates
-                # empty adjacency lists
-                self._out_edges[attr_id].pop(label, None)
-            self._edge_count -= len(reverse_list) - len(kept)
+            self.remove_edges_to(attr_id, label, dead)
         dead_attributes: List[VertexId] = []
         for attr_id, dropped in drops.items():
             remaining = self._attribute_refcounts.get(attr_id, 0) - dropped
@@ -415,6 +410,10 @@ class TagGraph(Graph):
         ]
         self.delete_tuples(deleted)
         return deleted
+
+    def tuple_index_ceiling(self, relation_name: str) -> int:
+        """The largest tuple index the relation has ever been assigned."""
+        return self._tuple_counters.get(relation_name, 0)
 
     def note_tuple_floor(self, relation_name: str, count: int) -> None:
         """Raise the relation's tuple counter to at least ``count`` so the

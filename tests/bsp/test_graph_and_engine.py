@@ -33,6 +33,48 @@ def line_graph(n: int = 5) -> Graph:
 
 
 class TestGraph:
+    def test_label_first_adjacency_tracks_every_mutation(self):
+        graph = line_graph(4)
+        graph.add_edge("v0", "v3", "jump")
+        assert sorted(graph.edge_labels()) == ["jump", "link"]
+        assert graph.adjacency("link")["v1"] == ["v0", "v2"]
+        assert graph.adjacency("jump") == {"v0": ["v3"]}
+        assert graph.edge_targets("v1", "link") == ["v0", "v2"]
+        assert list(graph.edge_targets("v1", "jump")) == []
+        assert graph.adjacency("nope") == {}
+
+        # filtering a list down to nothing drops the entry, then the label
+        assert graph.remove_edges_to("v1", "link", {"v0"}) == 1
+        assert graph.adjacency("link")["v1"] == ["v2"]
+        assert graph.remove_edges_to("v0", "jump", {"v3"}) == 1
+        assert "jump" not in graph.edge_labels()
+        assert graph.out_edge_labels("v0") == ["link"]
+        assert graph.remove_edges_to("v0", "jump", {"v3"}) == 0
+        assert graph.edge_count == 5
+
+        # removing a vertex removes it as a source; single and batch agree
+        graph.remove_vertex("v3")
+        assert "v3" not in graph.adjacency("link")
+        graph.remove_vertices(["v0", "v1", "v2"])
+        assert graph.edge_labels() == []
+        assert graph.edge_count == 0
+
+    def test_edges_are_slotted_and_share_the_empty_property_map(self):
+        graph = line_graph(2)
+        bare = graph.add_edge("v0", "v1", "bare")
+        other = graph.add_edge("v1", "v0", "bare")
+        assert not hasattr(bare, "__dict__")
+        assert bare.properties == {} and bare.properties is other.properties
+        with pytest.raises(TypeError):
+            bare.properties["x"] = 1
+        # given properties are copied, per direction
+        given = {"weight": 2.0}
+        forward = graph.add_edge("v0", "v1", "heavy", given, undirected=True)
+        backward = graph.out_edges("v1", "heavy")[0]
+        assert forward.properties == backward.properties == given
+        assert forward.properties is not given
+        assert forward.properties is not backward.properties
+
     def test_add_and_lookup(self):
         graph = line_graph()
         assert graph.vertex_count == 5

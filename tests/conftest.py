@@ -11,7 +11,7 @@ from repro.core import TagJoinExecutor
 from repro.engine import RelationalExecutor
 from repro.relational import Catalog, Column, DataType, ForeignKey, Relation, Schema
 from repro.exec import program as kernel_program
-from repro.tag import encode_catalog
+from repro.tag import TUPLE_INDEX_KEY, encode_catalog
 
 #: The kernel's one remaining choice is made from table size, so suites
 #: that must cover both sides of it pin ``COLUMNAR_THRESHOLD``: the shipped
@@ -36,6 +36,44 @@ def graph_properties(graph):
     shared graph.
     """
     return {vertex.vertex_id: copy.deepcopy(vertex.properties) for vertex in graph.vertices()}
+
+
+def assert_graphs_equal(patched, rebuilt):
+    """A patched graph is indistinguishable from a cold re-encode.
+
+    Same vertices, labels and per-vertex edges — and the same label-first
+    adjacency index: the labels present (a label whose last edge went is
+    dropped, never left as an empty entry), the sources under each, the
+    targets of each source.  Within one graph the index must list exactly
+    the targets of the vertex's edge list, in the same order.
+    """
+    patched_ids = sorted(patched.vertex_ids())
+    assert patched_ids == sorted(rebuilt.vertex_ids())
+    assert patched.edge_count == rebuilt.edge_count
+    assert patched.count_by_label() == rebuilt.count_by_label()
+    for vertex_id in patched_ids:
+        assert sorted(patched.out_edge_labels(vertex_id)) == sorted(
+            rebuilt.out_edge_labels(vertex_id)
+        ), vertex_id
+        # tuple vertices carry their index; attribute vertices carry none
+        assert patched.vertex(vertex_id).properties.get(TUPLE_INDEX_KEY) == rebuilt.vertex(
+            vertex_id
+        ).properties.get(TUPLE_INDEX_KEY), vertex_id
+    assert sorted(patched.edge_labels()) == sorted(rebuilt.edge_labels())
+    for label in patched.edge_labels():
+        adjacency = patched.adjacency(label)
+        assert adjacency, label
+        assert {source: sorted(targets) for source, targets in adjacency.items()} == {
+            source: sorted(targets) for source, targets in rebuilt.adjacency(label).items()
+        }, label
+    for graph in (patched, rebuilt):
+        indexed = 0
+        for label in graph.edge_labels():
+            for source, targets in graph.adjacency(label).items():
+                assert targets, (label, source)
+                assert targets == [edge.target for edge in graph.out_edges(source, label)]
+                indexed += len(targets)
+        assert indexed == graph.edge_count
 
 
 def make_mini_catalog() -> Catalog:

@@ -16,26 +16,9 @@ from repro.engine.indexes import build_indexes
 from repro.tag.encoder import encode_catalog
 from repro.tag.statistics import CatalogStatistics
 
-from conftest import make_mini_catalog
+from conftest import assert_graphs_equal, make_mini_catalog
 
 ENGINES = ("tag_dict", "tag", "rdbms", "spark")
-
-
-def assert_graphs_equal(patched, rebuilt):
-    """Structural equality: same vertices, labels, and adjacency."""
-    patched_ids = sorted(patched.vertex_ids())
-    rebuilt_ids = sorted(rebuilt.vertex_ids())
-    assert patched_ids == rebuilt_ids
-    assert patched.edge_count == rebuilt.edge_count
-    assert patched.count_by_label() == rebuilt.count_by_label()
-    for vertex_id in patched_ids:
-        assert sorted(patched.out_edge_labels(vertex_id)) == sorted(
-            rebuilt.out_edge_labels(vertex_id)
-        ), vertex_id
-        for label in patched.out_edge_labels(vertex_id):
-            assert sorted(patched.edge_targets(vertex_id, label)) == sorted(
-                rebuilt.edge_targets(vertex_id, label)
-            ), (vertex_id, label)
 
 
 def query_rows(db, sql, engine=None):
@@ -105,6 +88,41 @@ class TestGraphDeleteEquivalence:
         db.delete_rows("ORDERS", lambda row: row[0] in (100, 106))
         db.load_rows("ORDERS", [[108, 13, 63.0, "LOW"]])
         db.delete_rows("ORDERS", lambda row: row[0] == 103)
+        assert_graphs_equal(graph, encode_catalog(db.catalog))
+
+    def test_interleaved_insert_delete_update_match_reencode(self):
+        db = Database(make_mini_catalog(), engine="tag")
+        graph = db.tag_graph()
+        db.load_rows("CUSTOMER", [[15, 3, 42.0], [16, 1, 17.5]])
+        db.load_rows("ORDERS", [[106, 15, 61.0, "HIGH"], [107, 16, 62.0, "URGENT"]])
+        # moves order 101 to another customer and a brand-new priority value
+        db.update_rows("ORDERS", lambda row: row[0] == 101, {"O_CUSTKEY": 16, "O_PRIORITY": "RUSH"})
+        db.delete_rows("ORDERS", lambda row: row[0] in (100, 107))
+        db.update_rows("CUSTOMER", lambda row: row[0] == 15, {"C_NATIONKEY": 2})
+        db.delete_rows("CUSTOMER", lambda row: row[0] == 10)
+        db.load_rows("ORDERS", [[108, 11, 63.0, "LOW"]])
+        assert db.tag_graph() is graph  # patched in place throughout
+        assert_graphs_equal(graph, encode_catalog(db.catalog))
+        # "URGENT" came and went with order 107: no vertex, no stale targets
+        assert graph.attribute_vertex_for("URGENT") is None
+        for label in graph.edge_labels():
+            for targets in graph.adjacency(label).values():
+                assert all(graph.has_vertex(target) for target in targets)
+
+    def test_emptied_relation_drops_its_labels_from_the_index(self):
+        db = Database(make_mini_catalog(), engine="tag")
+        graph = db.tag_graph()
+        assert "ORDERS.O_CUSTKEY" in graph.edge_labels()
+        db.delete_rows("ORDERS", lambda row: True)
+        # no ORDERS edge is left, so no ORDERS label may be: not on the
+        # tuple side (vertices gone) nor on the attribute side (reverse
+        # lists filtered down to nothing)
+        assert not [label for label in graph.edge_labels() if label.startswith("ORDERS.")]
+        assert graph.adjacency("ORDERS.O_CUSTKEY") == {}
+        assert_graphs_equal(graph, encode_catalog(db.catalog))
+        # and the label comes back, index and all, with the next insert
+        db.load_rows("ORDERS", [[200, 11, 9.0, "LOW"]])
+        assert graph.adjacency("ORDERS.O_CUSTKEY")["ORDERS_7"] == [graph.attribute_vertex_for(11)]
         assert_graphs_equal(graph, encode_catalog(db.catalog))
 
     def test_load_report_accounting_matches_reencode(self):

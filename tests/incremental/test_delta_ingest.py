@@ -19,24 +19,7 @@ from repro.engine.indexes import build_indexes
 from repro.tag.encoder import encode_catalog
 from repro.tag.statistics import CatalogStatistics
 
-from conftest import make_mini_catalog
-
-
-def assert_graphs_equal(patched, rebuilt):
-    """Structural equality: same vertices, labels, and adjacency."""
-    patched_ids = sorted(patched.vertex_ids())
-    rebuilt_ids = sorted(rebuilt.vertex_ids())
-    assert patched_ids == rebuilt_ids
-    assert patched.edge_count == rebuilt.edge_count
-    assert patched.count_by_label() == rebuilt.count_by_label()
-    for vertex_id in patched_ids:
-        assert sorted(patched.out_edge_labels(vertex_id)) == sorted(
-            rebuilt.out_edge_labels(vertex_id)
-        ), vertex_id
-        for label in patched.out_edge_labels(vertex_id):
-            assert sorted(patched.edge_targets(vertex_id, label)) == sorted(
-                rebuilt.edge_targets(vertex_id, label)
-            ), (vertex_id, label)
+from conftest import assert_graphs_equal, make_mini_catalog
 
 
 NEW_ORDERS = [[106, 10, 99.0, "HIGH"], [107, 11, 98.0, "LOW"], [108, 12, 1.0, "HIGH"]]
