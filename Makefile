@@ -49,8 +49,9 @@ bench-incremental:
 
 # tombstone delete deltas vs scorched-earth rebuild; exits non-zero if
 # deleting 1% of 20k rows is not >=10x faster than the full rebuild, a
-# delete recompiles a plan or triggers a full rebuild, or the patched
-# graph/maintained view diverge from a cold rebuild
+# 1-row by-value delete at 20k rows takes more than 3x what it takes at
+# 2k (median of 31), a delete recompiles a plan or triggers a full
+# rebuild, or the patched graph/maintained view diverge from a cold rebuild
 bench-delete:
 	$(PYTHON) -m repro.bench.delete --base-rows 20000 \
 		--out benchmarks/results/BENCH_delete.json

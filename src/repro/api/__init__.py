@@ -4,7 +4,7 @@
 shared plan cache); ``Session`` executes SQL with optional parameters and
 renders cross-engine EXPLAIN; the engine registry maps names ("tag",
 "rdbms", "spark", ...) to executor factories so callers never hardwire an
-executor class.  See :mod:`repro.api.database` for a usage sketch.
+executor class.  See :mod:`repro.api.database` for a usage example.
 """
 
 from ..algebra.parameters import ParameterError, bind_parameters

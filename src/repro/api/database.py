@@ -19,7 +19,7 @@ parameter values:
 
 Data loads go through :meth:`Database.load_rows`, which applies the write
 as a *delta*: new tuple/attribute vertices are appended to the existing
-TAG encoding in place, statistics fold the new rows into their sketches,
+TAG encoding in place, statistics fold the new rows in exactly,
 executors are patched through their ``apply_delta`` hook, and registered
 materialized views are maintained by seminaïve re-runs over only the new
 vertices.  Compiled plans survive every data-only write (their cache keys
@@ -506,7 +506,7 @@ class Database:
         This is the incremental write path: when the TAG graph, the
         statistics and the cached executors are current, the new rows are
         *applied as a delta* — appended to the graph encoding, folded into
-        the statistics sketches, indexed by each engine's ``apply_delta``
+        the statistics (exact counts), indexed by each engine's ``apply_delta``
         hook, and propagated into registered materialized views — instead
         of invalidating everything.  Compiled plans are retained across
         the write because their cache keys depend only on the schema
@@ -628,8 +628,7 @@ class Database:
         before: int,
         started: float,
     ) -> int:
-        from ..incremental.delta import apply_graph_delta, rows_as_value_dicts
-        from ..relational.types import value_size_bytes
+        from ..incremental.delta import apply_graph_delta
 
         relation.extend(rows, validated=validated_rows)
         coerced = relation.rows_since(before)
@@ -645,18 +644,7 @@ class Database:
             apply_graph_delta(self._graph, relation.schema, coerced)
             self._graph_version = catalog.version
         if stats_fresh:
-            schema = relation.schema
-            added_bytes = sum(
-                value_size_bytes(value, column.dtype)
-                for row in coerced
-                for value, column in zip(row, schema.columns)
-            )
-            self._statistics.apply_delta(
-                catalog,
-                relation.name,
-                rows_as_value_dicts(schema, coerced),
-                added_bytes=added_bytes,
-            )
+            self._statistics.apply_delta(catalog, relation.name, coerced)
 
         patched = dropped = 0
         for name, engine in list(self._engines.items()):
@@ -943,8 +931,7 @@ class Database:
         version_before: int,
         started: float,
     ) -> int:
-        from ..incremental.delta import apply_graph_delete, rows_as_value_dicts
-        from ..relational.types import value_size_bytes
+        from ..incremental.delta import apply_graph_delete
 
         graph_fresh = self._graph is not None and self._graph_version == version_before
         stats_fresh = (
@@ -969,18 +956,7 @@ class Database:
             apply_graph_delete(self._graph, relation.schema, positions)
             self._graph_version = catalog.version
         if stats_fresh:
-            schema = relation.schema
-            removed_bytes = sum(
-                value_size_bytes(value, column.dtype)
-                for row in deleted_rows
-                for value, column in zip(row, schema.columns)
-            )
-            self._statistics.apply_removal(
-                catalog,
-                relation.name,
-                rows_as_value_dicts(schema, deleted_rows),
-                removed_bytes=removed_bytes,
-            )
+            self._statistics.apply_removal(catalog, relation.name, deleted_rows)
 
         patched = dropped = 0
         for name, engine in list(self._engines.items()):

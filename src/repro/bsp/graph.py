@@ -13,6 +13,7 @@ are patched in place by every mutation; neither is ever rebuilt.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import AbstractSet, Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
@@ -83,7 +84,9 @@ class Graph:
         self._out_edges: Dict[VertexId, Dict[str, List[Edge]]] = {}
         # the same edges label-first, as bare target ids, in edge order
         self._targets: Dict[str, Dict[VertexId, List[VertexId]]] = {}
-        self._vertices_by_label: Dict[str, List[VertexId]] = {}
+        # label -> its vertex ids in insertion order (a dict as an ordered
+        # set: removing one vertex must not rescan the label's population)
+        self._vertices_by_label: Dict[str, Dict[VertexId, None]] = {}
         self._edge_count = 0
         self._next_ordinal = 0
 
@@ -102,7 +105,7 @@ class Graph:
         self._next_ordinal += 1
         self._vertices[vertex_id] = vertex
         self._out_edges[vertex_id] = {}
-        self._vertices_by_label.setdefault(label, []).append(vertex_id)
+        self._vertices_by_label.setdefault(label, {})[vertex_id] = None
         return vertex
 
     def add_edge(
@@ -145,23 +148,14 @@ class Graph:
         self.remove_vertices([vertex_id])
 
     def remove_vertices(self, vertex_ids: Iterable[VertexId]) -> None:
-        """Batch form of :meth:`remove_vertex`.
-
-        Filters each affected label list once for the whole batch —
-        per-vertex ``list.remove`` would rescan the label's full
-        population per removal, turning a bulk delete quadratic.
-        """
-        dead = set(vertex_ids)
-        if not dead:
-            return
-        labels = {self.vertex(vertex_id).label for vertex_id in dead}
-        for label in labels:
-            survivors = [v for v in self._vertices_by_label[label] if v not in dead]
-            if survivors:
-                self._vertices_by_label[label] = survivors
-            else:
-                del self._vertices_by_label[label]
-        for vertex_id in dead:
+        """Batch form of :meth:`remove_vertex`; costs O(vertices removed)."""
+        dead = [self.vertex(vertex_id) for vertex_id in set(vertex_ids)]  # raises first
+        for vertex in dead:
+            vertex_id = vertex.vertex_id
+            labelled = self._vertices_by_label[vertex.label]
+            del labelled[vertex_id]
+            if not labelled:
+                del self._vertices_by_label[vertex.label]
             for label, edges in self._out_edges.pop(vertex_id).items():
                 self._edge_count -= len(edges)
                 self._forget_source(label, vertex_id)
@@ -174,27 +168,47 @@ class Graph:
         if not by_source:
             del self._targets[label]
 
-    def remove_edges_to(self, source: VertexId, label: str, dead: AbstractSet[VertexId]) -> int:
+    def remove_edges_to(
+        self, source: VertexId, label: str, dead: AbstractSet[VertexId], ordered: bool = False
+    ) -> int:
         """Remove the ``label``-edges from ``source`` into ``dead``; returns how many.
 
         An emptied list is dropped, key and all, from both indexes: a
         surviving vertex must look exactly like a fresh build, which never
         creates empty adjacency lists.
+
+        ``ordered=True`` is the caller's promise that these targets sit in
+        vertex-creation order without repeats and that every id in ``dead``
+        still names a vertex (a TAG attribute vertex: its tuples link to
+        it as they are created).  A few victims in a long
+        list are then found by bisection, so a hot value losing one tuple
+        does not pay for its whole degree; when filtering the list once
+        is fewer steps than ``len(dead)`` bisections, it is filtered.
         """
         by_label = self._out_edges[source]
         edges = by_label.get(label)
         if not edges:
             return 0
-        kept = [edge for edge in edges if edge.target not in dead]
-        removed = len(edges) - len(kept)
-        if kept:
-            by_label[label] = kept
-            self._targets[label][source] = [edge.target for edge in kept]
+        targets = self._targets[label][source]
+        before = len(edges)
+        if ordered and len(dead) * before.bit_length() < before:
+            vertices = self._vertices
+
+            def ordinal(vertex_id: VertexId) -> int:
+                return vertices[vertex_id].ordinal
+
+            for target in dead:
+                at = bisect_left(targets, ordinal(target), key=ordinal)
+                if at < len(targets) and targets[at] == target:
+                    del targets[at], edges[at]
         else:
+            edges[:] = [edge for edge in edges if edge.target not in dead]
+            targets[:] = [edge.target for edge in edges]
+        if not edges:
             del by_label[label]
             self._forget_source(label, source)
-        self._edge_count -= removed
-        return removed
+        self._edge_count -= before - len(edges)
+        return before - len(edges)
 
     # ------------------------------------------------------------------
     # lookups

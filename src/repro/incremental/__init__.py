@@ -9,9 +9,6 @@ This package replaces that with delta maintenance end to end:
   the existing :class:`~repro.tag.encoder.TagGraph` in place (the paper's
   Section 3 observation that attribute vertices are cheaper to maintain
   than RDBMS indexes: inserts are local edge changes);
-* :mod:`~repro.incremental.sketch` — mergeable k-minimum-values NDV
-  sketches so :class:`~repro.tag.statistics.CatalogStatistics` stays fresh
-  under appends without rescanning;
 * :mod:`~repro.incremental.views` — materialized views maintained by
   seminaïve delta re-runs over only the new vertices (iterated supersteps
   on the BSP engine), after *Modular Materialisation of Datalog Programs*;
@@ -20,16 +17,21 @@ This package replaces that with delta maintenance end to end:
 * :mod:`~repro.incremental.maintenance` — the counters surfaced through
   ``Database.cache_stats()["maintenance"]`` and the server ``stats`` op.
 
-Attribute access is lazy (PEP 562): :mod:`repro.tag.statistics` imports
-:mod:`repro.incremental.sketch` while :mod:`repro.incremental.views`
-imports :mod:`repro.core`, which imports the statistics module — eager
-re-exports here would close that cycle.
+Statistics need no module here: every count
+:class:`~repro.tag.statistics.CatalogStatistics` holds — rows, NULLs,
+bytes and the NDV of every column — folds exactly in O(rows written),
+because the relation's column store refcounts live values
+(:mod:`repro.storage.columns`).
+
+Attribute access is lazy (PEP 562): :mod:`repro.api.database` imports
+:mod:`repro.incremental.locks` while :mod:`repro.incremental.views`
+imports :mod:`repro.core` — eager re-exports here would drag the whole
+executor in behind a lock import.
 """
 
 from __future__ import annotations
 
 _EXPORTS = {
-    "KMVSketch": "sketch",
     "ReadWriteLock": "locks",
     "MaintenanceCounters": "maintenance",
     "DeltaReport": "delta",

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, Sequence
 
 from ..relational.schema import Schema
 from ..tag.encoder import TagGraph
@@ -137,8 +137,3 @@ def apply_graph_delete(
         seconds=elapsed,
     )
 
-
-def rows_as_value_dicts(schema: Schema, rows: Sequence[Sequence[Any]]) -> List[Dict[str, Any]]:
-    """Positional rows -> ``column -> value`` dicts (statistics delta input)."""
-    names = schema.column_names
-    return [dict(zip(names, row)) for row in rows]

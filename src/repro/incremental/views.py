@@ -38,7 +38,8 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from operator import itemgetter
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..algebra.logical import QuerySpec
 from ..algebra.parameters import spec_parameters
@@ -262,7 +263,9 @@ def refresh_view_delete(
         )
     removed = len(removed_rows)
     if removed:
-        view.rows = _bag_subtract(view.rows, removed_rows)
+        view.rows = _bag_subtract(
+            view.rows, removed_rows, compiled.slotted.output_columns
+        )
     for _alias, table in aliases:
         view.base_counts[table] = catalog.relation(table).physical_count
     view.refresh_count += 1
@@ -271,21 +274,26 @@ def refresh_view_delete(
     return removed
 
 
-def _row_key(row: Dict[str, Any]) -> Tuple[Tuple[str, Any], ...]:
-    """A hashable identity for one stored view row (column order free)."""
-    return tuple(sorted(row.items(), key=lambda item: item[0]))
-
-
 def _bag_subtract(
-    rows: List[Dict[str, Any]], removed: List[Dict[str, Any]]
+    rows: List[Dict[str, Any]], removed: List[Dict[str, Any]], columns: Sequence[str]
 ) -> List[Dict[str, Any]]:
-    """``rows`` minus ``removed`` with bag (multiplicity) semantics."""
-    pending = Counter(_row_key(row) for row in removed)
+    """``rows`` minus ``removed`` with bag (multiplicity) semantics.
+
+    Rows are identified by their values in ``columns`` order (the view's
+    compiled output columns, which every stored row carries).
+    """
+    key = itemgetter(*columns)
+    pending = Counter(map(key, removed))
+    outstanding = len(removed)
     kept: List[Dict[str, Any]] = []
-    for row in rows:
-        key = _row_key(row)
-        if pending.get(key, 0) > 0:
-            pending[key] -= 1
-            continue
-        kept.append(row)
+    for position, row in enumerate(rows):
+        if not outstanding:
+            kept.extend(rows[position:])  # nothing left to remove: one slice
+            break
+        row_key = key(row)
+        if pending.get(row_key, 0) > 0:
+            pending[row_key] -= 1
+            outstanding -= 1
+        else:
+            kept.append(row)
     return kept

@@ -9,6 +9,7 @@ the TAG encoding gives each duplicate occurrence its own tuple vertex
 from __future__ import annotations
 
 import random
+from bisect import insort
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..storage.columns import RelationEncodedStore
@@ -25,8 +26,8 @@ class Relation:
     engines, CSV round-trips and FK validation all read plain values);
     once the relation joins a catalog it additionally maintains a
     columnar encoded store (:class:`~repro.storage.columns.RelationEncodedStore`)
-    appended to in lockstep by :meth:`insert`, which supplies int32 code
-    columns, exact NDV and encoded byte accounting.
+    kept in lockstep by every mutation here, which supplies int32 code
+    columns, exact NDV on every column and encoded byte accounting.
     """
 
     def __init__(self, schema: Schema, rows: Optional[Iterable[Sequence[Any]]] = None) -> None:
@@ -44,6 +45,10 @@ class Relation:
         self._mutations = 0
         # bound by Catalog.add: the encoded columnar backing
         self._encoded: Optional[RelationEncodedStore] = None
+        # row value -> ascending live physical positions; built by the first
+        # match_positions call and patched by every mutation after it, so a
+        # relation nobody deletes from by value never pays for it
+        self._match_index: Optional[Dict[Row, List[int]]] = None
         if rows is not None:
             for row in rows:
                 self.insert(row)
@@ -141,11 +146,15 @@ class Relation:
 
     def insert(self, row: Sequence[Any]) -> None:
         """Insert one tuple, coercing values to the schema's domains."""
-        coerced = self.validate_row(row)
+        self._append(self.validate_row(row))
+        self._note_mutation()
+
+    def _append(self, coerced: Row) -> None:
+        if self._match_index is not None:
+            self._match_index.setdefault(coerced, []).append(len(self._rows))
         self._rows.append(coerced)
         if self._encoded is not None:
             self._encoded.append_row(coerced)
-        self._note_mutation()
 
     def insert_dict(self, record: Dict[str, Any]) -> None:
         self.insert([record.get(column.name, NULL) for column in self.schema.columns])
@@ -164,9 +173,7 @@ class Relation:
                 self.insert(row)
             return
         for coerced in rows:
-            self._rows.append(coerced)
-            if self._encoded is not None:
-                self._encoded.append_row(coerced)
+            self._append(coerced)
         self._note_mutation()
 
     def truncate(self, count: int) -> int:
@@ -184,6 +191,7 @@ class Relation:
             return 0
         del self._rows[count:]
         self._deleted = {p for p in self._deleted if p < count}
+        self._match_index = None
         if self._encoded is not None:
             self._rebuild_encoded()
         self._note_mutation()
@@ -202,6 +210,7 @@ class Relation:
         had_tombstones = bool(self._deleted)
         self._rows = [row for _pos, row in self.live_items() if not predicate(row)]
         self._deleted = set()
+        self._match_index = None
         removed = before - len(self._rows)
         if self._encoded is not None and (removed or had_tombstones):
             self._encoded.rebuild(self._rows)
@@ -229,11 +238,17 @@ class Relation:
                 raise ValueError(
                     f"{self.schema.name}: position {position} is already deleted"
                 )
+        index = self._match_index
         for position in positions:
             row = self._rows[position]
             self._deleted.add(position)
             if self._encoded is not None:
                 self._encoded.delete_row(position, row)
+            if index is not None:
+                held = index[row]
+                held.remove(position)
+                if not held:
+                    del index[row]
             deleted.append(row)
         self._note_mutation()
         return deleted
@@ -244,8 +259,11 @@ class Relation:
         for position in positions:
             if position in self._deleted:
                 self._deleted.discard(position)
+                row = self._rows[position]
                 if self._encoded is not None:
-                    self._encoded.restore_row(position, self._rows[position])
+                    self._encoded.restore_row(position, row)
+                if self._match_index is not None:
+                    insort(self._match_index.setdefault(row, []), position)
                 restored += 1
         self._note_mutation()
         return restored
@@ -290,20 +308,26 @@ class Relation:
         log records row *values* (positions don't survive snapshot
         compaction), and replay must remove exactly one live occurrence
         per logged row.  Raises :class:`KeyError` when a row has no
-        remaining live match.
+        remaining live match.  Resolution reads the ``row -> live
+        positions`` index, so a match costs O(rows asked for), not a scan.
         """
-        pool: Dict[Row, List[int]] = {}
-        for position, row in self.live_items():
-            pool.setdefault(row, []).append(position)
+        index = self._match_index
+        if index is None:
+            index = self._match_index = {}
+            for position, row in self.live_items():
+                index.setdefault(row, []).append(position)
         matched: List[int] = []
+        taken: Dict[Row, int] = {}  # occurrences this call already consumed
         for raw in rows:
             key = self.validate_row(raw)
-            candidates = pool.get(key)
-            if not candidates:
+            held = index.get(key, ())
+            nth = taken.get(key, 0)
+            if nth >= len(held):
                 raise KeyError(
                     f"{self.schema.name}: no live row matches {tuple(raw)!r}"
                 )
-            matched.append(candidates.pop(0))
+            matched.append(held[nth])
+            taken[key] = nth + 1
         return matched
 
     def _note_mutation(self) -> None:
@@ -410,10 +434,8 @@ class Relation:
 
     def distinct_count(self, column_name: str) -> int:
         if self._encoded is not None:
-            # exact and free: one distinct-code set per encoded column
-            ndv = self._encoded.ndv(column_name)
-            if ndv is not None:
-                return ndv
+            # exact and O(1): the store refcounts live values per column
+            return self._encoded.ndv(column_name)
         return len(self._distinct_frozen(column_name))
 
     def data_size_bytes(self) -> int:

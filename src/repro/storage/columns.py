@@ -2,16 +2,18 @@
 
 Each encoded column keeps a packed ``int32`` code array plus a validity
 bitmap, appended to in lockstep with the relation's row list.  The store
-is the source of exact NDV (one set of distinct codes per column — the
-"dictionary sizes" statistics read for free) and of the encoded byte
-accounting that replaces the object-size estimate in
+is the source of exact NDV for *every* column — live occurrences are
+refcounted per distinct code (encoded columns) or per distinct value (raw
+int/float/bool columns), so the count is one ``len`` away after any
+insert, tombstone or restore — and of the encoded byte accounting that
+replaces the object-size estimate in
 :func:`repro.relational.types.value_size_bytes`.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Hashable, Optional, Sequence
 
 from ..relational.types import NULL
 from .encoding import RelationCodec
@@ -20,6 +22,15 @@ try:  # numpy is optional at this layer; code arrays degrade to memoryviews
     import numpy as _np
 except ImportError:  # pragma: no cover - numpy-less environments only
     _np = None
+
+
+def _release(counts: Dict[Hashable, int], key: Hashable) -> None:
+    """Drop one live occurrence of ``key``; the entry leaves with the last."""
+    remaining = counts[key] - 1
+    if remaining:
+        counts[key] = remaining
+    else:
+        del counts[key]
 
 
 class EncodedColumn:
@@ -76,12 +87,7 @@ class EncodedColumn:
             self._null_count -= 1
         else:
             self._validity[byte_index] &= ~(1 << bit)
-            code = self._codes[index]
-            remaining = self._distinct.get(code, 0) - 1
-            if remaining > 0:
-                self._distinct[code] = remaining
-            else:
-                self._distinct.pop(code, None)
+            _release(self._distinct, self._codes[index])
         return self.codec.slot_bytes(value)
 
     def restore(self, index: int, value: Any) -> int:
@@ -121,24 +127,28 @@ class EncodedColumn:
 class RelationEncodedStore:
     """Columnar encoded backing for one relation.
 
-    Maintained by :meth:`repro.relational.relation.Relation.insert` (the
-    single mutation chokepoint), so the row list and the code arrays can
-    never drift apart.  Byte totals cover *all* columns — raw columns at
-    their native width, encoded columns at 4 bytes per slot plus the
-    amortised dictionary growth they caused.
+    Maintained by :class:`repro.relational.relation.Relation` at its
+    mutation chokepoints (``insert``/``extend``, ``delete_positions``,
+    ``restore_positions``), so the row list, the code arrays and the live
+    value refcounts can never drift apart.  Byte totals cover *all*
+    columns — raw columns at their native width, encoded columns at 4
+    bytes per slot plus the amortised dictionary growth they caused.
     """
 
-    __slots__ = ("schema", "codec", "columns", "_row_count", "_total_bytes")
+    __slots__ = (
+        "schema",
+        "codec",
+        "columns",
+        "_raw_counts",
+        "_slots",
+        "_row_count",
+        "_total_bytes",
+    )
 
     def __init__(self, schema: Any, codec: RelationCodec) -> None:
         self.schema = schema
         self.codec = codec
-        self.columns: Dict[str, EncodedColumn] = {
-            name: EncodedColumn(name, codec.by_name[name])
-            for name in codec.encoded_columns
-        }
-        self._row_count = 0
-        self._total_bytes = 0
+        self.rebuild(())
 
     def __len__(self) -> int:
         return self._row_count
@@ -151,22 +161,26 @@ class RelationEncodedStore:
         fold the delete exactly.
         """
         freed = 0
-        for column, codec, value in zip(self.schema.columns, self.codec.codecs, row):
-            if codec.is_encoded:
-                freed += self.columns[column.name].mark_deleted(position, value)
+        for (codec, column, counts), value in zip(self._slots, row):
+            if column is not None:
+                freed += column.mark_deleted(position, value)
             else:
                 freed += codec.slot_bytes(value)
+                if value is not NULL:
+                    _release(counts, value)
         self._total_bytes -= freed
         return freed
 
     def restore_row(self, position: int, row: Sequence[Any]) -> int:
         """Undo :meth:`delete_row` (delete rollback)."""
         added = 0
-        for column, codec, value in zip(self.schema.columns, self.codec.codecs, row):
-            if codec.is_encoded:
-                added += self.columns[column.name].restore(position, value)
+        for (codec, column, counts), value in zip(self._slots, row):
+            if column is not None:
+                added += column.restore(position, value)
             else:
                 added += codec.slot_bytes(value)
+                if value is not NULL:
+                    counts[value] = counts.get(value, 0) + 1
         self._total_bytes += added
         return added
 
@@ -177,21 +191,34 @@ class RelationEncodedStore:
     def append_row(self, row: Sequence[Any]) -> int:
         """Account one coerced row; returns its encoded byte footprint."""
         row_bytes = 0
-        for column, codec, value in zip(self.schema.columns, self.codec.codecs, row):
-            if codec.is_encoded:
-                row_bytes += self.columns[column.name].append(value)
+        for (codec, column, counts), value in zip(self._slots, row):
+            if column is not None:
+                row_bytes += column.append(value)
             else:
-                row_bytes += codec.encode_with_bytes(value)[1]
+                row_bytes += codec.slot_bytes(value)
+                if value is not NULL:
+                    counts[value] = counts.get(value, 0) + 1
         self._row_count += 1
         self._total_bytes += row_bytes
         return row_bytes
 
     def rebuild(self, rows: Sequence[Sequence[Any]]) -> None:
         """Re-encode from scratch (deletes rewrite the backing row list)."""
-        self.columns = {
+        self.columns: Dict[str, EncodedColumn] = {
             name: EncodedColumn(name, self.codec.by_name[name])
             for name in self.codec.encoded_columns
         }
+        #: raw column -> live occurrences per distinct non-NULL value
+        self._raw_counts: Dict[str, Dict[Any, int]] = {
+            column.name: {}
+            for column in self.schema.columns
+            if column.name not in self.columns
+        }
+        # per schema column: (codec, encoded column or None, raw refcounts or None)
+        self._slots = tuple(
+            (codec, self.columns.get(column.name), self._raw_counts.get(column.name))
+            for column, codec in zip(self.schema.columns, self.codec.codecs)
+        )
         self._row_count = 0
         self._total_bytes = 0
         for row in rows:
@@ -200,10 +227,10 @@ class RelationEncodedStore:
     def column(self, name: str) -> Optional[EncodedColumn]:
         return self.columns.get(name)
 
-    def ndv(self, name: str) -> Optional[int]:
-        """Exact distinct-value count for an encoded column, else None."""
+    def ndv(self, name: str) -> int:
+        """Exact number of distinct live non-NULL values of any column."""
         column = self.columns.get(name)
-        return column.ndv if column is not None else None
+        return column.ndv if column is not None else len(self._raw_counts[name])
 
 
 __all__ = ["EncodedColumn", "RelationEncodedStore"]

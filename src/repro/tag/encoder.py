@@ -377,7 +377,8 @@ class TagGraph(Graph):
                 drops[edge.target] = drops.get(edge.target, 0) + 1
                 touched.add((edge.target, edge.label))
         for attr_id, label in touched:
-            self.remove_edges_to(attr_id, label, dead)
+            # reverse edges were appended as the tuples were, in tuple order
+            self.remove_edges_to(attr_id, label, dead, ordered=True)
         dead_attributes: List[VertexId] = []
         for attr_id, dropped in drops.items():
             remaining = self._attribute_refcounts.get(attr_id, 0) - dropped

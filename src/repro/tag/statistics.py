@@ -32,7 +32,6 @@ from ..algebra.expressions import (
     Or,
 )
 from ..algebra.parameters import ParameterRef
-from ..incremental.sketch import KMVSketch
 from ..relational.catalog import Catalog
 from ..relational.relation import Relation
 from ..relational.types import NULL
@@ -128,20 +127,12 @@ LIKE_SELECTIVITY = 1.0 / 4.0
 
 @dataclass(frozen=True)
 class ColumnStatistics:
-    """Value statistics of one column: distinct and null counts.
-
-    ``sketch`` is the column's mergeable KMV distinct-value synopsis,
-    seeded with every value seen at collect time.  It is what keeps
-    ``distinct_values`` honest across delta ingests without rescanning:
-    new values fold into the sketch, and the NDV is re-estimated from it
-    (exact below the sketch size, ~6% relative error beyond).
-    """
+    """Value statistics of one column: distinct and null counts (exact)."""
 
     column: str
     distinct_values: int
     null_count: int
     row_count: int
-    sketch: Optional[KMVSketch] = None
 
     @property
     def selectivity(self) -> float:
@@ -169,29 +160,23 @@ class RelationStatistics:
     @classmethod
     def of(cls, relation: Relation) -> "RelationStatistics":
         names = relation.schema.column_names
-        nulls: Dict[str, int] = {name: 0 for name in names}
-        sketches: Dict[str, KMVSketch] = {name: KMVSketch() for name in names}
+        nulls = [0] * len(names)
         for row in relation:
-            for name, value in zip(names, row):
-                if value is NULL or value is None:
-                    nulls[name] += 1
-                else:
-                    sketches[name].add(value)
+            for position, value in enumerate(row):
+                if value is NULL:
+                    nulls[position] += 1
         row_count = len(relation)
-        # NDV comes from the relation, which reads the encoded column
-        # store's distinct-code sets (exact, already maintained at insert
-        # time) when the relation is catalog-bound — the "dictionary
-        # sizes are statistics" half of the encoding contract.  Unbound
-        # relations fall back to the memoized value scan.
+        # NDV comes from the relation: a catalog-bound one reads the live
+        # value refcounts its column store maintains on every mutation
+        # (exact, O(1)); unbound relations fall back to a memoized scan.
         columns = {
             name: ColumnStatistics(
                 column=name,
                 distinct_values=relation.distinct_count(name),
-                null_count=nulls[name],
+                null_count=null_count,
                 row_count=row_count,
-                sketch=sketches[name],
             )
-            for name in names
+            for name, null_count in zip(names, nulls)
         }
         return cls(
             relation=relation.name,
@@ -205,95 +190,52 @@ class RelationStatistics:
         return stats.distinct_values if stats is not None else max(1, self.rows)
 
     def with_delta(
-        self, rows: Sequence[Dict[str, Any]], added_bytes: int = 0
+        self, relation: Relation, rows: Sequence[Sequence[Any]]
     ) -> "RelationStatistics":
-        """A copy reflecting ``rows`` appended, without rescanning.
+        """A copy reflecting ``rows`` (coerced value tuples) appended, at a
+        cost proportional to ``rows``.
 
-        Cardinality and null counts update exactly; NDV folds the new
-        values into each column's KMV sketch and re-estimates.  The
-        estimate is kept monotonic (``max`` with the previous count) —
-        under appends alone the true NDV can only grow, so sketch jitter
-        must never shrink the planner's input.  It is also *capped* at
-        previous-count-plus-appended-rows: appending ``n`` rows can add at
-        most ``n`` distinct values, and the cap is what stops a sketch
-        still carrying deletion drift (values removed but not yet rebuilt
-        away) from re-inflating the NDV it can no longer vouch for.
+        Cardinality and null counts move by exactly the delta; NDV and
+        bytes are read back from ``relation``, which must already hold the
+        write (its column store counts live occurrences per value and
+        keeps the byte total).  The result therefore *equals* :meth:`of`
+        on the same relation.
         """
-        row_count = self.rows + len(rows)
-        columns: Dict[str, ColumnStatistics] = {}
-        for name, stats in self.columns.items():
-            null_added = 0
-            sketch = stats.sketch
-            for row in rows:
-                value = row.get(name, NULL)
-                if value is NULL or value is None:
-                    null_added += 1
-                elif sketch is not None:
-                    sketch.add(value)
-            distinct = stats.distinct_values
-            if sketch is not None:
-                ceiling = stats.distinct_values + len(rows)
-                distinct = max(distinct, min(sketch.estimate(), ceiling))
-            columns[name] = replace(
-                stats,
-                distinct_values=distinct,
-                null_count=stats.null_count + null_added,
-                row_count=row_count,
-            )
-        return replace(
-            self, rows=row_count, bytes=self.bytes + added_bytes, columns=columns
-        )
+        return self._folded(relation, rows, 1)
 
     def with_removals(
-        self,
-        relation: Relation,
-        removed_rows: Sequence[Dict[str, Any]],
-        removed_bytes: int = 0,
+        self, relation: Relation, removed_rows: Sequence[Sequence[Any]]
     ) -> "RelationStatistics":
-        """A copy reflecting ``removed_rows`` deleted, without a full rescan.
-
-        Cardinality, null counts and bytes decrease exactly.  NDV is read
-        back from the (already tombstoned) relation — exact for free on
-        encoded columns via the store's distinct-code refcounts, one
-        memoized live-row scan otherwise.  The KMV sketches cannot
-        subtract, so each one records its deletion drift and is re-seeded
-        from the surviving values once drift passes
-        :data:`~repro.incremental.sketch.REBUILD_DRIFT_RATIO` — that is
-        what lets the estimate re-converge instead of over-counting the
-        dead values forever.
+        """The deletion mirror of :meth:`with_delta`, read after the rows
+        were tombstoned.  A count going negative means the delta and the
+        relation disagree: that is a bookkeeping bug to surface (the write
+        path rolls back), so it raises instead of clamping at zero.
         """
-        row_count = max(0, self.rows - len(removed_rows))
+        return self._folded(relation, removed_rows, -1)
+
+    def _folded(
+        self, relation: Relation, rows: Sequence[Sequence[Any]], sign: int
+    ) -> "RelationStatistics":
+        row_count = self.rows + sign * len(rows)
+        if row_count < 0:
+            raise ValueError(f"{self.relation}: row count would fall to {row_count}")
         columns: Dict[str, ColumnStatistics] = {}
-        for name, stats in self.columns.items():
-            null_removed = 0
-            value_removed = 0
-            for row in removed_rows:
-                value = row.get(name, NULL)
-                if value is NULL or value is None:
-                    null_removed += 1
-                else:
-                    value_removed += 1
-            sketch = stats.sketch
-            if sketch is not None and value_removed:
-                sketch.note_removals(value_removed)
-                if sketch.needs_rebuild(row_count):
-                    sketch.rebuild_from(
-                        value
-                        for value in relation.column_values(name)
-                        if value is not NULL and value is not None
-                    )
-            columns[name] = replace(
-                stats,
+        for position, name in enumerate(relation.schema.column_names):
+            nulls = self.columns[name].null_count + sign * sum(
+                1 for row in rows if row[position] is NULL
+            )
+            if nulls < 0:
+                raise ValueError(
+                    f"{self.relation}.{name}: null count would fall to {nulls}"
+                )
+            columns[name] = ColumnStatistics(
+                column=name,
                 distinct_values=relation.distinct_count(name),
-                null_count=max(0, stats.null_count - null_removed),
+                null_count=nulls,
                 row_count=row_count,
-                sketch=sketch,
             )
         return replace(
-            self,
-            rows=row_count,
-            bytes=max(0, self.bytes - removed_bytes),
-            columns=columns,
+            self, rows=row_count, bytes=relation.data_size_bytes(), columns=columns
         )
 
 
@@ -327,53 +269,40 @@ class CatalogStatistics:
     # incremental maintenance
     # ------------------------------------------------------------------
     def apply_delta(
-        self,
-        catalog: Catalog,
-        relation_name: str,
-        rows: Sequence[Dict[str, Any]],
-        added_bytes: int = 0,
+        self, catalog: Catalog, relation_name: str, rows: Sequence[Sequence[Any]]
     ) -> None:
-        """Fold appended ``rows`` (as column->value dicts) in, in place.
+        """Fold appended ``rows`` (coerced value tuples) in, in place.
 
-        Updates the one relation's statistics via its sketches and stamps
-        the catalog's *current* version, so a following
+        Must run *after* the relation took the rows (NDV is read back from
+        it).  Stamps the catalog's *current* version, so a following
         :func:`refreshed_statistics` call short-circuits instead of
         rescanning.  Because the cost-based planners hold a reference to
         this object, their cost inputs are fresh the moment this returns.
         """
+        relation = catalog.relation(relation_name)
         stats = self.relations.get(relation_name)
-        if stats is None:
-            self.relations[relation_name] = RelationStatistics.of(
-                catalog.relation(relation_name)
-            )
-        else:
-            self.relations[relation_name] = stats.with_delta(rows, added_bytes)
+        self.relations[relation_name] = (
+            RelationStatistics.of(relation)
+            if stats is None
+            else stats.with_delta(relation, rows)
+        )
         self.catalog_version = catalog.version
 
     def apply_removal(
-        self,
-        catalog: Catalog,
-        relation_name: str,
-        removed_rows: Sequence[Dict[str, Any]],
-        removed_bytes: int = 0,
+        self, catalog: Catalog, relation_name: str, removed_rows: Sequence[Sequence[Any]]
     ) -> None:
         """Fold deleted ``removed_rows`` out, in place (tombstone path).
 
-        The deletion mirror of :meth:`apply_delta`: exact cardinality,
-        null-count and byte decreases, NDV re-read from the live relation,
-        sketch drift tracked (and rebuilt past the threshold) — then the
-        catalog's current version is stamped so the planners keep their
-        reference without a rescan.  Must run *after* the relation has
-        tombstoned the rows, since it reads live-only state back.
+        The deletion mirror of :meth:`apply_delta`; must run *after* the
+        relation has tombstoned the rows.
         """
-        stats = self.relations.get(relation_name)
         relation = catalog.relation(relation_name)
-        if stats is None:
-            self.relations[relation_name] = RelationStatistics.of(relation)
-        else:
-            self.relations[relation_name] = stats.with_removals(
-                relation, removed_rows, removed_bytes
-            )
+        stats = self.relations.get(relation_name)
+        self.relations[relation_name] = (
+            RelationStatistics.of(relation)
+            if stats is None
+            else stats.with_removals(relation, removed_rows)
+        )
         self.catalog_version = catalog.version
 
     # ------------------------------------------------------------------

@@ -59,6 +59,45 @@ class TestGraph:
         assert graph.edge_labels() == []
         assert graph.edge_count == 0
 
+    @pytest.mark.parametrize("victims", [1, 2, 9, 40])
+    def test_ordered_removal_equals_the_filter(self, victims):
+        """Bisecting a creation-ordered target list == filtering it (few
+        victims bisect, many filter; the caller cannot tell which ran)."""
+
+        def star() -> Graph:
+            graph = Graph("star")
+            graph.add_vertex("hub", "value")
+            for i in range(40):
+                graph.add_vertex(f"t{i}", "tuple")
+                graph.add_edge(f"t{i}", "hub", "col", undirected=True)
+            return graph
+
+        dead = {f"t{(7 * i) % 40}" for i in range(victims)} | {"hub"}  # hub: never a target
+        ordered, filtered = star(), star()
+        assert ordered.remove_edges_to("hub", "col", dead, ordered=True) == victims
+        assert filtered.remove_edges_to("hub", "col", dead) == victims
+        assert ordered.edge_count == filtered.edge_count == 80 - victims
+        if victims == 40:
+            assert "hub" not in ordered.adjacency("col")
+            assert ordered.out_edge_labels("hub") == []
+        else:
+            survivors = [f"t{i}" for i in range(40) if f"t{i}" not in dead]
+            assert ordered.adjacency("col")["hub"] == survivors
+            assert filtered.adjacency("col")["hub"] == survivors
+            assert [edge.target for edge in ordered.out_edges("hub", "col")] == survivors
+
+    def test_removal_validates_before_it_mutates_and_keeps_label_order(self):
+        graph = line_graph(5)
+        with pytest.raises(GraphError):
+            graph.remove_vertices(["v1", "ghost"])
+        assert graph.vertices_with_label("node") == ["v0", "v1", "v2", "v3", "v4"]
+        graph.remove_vertices(["v3", "v1"])
+        assert graph.vertices_with_label("node") == ["v0", "v2", "v4"]
+        graph.add_vertex("v9", "node")
+        assert graph.vertices_with_label("node") == ["v0", "v2", "v4", "v9"]
+        graph.remove_vertices(["v0", "v2", "v4", "v9"])
+        assert graph.vertices_with_label("node") == [] and graph.labels() == []
+
     def test_edges_are_slotted_and_share_the_empty_property_map(self):
         graph = line_graph(2)
         bare = graph.add_edge("v0", "v1", "bare")
