@@ -17,15 +17,20 @@ parameter values:
         hot.execute({"t": 500})                    # warm: plan-cache hit
         print(session.explain(hot.sql))            # rooted join tree + costs
 
-Data loads go through :meth:`Database.load_rows`, which applies the write
-as a *delta*: new tuple/attribute vertices are appended to the existing
-TAG encoding in place, statistics fold the new rows in exactly,
-executors are patched through their ``apply_delta`` hook, and registered
-materialized views are maintained by seminaïve re-runs over only the new
-vertices.  Compiled plans survive every data-only write (their cache keys
-depend only on the schema version); only schema changes or an explicit
-out-of-band :meth:`Database.note_data_change` fall back to the old
-scorched-earth rebuild.  Writers serialize against in-flight readers on a
+Writes — :meth:`Database.load_rows`, :meth:`~Database.delete_rows` and
+:meth:`~Database.update_rows` — each become one
+:class:`~repro.incremental.delta.Delta` (tombstoned rows plus appended
+rows) and run one pipeline: dedup the request id, validate, log one WAL
+record, then apply — tuple vertices leave and join the existing TAG
+encoding in place, statistics fold both halves exactly, executors are
+patched through their one ``apply`` hook, delta-mode materialized views
+are counting-maintained by delete terms and seminaïve insert terms over
+only the touched vertices, and recompute-mode views rebuild once.  A
+failure mid-apply rolls the whole delta back.  Compiled plans survive
+every data-only write (their cache keys depend only on the schema
+version); only schema changes or an explicit out-of-band
+:meth:`Database.note_data_change` fall back to the old scorched-earth
+rebuild.  Writers serialize against in-flight readers on a
 reader/writer lock, so sessions never observe a half-applied delta.
 """
 
@@ -50,6 +55,7 @@ from ..algebra.parameters import (
 )
 from ..core.executor import QueryResult, StaleEngineError
 from ..durability.failpoints import maybe_fire
+from ..incremental.delta import Delta, patch_graph, resolve_delta
 from ..incremental.locks import ReadWriteLock
 from ..incremental.maintenance import MaintenanceCounters
 from ..planner import PlanCache
@@ -72,13 +78,13 @@ class Database:
             warm start).
         engine_options: per-engine keyword overrides, e.g.
             ``{"tag": {"cross_check_plans": True}, "spark": {"num_partitions": 8}}``.
-        data_dir: when set, the database is *durable*: every
-            :meth:`load_rows` delta is written to an fsync'd write-ahead
-            log under this directory before it applies, periodic snapshots
-            bound replay time, and construction **recovers** — the latest
-            valid snapshot is loaded, the WAL suffix replayed, registered
-            views re-materialized, and the plan cache warmed from the
-            persisted manifest (``plan_cache_path`` defaults to
+        data_dir: when set, the database is *durable*: every write
+            delta (insert, delete or update) is written to an fsync'd
+            write-ahead log under this directory before it applies,
+            periodic snapshots bound replay time, and construction
+            **recovers** — the latest valid snapshot is loaded, the WAL
+            suffix replayed, registered views re-materialized, and the
+            plan cache warmed from the persisted manifest (``plan_cache_path`` defaults to
             ``data_dir/plan_manifest.json``).  See
             :mod:`repro.durability`.
         wal_fsync: fsync the WAL on every append (the durability default);
@@ -493,7 +499,7 @@ class Database:
             pool.join()
 
     # ------------------------------------------------------------------
-    # data changes
+    # data changes: one write pipeline
     # ------------------------------------------------------------------
     def load_rows(
         self,
@@ -506,7 +512,7 @@ class Database:
         This is the incremental write path: when the TAG graph, the
         statistics and the cached executors are current, the new rows are
         *applied as a delta* — appended to the graph encoding, folded into
-        the statistics (exact counts), indexed by each engine's ``apply_delta``
+        the statistics (exact counts), indexed by each engine's ``apply``
         hook, and propagated into registered materialized views — instead
         of invalidating everything.  Compiled plans are retained across
         the write because their cache keys depend only on the schema
@@ -538,158 +544,15 @@ class Database:
         (``None`` on a memory-only database) and ``deduplicated`` is True
         when ``request_id`` was already applied — the retry contract: the
         serving layer acknowledges the *original* application instead of
-        applying twice.
-
-        Ordering on the durable path is log-then-apply: rows are
-        validated/coerced first (a record that cannot replay must never
-        be logged), framed + fsync'd into the WAL, and only then applied
-        to the catalog/graph/statistics/engines/views.  An acknowledged
-        write is therefore always recoverable, and an unacknowledged one
-        either never hit the WAL (the retry applies it once) or hit it
-        without the ack (recovery replays it and the retry dedups).
+        applying twice (a deduplicated receipt adds ``first_applied``, the
+        row count the original application changed).  The ordering
+        guarantees are :meth:`_write`'s.
         """
-        relation = self.catalog.relation(relation_name)  # raise before locking
-        materialized = list(rows)
-        if not materialized:
-            with self._lock:
-                self.maintenance.empty_loads_ignored += 1
-            return {"appended": 0, "deduplicated": False, "lsn": None}
-        with self._rw_lock.write_locked(), self._lock:
-            self._check_open()
-            durability = self._durability
-            if durability is None:
-                appended = self._apply_load_delta(relation, materialized)
-                return {"appended": appended, "deduplicated": False, "lsn": None}
-            already = durability.applied(request_id)
-            if already is not None:
-                return {
-                    "appended": 0,
-                    "deduplicated": True,
-                    "lsn": durability.wal.last_lsn,
-                    "first_applied": already,
-                }
-            validated = relation.validate_rows(materialized)
-            lsn = durability.log_load_rows(relation_name, validated, request_id)
-            appended = self._apply_load_delta(relation, validated, validated_rows=True)
-            durability.note_applied(request_id, appended)
-            durability.maybe_snapshot(self)
-            return {"appended": appended, "deduplicated": False, "lsn": lsn}
+        receipt = self._write(relation_name, None, rows, request_id)
+        del receipt["deleted"]
+        receipt["appended"] = receipt.pop("inserted")
+        return receipt
 
-    def _apply_load_delta(
-        self, relation: Any, rows: List[Sequence[Any]], validated_rows: bool = False
-    ) -> int:
-        """Append ``rows`` and patch graph/statistics/engines/views in place.
-
-        Caller holds the write lock and ``_lock``.  Freshness is checked
-        *before* the catalog version bumps: a resource already stale (from
-        an earlier out-of-band change) is left for its usual lazy rebuild
-        rather than patched on top of missing history.
-        """
-        started = time.perf_counter()
-        catalog = self.catalog
-        version_before = catalog.version
-        # physical, not live: tuple vertex indexes, index positions and
-        # rollback truncation all live in physical-position space, which
-        # tombstone deletes never compact
-        before = relation.physical_count
-        try:
-            return self._apply_load_delta_inner(
-                relation, rows, validated_rows, catalog, version_before, before, started
-            )
-        except BaseException:
-            # a failure mid-apply (fault injection, a bad row mid-extend,
-            # an engine hook blowing up) leaves partial state: rows in the
-            # relation but not the graph, some engines patched and others
-            # not.  Roll the relation back to its pre-write length and
-            # retire every derived structure so a retry of the same
-            # logical write applies exactly once against a clean rebuild.
-            relation.truncate(before)
-            catalog.note_data_change()
-            for engine in self._engines.values():
-                retire = getattr(engine, "retire", None)
-                if callable(retire):
-                    retire(f"write to {relation.name!r} rolled back mid-apply")
-            self._engines.clear()
-            self._engine_versions.clear()
-            self.maintenance.full_rebuilds += 1
-            self.maintenance.plans_retained = len(self.plan_cache)
-            for view in self._views.values():
-                self._rebuild_view(view)
-                self.maintenance.views_recomputed += 1
-            raise
-
-    def _apply_load_delta_inner(
-        self,
-        relation: Any,
-        rows: List[Sequence[Any]],
-        validated_rows: bool,
-        catalog: Any,
-        version_before: int,
-        before: int,
-        started: float,
-    ) -> int:
-        from ..incremental.delta import apply_graph_delta
-
-        relation.extend(rows, validated=validated_rows)
-        coerced = relation.rows_since(before)
-        graph_fresh = self._graph is not None and self._graph_version == version_before
-        stats_fresh = (
-            self._statistics is not None
-            and self._statistics.catalog_version == version_before
-        )
-        catalog.note_data_change()
-
-        maybe_fire("delta.apply.before_graph_patch")
-        if graph_fresh:
-            apply_graph_delta(self._graph, relation.schema, coerced)
-            self._graph_version = catalog.version
-        if stats_fresh:
-            self._statistics.apply_delta(catalog, relation.name, coerced)
-
-        patched = dropped = 0
-        for name, engine in list(self._engines.items()):
-            hook = getattr(engine, "apply_delta", None)
-            engine_current = self._engine_versions.get(name) == version_before
-            # engines holding the shared graph (the TAG family) are only
-            # patchable when that graph was just patched too; catalog-backed
-            # engines (rdbms, spark) are graph-independent
-            graph_ok = graph_fresh or getattr(engine, "graph", None) is None
-            if callable(hook) and engine_current and graph_ok:
-                hook(relation.name, coerced, before, catalog.version)
-                self._engine_versions[name] = catalog.version
-                patched += 1
-            else:
-                # no hook (or the graph itself needs a rebuild): drop the
-                # executor for a lazy rebuild — but do NOT retire it, so a
-                # session mid-query drains against a consistent snapshot
-                self._engines.pop(name)
-                self._engine_versions.pop(name, None)
-                dropped += 1
-
-        counters = self.maintenance
-        counters.rows_applied += len(coerced)
-        if graph_fresh:
-            counters.deltas_applied += 1
-        else:
-            counters.full_rebuilds += 1  # stale graph: lazy re-encode ahead
-        counters.engines_patched += patched
-        counters.engines_dropped += dropped
-        counters.plans_retained = len(self.plan_cache)
-        elapsed = time.perf_counter() - started
-        counters.delta_apply_seconds += elapsed
-        counters.last_delta_seconds = elapsed
-
-        if self._views:
-            self._refresh_views(
-                {relation.name: (before, relation.physical_count)},
-                delta_ok=graph_fresh,
-            )
-        maybe_fire("delta.apply.after_apply")
-        return relation.physical_count - before
-
-    # ------------------------------------------------------------------
-    # deletes and updates (tombstone deltas)
-    # ------------------------------------------------------------------
     def delete_rows(
         self,
         relation_name: str,
@@ -704,24 +567,21 @@ class Database:
         (each given row removes exactly one live occurrence; a row with
         no live match raises ``KeyError``).
 
-        This is the deletion mirror of :meth:`load_rows`: rows are
+        A delete is a delta with an empty plus half: rows are
         *tombstoned* (physical positions never shift), the matching tuple
         vertices leave the TAG graph with shared attribute vertices freed
         by refcount, statistics fold the removal exactly, engines patch
-        through their ``apply_delete`` hook, and delta-maintained views
-        are counting-maintained by telescoped delete terms run against
-        the pre-delete graph.  Compiled plans survive — cache keys depend
+        through their ``apply`` hook, and delta-maintained views are
+        counting-maintained by telescoped delete terms run against the
+        pre-delete graph.  Compiled plans survive — cache keys depend
         only on the schema version, which a delete never moves.
 
         On a durable database the deleted row *values* are WAL-logged
         before anything applies, and ``request_id`` makes the delete
         idempotent exactly like a write.
         """
-        return int(
-            self.apply_delete(relation_name, predicate_or_rows, request_id=request_id)[
-                "deleted"
-            ]
-        )
+        receipt = self.apply_delete(relation_name, predicate_or_rows, request_id=request_id)
+        return int(receipt["deleted"])
 
     def apply_delete(
         self,
@@ -729,41 +589,11 @@ class Database:
         predicate_or_rows: Union[Any, Iterable[Sequence[Any]]],
         request_id: Optional[str] = None,
     ) -> Dict[str, Any]:
-        """:meth:`delete_rows` returning a full receipt.
-
-        Returns ``{"deleted", "deduplicated", "lsn"}`` with the same
-        retry contract as :meth:`apply_write`: the durable path is
-        log-then-apply (row values, which survive snapshot compaction,
-        not positions), and a retried ``request_id`` acknowledges the
-        original application instead of deleting twice.
-        """
-        relation = self.catalog.relation(relation_name)  # raise before locking
-        with self._rw_lock.write_locked(), self._lock:
-            self._check_open()
-            durability = self._durability
-            if durability is not None:
-                already = durability.applied(request_id)
-                if already is not None:
-                    return {
-                        "deleted": 0,
-                        "deduplicated": True,
-                        "lsn": durability.wal.last_lsn,
-                        "first_applied": already,
-                    }
-            positions, victim_rows = self._resolve_delete_targets(
-                relation, predicate_or_rows
-            )
-            if not positions:
-                self.maintenance.empty_loads_ignored += 1
-                return {"deleted": 0, "deduplicated": False, "lsn": None}
-            lsn = None
-            if durability is not None:
-                lsn = durability.log_delete_rows(relation_name, victim_rows, request_id)
-            deleted = self._apply_delete_delta(relation, positions)
-            if durability is not None:
-                durability.note_applied(request_id, deleted)
-                durability.maybe_snapshot(self)
-            return {"deleted": deleted, "deduplicated": False, "lsn": lsn}
+        """:meth:`delete_rows` returning a full receipt: ``{"deleted",
+        "deduplicated", "lsn"}`` with :meth:`apply_write`'s retry contract."""
+        receipt = self._write(relation_name, predicate_or_rows, (), request_id)
+        del receipt["inserted"]
+        return receipt
 
     def update_rows(
         self,
@@ -772,8 +602,8 @@ class Database:
         updater_or_rows: Union[Any, Iterable[Sequence[Any]]],
         request_id: Optional[str] = None,
     ) -> int:
-        """Update rows as delete + insert in one critical section; returns
-        the number of rows replaced.
+        """Update rows as one delete + insert delta; returns the number of
+        rows replaced.
 
         ``predicate_or_rows`` selects the victims exactly as in
         :meth:`delete_rows`.  ``updater_or_rows`` produces the
@@ -801,181 +631,165 @@ class Database:
         """:meth:`update_rows` returning a full receipt.
 
         Returns ``{"deleted", "inserted", "deduplicated", "lsn"}``.  Both
-        halves ride one WAL record under one ``request_id``, so the
-        update is durable and idempotent *atomically*: recovery replays
-        delete-then-insert together or (on dedup) neither, and no crash
-        window can split them.  Both halves also apply inside one writer
-        critical section — no reader ever observes the delete without
-        the insert.
+        halves are one delta: one WAL record under one ``request_id``,
+        one apply, one rollback.  Recovery replays delete-then-insert
+        together or (on dedup) neither, a failure mid-apply undoes both,
+        and no reader ever observes the delete without the insert.
+        """
+        return self._write(relation_name, predicate_or_rows, updater_or_rows, request_id)
+
+    def _write(
+        self,
+        relation_name: str,
+        victims: Any,
+        inserts: Any,
+        request_id: Optional[str],
+    ) -> Dict[str, Any]:
+        """The one write pipeline every insert, delete and update runs.
+
+        Under the writer lock: a ``request_id`` already applied is
+        acknowledged without re-applying (checked *before* resolution —
+        a retried delete's victims are already gone); the victims and
+        replacements resolve into one validated
+        :class:`~repro.incremental.delta.Delta` (see
+        :func:`~repro.incremental.delta.resolve_delta` for the shapes);
+        a durable database logs it as one fsync'd WAL record (a record
+        that cannot replay is never logged); :meth:`_apply` patches every
+        derived structure or rolls the whole delta back; and only then is
+        the id noted as applied and a snapshot considered.  An
+        acknowledged write is therefore always recoverable, and an
+        unacknowledged one either never hit the WAL (the retry applies it
+        once) or hit it without the ack (recovery replays it and the
+        retry dedups).  Returns ``{"deleted", "inserted",
+        "deduplicated", "lsn"}`` (+ ``first_applied`` when deduplicated).
         """
         relation = self.catalog.relation(relation_name)  # raise before locking
         with self._rw_lock.write_locked(), self._lock:
             self._check_open()
             durability = self._durability
-            if durability is not None:
-                already = durability.applied(request_id)
-                if already is not None:
-                    return {
-                        "deleted": 0,
-                        "inserted": 0,
-                        "deduplicated": True,
-                        "lsn": durability.wal.last_lsn,
-                        "first_applied": already,
-                    }
-            positions, victim_rows = self._resolve_delete_targets(
-                relation, predicate_or_rows
-            )
-            replacements = self._replacement_rows(relation, victim_rows, updater_or_rows)
-            if not positions and not replacements:
+            already = durability.applied(request_id) if durability is not None else None
+            if already is not None:
+                return {
+                    "deleted": 0,
+                    "inserted": 0,
+                    "deduplicated": True,
+                    "lsn": durability.wal.last_lsn,
+                    "first_applied": already,
+                }
+            delta = resolve_delta(relation, victims, inserts)
+            if not delta.rows_changed:
                 self.maintenance.empty_loads_ignored += 1
                 return {"deleted": 0, "inserted": 0, "deduplicated": False, "lsn": None}
-            validated = relation.validate_rows(replacements) if replacements else []
-            lsn = None
+            lsn = durability.log_delta(delta, request_id) if durability is not None else None
+            self._apply(relation, delta)
             if durability is not None:
-                lsn = durability.log_update_rows(
-                    relation_name, victim_rows, validated, request_id
-                )
-            deleted = self._apply_delete_delta(relation, positions) if positions else 0
-            inserted = (
-                self._apply_load_delta(relation, validated, validated_rows=True)
-                if validated
-                else 0
-            )
-            if durability is not None:
-                durability.note_applied(request_id, deleted + inserted)
+                durability.note_applied(request_id, delta.rows_changed)
                 durability.maybe_snapshot(self)
             return {
-                "deleted": deleted,
-                "inserted": inserted,
+                "deleted": len(delta.deleted_rows),
+                "inserted": len(delta.inserted_rows),
                 "deduplicated": False,
                 "lsn": lsn,
             }
 
-    def _resolve_delete_targets(
-        self, relation: Any, predicate_or_rows: Union[Any, Iterable[Sequence[Any]]]
-    ) -> Tuple[List[int], List[Sequence[Any]]]:
-        """Victim physical positions + their row values, pre-deletion."""
-        if callable(predicate_or_rows):
-            positions = relation.find_positions(predicate_or_rows)
-        else:
-            positions = relation.match_positions(predicate_or_rows)
-        return positions, [relation[position] for position in positions]
+    def _apply(self, relation: Any, delta: Delta) -> None:
+        """Apply ``delta`` to the relation and every derived structure.
 
-    def _replacement_rows(
-        self,
-        relation: Any,
-        victim_rows: List[Sequence[Any]],
-        updater_or_rows: Union[Any, Iterable[Sequence[Any]]],
-    ) -> List[Sequence[Any]]:
-        """Materialize an update's insert half (see :meth:`update_rows`)."""
-        if isinstance(updater_or_rows, Mapping):
-            # bare mapping = same column merge for every victim; without
-            # this branch it would fall through to list(dict) == keys
-            updates = updater_or_rows
-            updater_or_rows = lambda row: updates  # noqa: E731
-        if not callable(updater_or_rows):
-            return list(updater_or_rows)
-        schema = relation.schema
-        replacements: List[Sequence[Any]] = []
-        for row in victim_rows:
-            produced = updater_or_rows(row)
-            if isinstance(produced, Mapping):
-                merged = list(row)
-                for column, value in produced.items():
-                    merged[schema.position(column)] = value
-                produced = merged
-            replacements.append(produced)
-        return replacements
-
-    def _apply_delete_delta(self, relation: Any, positions: List[int]) -> int:
-        """Tombstone ``positions`` and patch graph/statistics/engines/views.
-
-        Caller holds the write lock and ``_lock``.  Mirrors
-        :meth:`_apply_load_delta`, including the rollback contract: a
-        failure mid-apply restores the tombstoned rows and retires every
-        derived structure so a retry applies exactly once against a
-        clean rebuild.
+        Caller holds the write lock and ``_lock``.  Freshness is checked
+        *before* the catalog version bumps: a resource already stale (from
+        an earlier out-of-band change) is left for its usual lazy rebuild
+        rather than patched on top of missing history.  A failure
+        anywhere (fault injection, a statistics underflow, an engine hook
+        blowing up) rolls back *both* halves — appended rows truncated,
+        tombstoned rows restored — and retires every derived structure,
+        so memory equals the pre-write state and a retry of the same
+        logical write applies exactly once against a clean rebuild.
         """
         started = time.perf_counter()
-        catalog = self.catalog
-        version_before = catalog.version
+        version_before = self.catalog.version
+        # physical, not live: tuple vertex indexes, index positions and
+        # rollback truncation all live in physical-position space, which
+        # tombstone deletes never compact
+        before = relation.physical_count
         # validates every position before mutating anything, so a raise
         # from here leaves nothing to roll back
-        deleted_rows = relation.delete_positions(positions)
+        relation.delete_positions(delta.deleted_positions)
         try:
-            return self._apply_delete_delta_inner(
-                relation, positions, deleted_rows, catalog, version_before, started
-            )
+            relation.extend(delta.inserted_rows, validated=True)
+            self._patch_derived(relation, delta, version_before, before, started)
         except BaseException:
-            relation.restore_positions(positions)
-            catalog.note_data_change()
-            for engine in self._engines.values():
-                retire = getattr(engine, "retire", None)
-                if callable(retire):
-                    retire(f"delete from {relation.name!r} rolled back mid-apply")
-            self._engines.clear()
-            self._engine_versions.clear()
-            self.maintenance.full_rebuilds += 1
-            self.maintenance.plans_retained = len(self.plan_cache)
-            for view in self._views.values():
-                self._rebuild_view(view)
-                self.maintenance.views_recomputed += 1
+            relation.truncate(before)
+            relation.restore_positions(delta.deleted_positions)
+            self.catalog.note_data_change()
+            self._retire_derived(f"write to {relation.name!r} rolled back mid-apply")
             raise
 
-    def _apply_delete_delta_inner(
-        self,
-        relation: Any,
-        positions: List[int],
-        deleted_rows: List[Sequence[Any]],
-        catalog: Any,
-        version_before: int,
-        started: float,
-    ) -> int:
-        from ..incremental.delta import apply_graph_delete
+    def _patch_derived(
+        self, relation: Any, delta: Delta, version_before: int, before: int, started: float
+    ) -> None:
+        """Graph, statistics, engines and views for a delta the relation
+        already holds (the body of :meth:`_apply`)."""
+        from ..incremental.views import refresh_view_delete, refresh_view_delta
 
+        catalog = self.catalog
         graph_fresh = self._graph is not None and self._graph_version == version_before
         stats_fresh = (
             self._statistics is not None
             and self._statistics.catalog_version == version_before
         )
         catalog.note_data_change()
+        counters = self.maintenance
 
-        maybe_fire("delta_delete.before_graph_patch")
-        affected_views = [
+        maybe_fire("delta.apply.before_graph_patch")
+        affected = [
             view
             for view in self._views.values()
             if relation.name in {table.table for table in view.spec.tables}
         ]
-        delta_views = [view for view in affected_views if view.mode == "delta"]
-        if graph_fresh and delta_views:
-            # counting view maintenance MUST see the pre-delete graph:
-            # the telescoped delete terms join the deleted tuples against
+        # with a stale graph the delta terms have no history to join
+        # against, so every affected view rebuilds instead
+        maintained = [view for view in affected if graph_fresh and view.mode == "delta"]
+        if delta.deleted_positions:
+            # counting view maintenance MUST see the pre-delete graph: the
+            # telescoped delete terms join the deleted tuples against
             # state that still contains them
-            self._refresh_views_delete(relation.name, positions, delta_views)
+            dead = {relation.name: {position + 1 for position in delta.deleted_positions}}
+            for view in maintained:
+                view_started = time.perf_counter()
+                refresh_view_delete(view, self._graph, catalog, dead)
+                counters.views_delete_refreshed += 1
+                counters.view_refresh_seconds += time.perf_counter() - view_started
         if graph_fresh:
-            apply_graph_delete(self._graph, relation.schema, positions)
+            patch_graph(self._graph, relation.schema, delta)
             self._graph_version = catalog.version
         if stats_fresh:
-            self._statistics.apply_removal(catalog, relation.name, deleted_rows)
+            self._statistics.apply(catalog, delta)
 
         patched = dropped = 0
         for name, engine in list(self._engines.items()):
-            hook = getattr(engine, "apply_delete", None)
+            hook = getattr(engine, "apply", None)
             engine_current = self._engine_versions.get(name) == version_before
+            # engines holding the shared graph (the TAG family) are only
+            # patchable when that graph was just patched too; catalog-backed
+            # engines (rdbms, spark) are graph-independent
             graph_ok = graph_fresh or getattr(engine, "graph", None) is None
             if callable(hook) and engine_current and graph_ok:
-                hook(relation.name, positions, deleted_rows, catalog.version)
+                hook(delta, catalog.version)
                 self._engine_versions[name] = catalog.version
                 patched += 1
             else:
+                # no hook (or the graph itself needs a rebuild): drop the
+                # executor for a lazy rebuild — but do NOT retire it, so a
+                # session mid-query drains against a consistent snapshot
                 self._engines.pop(name)
                 self._engine_versions.pop(name, None)
                 dropped += 1
 
-        counters = self.maintenance
-        counters.rows_deleted += len(deleted_rows)
+        counters.rows_applied += len(delta.inserted_rows)
+        counters.rows_deleted += len(delta.deleted_rows)
         if graph_fresh:
-            counters.delete_deltas_applied += 1
+            counters.deltas_applied += bool(delta.inserted_rows)
+            counters.delete_deltas_applied += bool(delta.deleted_rows)
         else:
             counters.full_rebuilds += 1  # stale graph: lazy re-encode ahead
         counters.engines_patched += patched
@@ -985,37 +799,39 @@ class Database:
         counters.delta_apply_seconds += elapsed
         counters.last_delta_seconds = elapsed
 
-        # recompute-mode views go AFTER the graph patch: their engine run
-        # must not trigger a stale-graph full re-encode mid-delete.  With a
-        # stale graph the delete terms had no history to join against, so
-        # every affected view rebuilds here instead.
-        rebuild = [
-            view
-            for view in affected_views
-            if view.mode != "delta" or not graph_fresh
-        ]
-        for view in rebuild:
-            view_started = time.perf_counter()
+        if delta.inserted_rows:
+            # seminaïve insert terms over the patched graph: the window
+            # [before, end) is exactly the appended tuple vertices
+            window = {relation.name: (before, relation.physical_count)}
+            for view in maintained:
+                view_started = time.perf_counter()
+                refresh_view_delta(view, self._graph, catalog, window)
+                counters.views_refreshed += 1
+                counters.view_refresh_seconds += time.perf_counter() - view_started
+        # recompute-mode views go last, once per write, after the graph
+        # patch: their engine run must not trigger a stale-graph re-encode
+        for view in affected:
+            if not (graph_fresh and view.mode == "delta"):
+                view_started = time.perf_counter()
+                self._rebuild_view(view)
+                counters.views_recomputed += 1
+                counters.view_refresh_seconds += time.perf_counter() - view_started
+        maybe_fire("delta.apply.after_apply")
+
+    def _retire_derived(self, reason: str) -> None:
+        """After the catalog version moved without a delta: retire every
+        cached engine and recompute every view (caller holds the locks)."""
+        for engine in self._engines.values():
+            retire = getattr(engine, "retire", None)
+            if callable(retire):
+                retire(reason)
+        self._engines.clear()
+        self._engine_versions.clear()
+        self.maintenance.full_rebuilds += 1
+        self.maintenance.plans_retained = len(self.plan_cache)
+        for view in self._views.values():
             self._rebuild_view(view)
             self.maintenance.views_recomputed += 1
-            self.maintenance.view_refresh_seconds += (
-                time.perf_counter() - view_started
-            )
-        maybe_fire("delta_delete.after_apply")
-        return len(deleted_rows)
-
-    def _refresh_views_delete(
-        self, relation_name: str, positions: List[int], delta_views: List[Any]
-    ) -> None:
-        """Counting-maintain views for a delete (pre-graph-patch; locks held)."""
-        from ..incremental.views import refresh_view_delete
-
-        deleted = {relation_name: {position + 1 for position in positions}}
-        for view in delta_views:
-            started = time.perf_counter()
-            refresh_view_delete(view, self._graph, self.catalog, deleted)
-            self.maintenance.views_delete_refreshed += 1
-            self.maintenance.view_refresh_seconds += time.perf_counter() - started
 
     def note_data_change(self) -> None:
         """Record an *out-of-band* data mutation: bump the catalog version so
@@ -1036,20 +852,10 @@ class Database:
         """
         with self._rw_lock.write_locked(), self._lock:
             self.catalog.note_data_change()
-            for engine in self._engines.values():
-                retire = getattr(engine, "retire", None)
-                if callable(retire):
-                    retire(
-                        f"catalog {self.catalog.name!r} re-encoded at version "
-                        f"{self.catalog.version}"
-                    )
-            self._engines.clear()
-            self._engine_versions.clear()
-            self.maintenance.full_rebuilds += 1
-            self.maintenance.plans_retained = len(self.plan_cache)
-            for view in self._views.values():
-                self._rebuild_view(view)
-                self.maintenance.views_recomputed += 1
+            self._retire_derived(
+                f"catalog {self.catalog.name!r} re-encoded at version "
+                f"{self.catalog.version}"
+            )
             if self._durability is not None:
                 # out-of-band mutations bypassed the WAL; the only way to
                 # make them durable is to capture the rows wholesale now
@@ -1065,8 +871,9 @@ class Database:
 
         Delta-eligible shapes (connected join/filter/projection blocks
         without aggregates, subqueries or outer joins) are maintained by
-        seminaïve re-runs over only the newly ingested vertices on each
-        :meth:`load_rows`; everything else is recomputed.  Parameterized
+        counting delete terms and seminaïve re-runs over only the touched
+        vertices on each write; everything else is recomputed, once per
+        write.  Parameterized
         statements are rejected.  Returns the view's info dict.
 
         On a durable database the view *definition* is WAL-logged (after
@@ -1124,30 +931,6 @@ class Database:
             for table in view.spec.tables
         }
         view.recompute_count += 1
-
-    def _refresh_views(
-        self, changed: Dict[str, Tuple[int, int]], delta_ok: bool = True
-    ) -> None:
-        """Maintain every registered view after a write (caller holds locks).
-
-        ``delta_ok=False`` forces recomputation — used when the graph was
-        already stale before the write, so windowed delta runs against it
-        would miss history.
-        """
-        from ..incremental.views import refresh_view_delta
-
-        for view in self._views.values():
-            tables = {table.table for table in view.spec.tables}
-            if not tables & set(changed):
-                continue  # none of its base tables moved
-            started = time.perf_counter()
-            if view.mode == "delta" and delta_ok:
-                refresh_view_delta(view, self._graph, self.catalog, changed)
-                self.maintenance.views_refreshed += 1
-            else:
-                self._rebuild_view(view)
-                self.maintenance.views_recomputed += 1
-            self.maintenance.view_refresh_seconds += time.perf_counter() - started
 
     def _rebuild_view(self, view: Any) -> None:
         """Rebuild a view from scratch, preserving its storage semantics.

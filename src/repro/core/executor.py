@@ -249,40 +249,17 @@ class TagJoinExecutor:
     def retired(self) -> bool:
         return self._retired_reason is not None
 
-    def apply_delta(
-        self,
-        relation_name: str,
-        new_rows: List[List[Any]],
-        start_position: int,
-        catalog_version: int,
-    ) -> None:
-        """Adopt a data-only delta already applied to the shared state.
+    def apply(self, delta: Any, catalog_version: int) -> None:
+        """Adopt a data-only write already applied to the shared state.
 
-        The database patches the TAG graph in place and updates the
-        shared statistics before calling this, so the executor's own work
-        is only re-binding: advance ``bound_catalog_version`` to the new
-        catalog version.  Compiled plans stay cached (their keys depend
-        only on the schema version) and the executor is *not* retired —
-        the whole point of the delta path.
+        The database patches the TAG graph in place and folds the delta
+        into the shared statistics before calling this, so the executor's
+        own work is only re-binding: advance ``bound_catalog_version`` to
+        the new catalog version.  Compiled plans stay cached (their keys
+        depend only on the schema version) and the executor is *not*
+        retired — the whole point of the delta path.
         """
-        del relation_name, new_rows, start_position  # state is shared
-        self.bound_catalog_version = catalog_version
-
-    def apply_delete(
-        self,
-        relation_name: str,
-        positions: List[int],
-        deleted_rows: List[List[Any]],
-        catalog_version: int,
-    ) -> None:
-        """Adopt a data-only delete already applied to the shared state.
-
-        Mirror of :meth:`apply_delta`: the tuple vertices are already gone
-        from the shared TAG graph and the statistics already folded the
-        removal, so the executor only re-binds to the new catalog version.
-        Compiled plans stay cached and the executor is *not* retired.
-        """
-        del relation_name, positions, deleted_rows  # state is shared
+        del delta  # state is shared
         self.bound_catalog_version = catalog_version
 
     def _check_not_stale(self) -> None:

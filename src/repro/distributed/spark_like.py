@@ -62,25 +62,9 @@ class SparkLikeExecutor:
         self.name = name
 
     # ------------------------------------------------------------------
-    def apply_delta(
-        self,
-        relation_name: str,
-        new_rows: List[List[Any]],
-        start_position: int,
-        catalog_version: int,
-    ) -> None:
+    def apply(self, delta: Any, catalog_version: int) -> None:
         """Nothing to patch: this executor scans the shared catalog per run."""
-        del relation_name, new_rows, start_position, catalog_version
-
-    def apply_delete(
-        self,
-        relation_name: str,
-        positions: List[int],
-        deleted_rows: List[List[Any]],
-        catalog_version: int,
-    ) -> None:
-        """Nothing to patch: this executor scans the shared catalog per run."""
-        del relation_name, positions, deleted_rows, catalog_version
+        del delta, catalog_version
 
     # ------------------------------------------------------------------
     def execute(self, spec: QuerySpec) -> QueryResult:

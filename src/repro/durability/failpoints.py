@@ -55,12 +55,10 @@ FAILPOINTS = (
     "snapshot.after_rename",
     # WAL compaction (prefix drop after a successful snapshot)
     "wal.compact.before_swap",
-    # delta application inside Database.load_rows
+    # delta application inside the one write pipeline (every insert,
+    # delete and update)
     "delta.apply.before_graph_patch",
     "delta.apply.after_apply",
-    # tombstone-delete application inside Database.delete_rows/update_rows
-    "delta_delete.before_graph_patch",
-    "delta_delete.after_apply",
     # recovery itself (crash-during-recovery must also recover)
     "recovery.before_replay",
     # BSP superstep boundary (every query; also the cancellation check site)

@@ -10,15 +10,15 @@ One :class:`DurabilityManager` owns the on-disk state under a database's
 
 and enforces the two orderings every crash-safety argument here rests on:
 
-* **log before apply** — every mutation (``load_rows`` appends,
-  ``delete_rows`` tombstones, ``update_rows`` delete+insert pairs) is
-  framed, written and fsync'd to the WAL *before* any in-memory state
-  changes.  An
-  acknowledged write is therefore always in the WAL, so recovery replays
-  it; an unacknowledged write either never reached the WAL (the client
-  retries and it applies once) or reached it without the ack (recovery
-  replays it, and the client's retry dedups against the applied-id table
-  the replay rebuilt).  Exactly-once, both directions.
+* **log before apply** — every write (one
+  :class:`~repro.incremental.delta.Delta`, whether it came from
+  ``load_rows``, ``delete_rows`` or ``update_rows``) is framed, written
+  and fsync'd to the WAL as one record *before* any in-memory state
+  changes.  An acknowledged write is therefore always in the WAL, so
+  recovery replays it; an unacknowledged write either never reached the
+  WAL (the client retries and it applies once) or reached it without the
+  ack (recovery replays it, and the client's retry dedups against the
+  applied-id table the replay rebuilt).  Exactly-once, both directions.
 * **snapshot covers a prefix** — a snapshot records the ``wal_lsn`` up to
   which its contents are complete; recovery loads the newest valid
   snapshot and replays only records past that LSN, and compaction only
@@ -37,9 +37,10 @@ from __future__ import annotations
 import os
 import time
 from collections import OrderedDict
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Optional, Tuple
 
 from ..core.wire import decode_row, iter_encoded_rows
+from ..incremental.delta import Delta, resolve_delta
 from .failpoints import maybe_fire
 from .snapshot import (
     SNAPSHOT_FORMAT_VERSION,
@@ -56,6 +57,30 @@ PLAN_MANIFEST_FILENAME = "plan_manifest.json"
 #: remembers for dedup.  Retries older than the window re-apply; the
 #: client contract (serve/client.py) retries within seconds, not days.
 APPLIED_IDS_LIMIT = 8192
+
+
+#: WAL record type of a write -> (key of its deleted rows, key of its
+#: inserted rows); ``None`` where that half is empty by construction
+DELTA_RECORD_KEYS: Dict[str, Tuple[Optional[str], Optional[str]]] = {
+    "load": (None, "rows"),
+    "delete": ("rows", None),
+    "update": ("deleted", "inserted"),
+}
+
+
+def replay_delta(relation: Any, record: Dict[str, Any]) -> Delta:
+    """The :class:`Delta` a logged ``load`` / ``delete`` / ``update`` record
+    describes, resolved against ``relation``'s current live rows.
+
+    Deleted rows match by value, first live match per row (bag
+    semantics): positions don't survive snapshot compaction, but WAL
+    order is total so the match is deterministic.
+    """
+    # a ``None`` key is absent from every record: that half reads empty
+    deleted_key, inserted_key = DELTA_RECORD_KEYS[record["type"]]
+    deleted = [decode_row(row) for row in record.get(deleted_key, [])]
+    inserted = [decode_row(row) for row in record.get(inserted_key, [])]
+    return resolve_delta(relation, deleted, inserted)
 
 
 class DurabilityError(RuntimeError):
@@ -128,75 +153,27 @@ class DurabilityManager:
     # ------------------------------------------------------------------
     # logging (call BEFORE applying, under the writer lock)
     # ------------------------------------------------------------------
-    def log_load_rows(
-        self,
-        relation_name: str,
-        rows: Sequence[Sequence[Any]],
-        request_id: Optional[str] = None,
-    ) -> int:
-        """Durably log one ``load_rows`` delta; returns its LSN.
+    def log_delta(self, delta: Any, request_id: Optional[str] = None) -> int:
+        """Durably log one write :class:`~repro.incremental.delta.Delta`;
+        returns its LSN.
 
-        ``rows`` must already be schema-validated/coerced (the caller runs
-        ``Relation.validate_rows`` first) so a logged record can never
-        fail to replay.
+        One record per write, shaped by which halves are non-empty: an
+        insert is a ``load`` record, a delete a ``delete`` record, an
+        update one ``update`` record carrying both halves under one
+        request id, so it replays atomically — both halves or (when
+        deduplicated) neither.  Deleted rows are logged *by value*, not by
+        position: snapshot compaction rewrites relations from live rows
+        only, so physical positions do not survive a snapshot boundary
+        while row values do.  Inserted rows must already be
+        schema-validated (the delta's contract) so a logged record can
+        never fail to replay.
         """
-        record: Dict[str, Any] = {
-            "type": "load",
-            "relation": relation_name,
-            "rows": iter_encoded_rows(rows),
-        }
-        if request_id is not None:
-            record["request_id"] = request_id
-        lsn = self.wal.append(record)
-        self.counters["wal_appends"] += 1
-        self.records_since_snapshot += 1
-        return lsn
-
-    def log_delete_rows(
-        self,
-        relation_name: str,
-        rows: Sequence[Sequence[Any]],
-        request_id: Optional[str] = None,
-    ) -> int:
-        """Durably log one tombstone delete; returns its LSN.
-
-        The record carries the deleted rows *by value*, not by position:
-        snapshot compaction rewrites relations from live rows only, so
-        physical positions do not survive a snapshot boundary while row
-        values do.  Replay removes the first live row matching each value
-        (bag semantics) — deterministic because WAL order is total.
-        """
-        record: Dict[str, Any] = {
-            "type": "delete",
-            "relation": relation_name,
-            "rows": iter_encoded_rows(rows),
-        }
-        if request_id is not None:
-            record["request_id"] = request_id
-        lsn = self.wal.append(record)
-        self.counters["wal_appends"] += 1
-        self.records_since_snapshot += 1
-        return lsn
-
-    def log_update_rows(
-        self,
-        relation_name: str,
-        deleted_rows: Sequence[Sequence[Any]],
-        inserted_rows: Sequence[Sequence[Any]],
-        request_id: Optional[str] = None,
-    ) -> int:
-        """Durably log one update (delete + insert) as a single record.
-
-        One record, one request id: the update replays atomically —
-        recovery either applies both halves or (when deduplicated)
-        neither, so a crash between the two halves cannot split them.
-        """
-        record: Dict[str, Any] = {
-            "type": "update",
-            "relation": relation_name,
-            "deleted": iter_encoded_rows(deleted_rows),
-            "inserted": iter_encoded_rows(inserted_rows),
-        }
+        deleted_key, inserted_key = DELTA_RECORD_KEYS[delta.kind]
+        record: Dict[str, Any] = {"type": delta.kind, "relation": delta.relation}
+        if deleted_key is not None:
+            record[deleted_key] = iter_encoded_rows(delta.deleted_rows)
+        if inserted_key is not None:
+            record[inserted_key] = iter_encoded_rows(delta.inserted_rows)
         if request_id is not None:
             record["request_id"] = request_id
         lsn = self.wal.append(record)
@@ -326,7 +303,7 @@ class DurabilityManager:
         maybe_fire("recovery.before_replay")
         for record in self.wal.records(after_lsn=self.snapshot_lsn):
             kind = record.get("type")
-            if kind == "load":
+            if kind in DELTA_RECORD_KEYS:
                 request_id = record.get("request_id")
                 if request_id is not None and request_id in self.applied_request_ids:
                     # a retry re-logged a write whose first attempt was
@@ -335,40 +312,13 @@ class DurabilityManager:
                     self.counters["replay_dedup_skips"] += 1
                 else:
                     relation = catalog.relation(record["relation"])
-                    rows = [decode_row(row) for row in record.get("rows", [])]
-                    relation.extend(rows)
-                    self.note_applied(request_id, len(rows))
-                    report["rows_replayed"] += len(rows)
-                    touched = True
-            elif kind == "delete":
-                request_id = record.get("request_id")
-                if request_id is not None and request_id in self.applied_request_ids:
-                    self.counters["replay_dedup_skips"] += 1
-                else:
-                    relation = catalog.relation(record["relation"])
-                    rows = [decode_row(row) for row in record.get("rows", [])]
-                    # delete by value, first live match per row (bag
-                    # semantics): positions don't survive snapshot
-                    # compaction, but WAL order is total so the match is
-                    # deterministic
-                    relation.delete_positions(relation.match_positions(rows))
-                    self.note_applied(request_id, len(rows))
-                    report["rows_replayed"] += len(rows)
-                    touched = True
-            elif kind == "update":
-                request_id = record.get("request_id")
-                if request_id is not None and request_id in self.applied_request_ids:
-                    self.counters["replay_dedup_skips"] += 1
-                else:
-                    relation = catalog.relation(record["relation"])
-                    deleted = [decode_row(row) for row in record.get("deleted", [])]
-                    inserted = [decode_row(row) for row in record.get("inserted", [])]
-                    if deleted:
-                        relation.delete_positions(relation.match_positions(deleted))
-                    if inserted:
-                        relation.extend(inserted)
-                    self.note_applied(request_id, len(deleted) + len(inserted))
-                    report["rows_replayed"] += len(deleted) + len(inserted)
+                    delta = replay_delta(relation, record)
+                    if delta.deleted_positions:
+                        relation.delete_positions(delta.deleted_positions)
+                    if delta.inserted_rows:
+                        relation.extend(delta.inserted_rows, validated=True)
+                    self.note_applied(request_id, delta.rows_changed)
+                    report["rows_replayed"] += delta.rows_changed
                     touched = True
             elif kind == "view":
                 view_defs[record["name"]] = record["sql"]

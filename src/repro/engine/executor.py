@@ -52,47 +52,27 @@ class RelationalExecutor:
         self.name = name or f"rdbms[{join_algorithm}]"
 
     # ------------------------------------------------------------------
-    def apply_delta(
-        self,
-        relation_name: str,
-        new_rows: List[List[Any]],
-        start_position: int,
-        catalog_version: int,
-    ) -> None:
-        """Index a data-only append instead of being retired.
+    def apply(self, delta: Any, catalog_version: int) -> None:
+        """Index a data-only write instead of being retired.
 
         The relation's row list is shared with the catalog, so the only
-        executor-private state to patch is the PK/FK index catalog: each
-        appended row is inserted into the relevant hash buckets and
-        sorted-index slots (local work, the point of the paper's index
-        maintenance comparison).  The planner's statistics refresh
-        through the shared :class:`CatalogStatistics` object.
+        executor-private state to patch is the PK/FK index catalog: the
+        tombstoned rows' entries leave (surviving positions never move)
+        and each appended row enters the relevant hash buckets and
+        sorted-index slots — local work, the point of the paper's index
+        maintenance comparison.  The planner's statistics refresh through
+        the shared :class:`CatalogStatistics` object.
         """
         del catalog_version  # the rdbms engine binds no version
-        if self.indexes is not None:
-            self.indexes.apply_delta(
-                self.catalog.relation(relation_name), new_rows, start_position
-            )
-
-    def apply_delete(
-        self,
-        relation_name: str,
-        positions: List[int],
-        deleted_rows: List[List[Any]],
-        catalog_version: int,
-    ) -> None:
-        """Unindex a data-only delete instead of being retired.
-
-        Mirror of :meth:`apply_delta`: the rows are already tombstoned in
-        the shared relation (physical positions unchanged), so the only
-        executor-private state to patch is the PK/FK index catalog —
-        remove exactly the deleted rows' entries.
-        """
-        del catalog_version  # the rdbms engine binds no version
-        if self.indexes is not None:
-            self.indexes.apply_delete(
-                self.catalog.relation(relation_name), deleted_rows, positions
-            )
+        if self.indexes is None:
+            return
+        relation = self.catalog.relation(delta.relation)
+        if delta.deleted_rows:
+            self.indexes.remove_rows(relation, delta.deleted_rows, delta.deleted_positions)
+        if delta.inserted_rows:
+            # the write appended past every existing physical slot
+            start = relation.physical_count - len(delta.inserted_rows)
+            self.indexes.add_rows(relation, delta.inserted_rows, start)
 
     # ------------------------------------------------------------------
     def execute(self, spec: QuerySpec) -> QueryResult:

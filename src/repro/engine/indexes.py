@@ -156,7 +156,7 @@ class IndexCatalog:
     def sorted_index(self, relation_name: str, column: str) -> Optional[SortedIndex]:
         return self.sorted_indexes.get((relation_name, column))
 
-    def apply_delta(
+    def add_rows(
         self, relation: Relation, rows: List[Any], start_position: int
     ) -> int:
         """Index ``rows`` appended to ``relation`` starting at ``start_position``.
@@ -183,12 +183,12 @@ class IndexCatalog:
             patched += 1
         return patched
 
-    def apply_delete(
+    def remove_rows(
         self, relation: Relation, rows: List[Any], positions: List[int]
     ) -> int:
         """Drop index entries for ``rows`` deleted at physical ``positions``.
 
-        The deletion mirror of :meth:`apply_delta`: touches only this
+        The deletion mirror of :meth:`add_rows`: touches only this
         relation's indexes, removes exactly the (value, position) pairs
         the deleted rows contributed — surviving positions never move,
         so nothing else needs rewriting.  Returns structures patched.

@@ -5,10 +5,12 @@ threw away the TAG encoding, the statistics, every compiled plan, and every
 executor — a serving system taking writes recompiled the world per insert.
 This package replaces that with delta maintenance end to end:
 
-* :mod:`~repro.incremental.delta` — append new tuple/attribute vertices to
-  the existing :class:`~repro.tag.encoder.TagGraph` in place (the paper's
-  Section 3 observation that attribute vertices are cheaper to maintain
-  than RDBMS indexes: inserts are local edge changes);
+* :mod:`~repro.incremental.delta` — the one write type, a
+  :class:`~repro.incremental.delta.Delta` of tombstoned and appended rows
+  that inserts, deletes and updates all become, and its in-place patch of
+  the :class:`~repro.tag.encoder.TagGraph` (the paper's Section 3
+  observation that attribute vertices are cheaper to maintain than RDBMS
+  indexes: writes are local edge changes);
 * :mod:`~repro.incremental.views` — materialized views maintained by
   seminaïve delta re-runs over only the new vertices (iterated supersteps
   on the BSP engine), after *Modular Materialisation of Datalog Programs*;
@@ -34,12 +36,13 @@ from __future__ import annotations
 _EXPORTS = {
     "ReadWriteLock": "locks",
     "MaintenanceCounters": "maintenance",
-    "DeltaReport": "delta",
-    "apply_graph_delta": "delta",
+    "Delta": "delta",
+    "patch_graph": "delta",
     "MaterializedView": "views",
     "ViewError": "views",
     "view_refresh_mode": "views",
     "refresh_view_delta": "views",
+    "refresh_view_delete": "views",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -19,28 +19,30 @@ __all__ = ["MaintenanceCounters"]
 class MaintenanceCounters:
     #: total rows appended through the delta path
     rows_applied: int = 0
-    #: load_rows calls that patched state in place
+    #: writes with a plus half (inserts, updates) that patched state in place
     deltas_applied: int = 0
-    #: total rows tombstoned through the delete-delta path
+    #: total rows tombstoned through the delta path
     rows_deleted: int = 0
-    #: delete_rows/update_rows calls that patched state in place
+    #: writes with a minus half (deletes, updates) that patched state in place
     delete_deltas_applied: int = 0
     #: materialized views maintained by a counting delete re-run
     views_delete_refreshed: int = 0
-    #: load_rows / note_data_change events that fell back to a full rebuild
+    #: writes, rollbacks and note_data_change events that fell back to a
+    #: full rebuild
     full_rebuilds: int = 0
     #: compiled plan fragments alive in the cache at the end of each delta
     #: (cumulative: what scorched-earth invalidation would have recompiled)
     plans_retained: int = 0
-    #: executors patched via their apply_delta hook instead of being retired
+    #: executors patched via their apply hook instead of being retired
     engines_patched: int = 0
-    #: executors dropped because they had no apply_delta hook
+    #: executors dropped for a lazy rebuild: no apply hook, or a stale graph
     engines_dropped: int = 0
     #: materialized views maintained by a seminaïve delta re-run
     views_refreshed: int = 0
     #: materialized views that had to be recomputed from scratch
     views_recomputed: int = 0
-    #: load_rows([]) calls ignored outright (no version bump, nothing touched)
+    #: writes that changed no row, ignored outright (no version bump,
+    #: nothing touched)
     empty_loads_ignored: int = 0
     #: wall-clock totals, split by path
     delta_apply_seconds: float = 0.0

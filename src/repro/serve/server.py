@@ -607,27 +607,45 @@ class QueryServer:
 
         engine = self._resolve_engine(frame, database)
 
-        if op == "load_rows":
+        if op in ("load_rows", "delete_rows", "update_rows"):
+            # one handler for the three write frames: each is one delta
+            # through Database's one write pipeline
             relation = frame.get("relation")
             rows = frame.get("rows")
+            updates = frame.get("updates") if op == "update_rows" else []
             if not isinstance(relation, str):
-                raise ProtocolError("invalid_request", "load_rows needs a string 'relation'")
-            if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-                raise ProtocolError("invalid_request", "load_rows needs 'rows' as a list of arrays")
+                raise ProtocolError("invalid_request", f"{op} needs a string 'relation'")
+            if not _is_row_list(rows):
+                raise ProtocolError(
+                    "invalid_request", f"{op} needs 'rows' as a list of arrays"
+                )
             if relation not in database.catalog:
                 raise ProtocolError(
                     "invalid_request", f"tenant {tenant!r} has no relation {relation!r}"
                 )
+            if not _is_row_list(updates):
+                raise ProtocolError(
+                    "invalid_request", "update_rows needs 'updates' as a list of arrays"
+                )
 
             write_id = frame.get("request_id")
 
-            def work_write() -> Dict[str, Any]:
+            def work_write(_op: str = op, _updates: Any = updates) -> Dict[str, Any]:
                 decoded = [decode_row(row) for row in rows]
-                receipt = database.apply_write(relation, decoded, request_id=write_id)
+                if _op == "load_rows":
+                    receipt = database.apply_write(relation, decoded, request_id=write_id)
+                elif _op == "delete_rows":
+                    receipt = database.apply_delete(relation, decoded, request_id=write_id)
+                else:
+                    replacements = [decode_row(row) for row in _updates]
+                    receipt = database.apply_update(
+                        relation, decoded, replacements, request_id=write_id
+                    )
+                changed = sum(receipt.get(key, 0) for key in ("appended", "deleted", "inserted"))
                 if receipt["deduplicated"]:
                     with self._stats_lock:
                         self.stats.deduplicated_writes += 1
-                elif receipt["appended"] and self.result_cache is not None:
+                elif changed and self.result_cache is not None:
                     self.result_cache.invalidate_tenant(tenant)
                 return {
                     **receipt,
@@ -636,56 +654,6 @@ class QueryServer:
                 }
 
             return _Admitted(request_id, work_write, respond, deadline, is_write=True)
-
-        if op in ("delete_rows", "update_rows"):
-            relation = frame.get("relation")
-            rows = frame.get("rows")
-            if not isinstance(relation, str):
-                raise ProtocolError("invalid_request", f"{op} needs a string 'relation'")
-            if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-                raise ProtocolError(
-                    "invalid_request", f"{op} needs 'rows' as a list of arrays"
-                )
-            if relation not in database.catalog:
-                raise ProtocolError(
-                    "invalid_request", f"tenant {tenant!r} has no relation {relation!r}"
-                )
-            updates = frame.get("updates")
-            if op == "update_rows" and (
-                not isinstance(updates, list)
-                or not all(isinstance(r, list) for r in updates)
-            ):
-                raise ProtocolError(
-                    "invalid_request", "update_rows needs 'updates' as a list of arrays"
-                )
-
-            write_id = frame.get("request_id")
-
-            def work_mutate(_op: str = op, _updates: Any = updates) -> Dict[str, Any]:
-                victims = [decode_row(row) for row in rows]
-                if _op == "delete_rows":
-                    receipt = database.apply_delete(
-                        relation, victims, request_id=write_id
-                    )
-                    applied = receipt["deleted"]
-                else:
-                    replacements = [decode_row(row) for row in _updates]
-                    receipt = database.apply_update(
-                        relation, victims, replacements, request_id=write_id
-                    )
-                    applied = receipt["deleted"] + receipt["inserted"]
-                if receipt["deduplicated"]:
-                    with self._stats_lock:
-                        self.stats.deduplicated_writes += 1
-                elif applied and self.result_cache is not None:
-                    self.result_cache.invalidate_tenant(tenant)
-                return {
-                    **receipt,
-                    "relation": relation,
-                    "catalog_version": database.catalog.version,
-                }
-
-            return _Admitted(request_id, work_mutate, respond, deadline, is_write=True)
 
         if op == "prepare":
             sql = frame.get("sql")
@@ -929,6 +897,11 @@ class QueryServer:
 # ----------------------------------------------------------------------
 # standalone entry point: serve the mini TPC-H workload
 # ----------------------------------------------------------------------
+def _is_row_list(value: Any) -> bool:
+    """A write frame's ``rows`` / ``updates``: a list of arrays."""
+    return isinstance(value, list) and all(isinstance(row, list) for row in value)
+
+
 def main(argv: Optional[list] = None) -> int:
     """``python -m repro.serve.server`` — a TPC-H tenant on localhost."""
     import argparse

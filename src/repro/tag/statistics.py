@@ -268,41 +268,26 @@ class CatalogStatistics:
     # ------------------------------------------------------------------
     # incremental maintenance
     # ------------------------------------------------------------------
-    def apply_delta(
-        self, catalog: Catalog, relation_name: str, rows: Sequence[Sequence[Any]]
-    ) -> None:
-        """Fold appended ``rows`` (coerced value tuples) in, in place.
+    def apply(self, catalog: Catalog, delta: Any) -> None:
+        """Fold a write's :class:`~repro.incremental.delta.Delta` in, in place.
 
-        Must run *after* the relation took the rows (NDV is read back from
+        Must run *after* the relation tombstoned the delta's deleted rows
+        and appended its inserted ones (NDV and bytes are read back from
         it).  Stamps the catalog's *current* version, so a following
         :func:`refreshed_statistics` call short-circuits instead of
         rescanning.  Because the cost-based planners hold a reference to
         this object, their cost inputs are fresh the moment this returns.
         """
-        relation = catalog.relation(relation_name)
-        stats = self.relations.get(relation_name)
-        self.relations[relation_name] = (
-            RelationStatistics.of(relation)
-            if stats is None
-            else stats.with_delta(relation, rows)
-        )
-        self.catalog_version = catalog.version
-
-    def apply_removal(
-        self, catalog: Catalog, relation_name: str, removed_rows: Sequence[Sequence[Any]]
-    ) -> None:
-        """Fold deleted ``removed_rows`` out, in place (tombstone path).
-
-        The deletion mirror of :meth:`apply_delta`; must run *after* the
-        relation has tombstoned the rows.
-        """
-        relation = catalog.relation(relation_name)
-        stats = self.relations.get(relation_name)
-        self.relations[relation_name] = (
-            RelationStatistics.of(relation)
-            if stats is None
-            else stats.with_removals(relation, removed_rows)
-        )
+        relation = catalog.relation(delta.relation)
+        stats = self.relations.get(delta.relation)
+        if stats is None:
+            stats = RelationStatistics.of(relation)
+        else:
+            if delta.deleted_rows:
+                stats = stats.with_removals(relation, delta.deleted_rows)
+            if delta.inserted_rows:
+                stats = stats.with_delta(relation, delta.inserted_rows)
+        self.relations[delta.relation] = stats
         self.catalog_version = catalog.version
 
     # ------------------------------------------------------------------

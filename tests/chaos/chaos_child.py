@@ -10,8 +10,8 @@ a deterministic write workload.  Three modes:
     sequence of batches with stable request ids (``batch-<i>``), printing
     an ``ACK`` JSON line after each acknowledged receipt.  Batches are
     followed by deterministic deletes/updates of their own rows
-    (``delete-<i>`` / ``update-<i>``) so the ``delta_delete.*``
-    failpoints fire on the workload path.  Interleaves tag-engine
+    (``delete-<i>`` / ``update-<i>``) so the ``delta.apply.*``
+    failpoints fire on every write shape of the workload path.  Interleaves tag-engine
     queries (BSP supersteps → ``bsp.superstep``), periodic checkpoints
     (``snapshot.*`` / ``wal.compact.before_swap``) and a short served
     phase over TCP (``serve.dispatch``).  Crash-mode failpoints are

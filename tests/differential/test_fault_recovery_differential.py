@@ -1,18 +1,20 @@
 """Differential sweep under fault injection: crash, recover, compare.
 
-Each round interleaves FK-valid random writes with a seeded fault
-injected somewhere on the write path (before the WAL write, after it,
-mid-delta-application, during snapshotting/compaction, even during the
-recovery replay itself).  The faulted database is treated as crashed —
+Each round interleaves FK-valid random writes — inserts, and by-value
+deletes and updates of ITEM rows the sweep inserted itself — with a
+seeded fault injected somewhere on the write path (before the WAL write,
+after it, mid-delta-application, during snapshotting/compaction, even
+during the recovery replay itself); both mid-apply failpoints are also
+crossed with every write shape explicitly.  The faulted database is treated as crashed —
 its WAL file descriptor is redirected to ``/dev/null`` so unflushed
 buffered bytes are dropped exactly as ``kill -9`` would drop them — and
-a fresh ``Database`` recovers from disk.  The failed batch is retried
+a fresh ``Database`` recovers from disk.  The failed write is retried
 with its original ``request_id``.
 
 After every crash+recover round, the full query battery must agree:
 
 * across every execution path of the recovered database, and
-* with a from-scratch rebuild that applied every acknowledged batch
+* with a from-scratch rebuild that applied every acknowledged write
   exactly once to a memory-only database.
 
 Marked ``differential``: runs in its own CI job alongside the deep
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import os
 import random
-from typing import List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import pytest
 
@@ -72,14 +74,64 @@ def durable_database(data_dir: str) -> Database:
     return Database(build_catalog(), data_dir=data_dir)
 
 
-def rebuild_from_scratch(batches: List[Tuple[str, list]]) -> Database:
+#: one write: (kind, table, rows, replacements) — rows are the inserted
+#: rows of a ``load``, the by-value victims of a ``delete`` / ``update``
+Write = Tuple[str, str, list, Optional[list]]
+
+
+def apply(
+    database: Database, write: Write, request_id: Optional[str] = None
+) -> Dict[str, Any]:
+    kind, table, rows, replacements = write
+    if kind == "load":
+        return database.apply_write(table, rows, request_id=request_id)
+    if kind == "delete":
+        return database.apply_delete(table, rows, request_id=request_id)
+    return database.apply_update(table, rows, replacements, request_id=request_id)
+
+
+def applied_in_full(write: Write, receipt: Dict[str, Any]) -> bool:
+    kind, _table, rows, _replacements = write
+    if kind == "load":
+        return receipt["appended"] == len(rows)
+    if kind == "delete":
+        return receipt["deleted"] == len(rows)
+    return receipt["deleted"] == receipt["inserted"] == len(rows)
+
+
+def next_write(
+    rng: random.Random,
+    generator: DeltaGenerator,
+    live_items: List[list],
+    kind: Optional[str] = None,
+) -> Write:
+    """An insert of any table, or a delete / update of ITEM rows this sweep
+    inserted (nothing references ITEM, so both stay FK-valid); ``kind``
+    pins the shape, else it is drawn."""
+    if kind is None:
+        kind = rng.choice(("load", "load", "delete", "update")) if live_items else "load"
+    if kind == "load":
+        table = rng.choice(("CUST", "ORD", "ITEM"))
+        return ("load", table, generator.rows_for(table, rng.randint(1, 4)), None)
+    victims = [
+        live_items.pop(rng.randrange(len(live_items)))
+        for _ in range(min(len(live_items), rng.randint(1, 2)))
+    ]
+    if kind == "delete":
+        return ("delete", "ITEM", victims, None)
+    replacements = [[*row[:2], row[2] % 40 + 1, *row[3:]] for row in victims]
+    live_items.extend(replacements)
+    return ("update", "ITEM", victims, replacements)
+
+
+def rebuild_from_scratch(writes: List[Write]) -> Database:
     database = Database(build_catalog())
-    for table, rows in batches:
-        database.load_rows(table, rows)
+    for write in writes:
+        apply(database, write)
     return database
 
 
-def assert_round_agreement(recovered: Database, acked: List[Tuple[str, list]]) -> None:
+def assert_round_agreement(recovered: Database, acked: List[Write]) -> None:
     rebuild = rebuild_from_scratch(acked)
     for case in QUERY_BATTERY:
         # intra-database: every execution path of the recovered db agrees
@@ -99,34 +151,34 @@ class TestFaultRecoveryDifferential:
         data_dir = str(tmp_path / "d")
 
         database = durable_database(data_dir)
-        acked: List[Tuple[str, list]] = []
+        acked: List[Write] = []
+        live_items: List[list] = []  # ITEM rows this sweep inserted, still live
         next_id = 0
 
         for round_idx in range(ROUNDS):
             failpoint = rng.choice(WRITE_PATH_FAILPOINTS)
             victim = rng.randrange(WRITES_PER_ROUND)
             for write_idx in range(WRITES_PER_ROUND):
-                table = rng.choice(("CUST", "ORD", "ITEM"))
-                rows = generator.rows_for(table, rng.randint(1, 4))
+                write = next_write(rng, generator, live_items)
                 request_id = f"round-{round_idx}-write-{next_id}"
                 next_id += 1
                 if write_idx == victim:
                     install(f"{failpoint}=raise")
                 try:
-                    receipt = database.apply_write(table, rows, request_id=request_id)
-                    assert receipt["appended"] == len(rows)
-                    acked.append((table, rows))
+                    assert applied_in_full(write, apply(database, write, request_id))
                 except FaultInjected:
                     # the crash: drop this instance, recover from disk,
-                    # and retry the batch with its original request_id
+                    # and retry the write with its original request_id
                     clear()
                     simulate_crash(database)
                     database = durable_database(data_dir)
-                    retry = database.apply_write(table, rows, request_id=request_id)
-                    assert retry["appended"] == len(rows) or retry["deduplicated"]
-                    acked.append((table, rows))
+                    retry = apply(database, write, request_id)
+                    assert applied_in_full(write, retry) or retry["deduplicated"]
                 finally:
                     clear()
+                acked.append(write)
+                if write[:2] == ("load", "ITEM"):
+                    live_items.extend(write[2])
 
             if round_idx % 2 == 1:
                 database.checkpoint()  # exercise snapshot + compaction paths
@@ -137,6 +189,31 @@ class TestFaultRecoveryDifferential:
             assert_round_agreement(database, acked)
 
         assert len(acked) == ROUNDS * WRITES_PER_ROUND
+
+    @pytest.mark.parametrize("kind", ["load", "delete", "update"])
+    @pytest.mark.parametrize(
+        "failpoint", ["delta.apply.before_graph_patch", "delta.apply.after_apply"]
+    )
+    def test_mid_apply_fault_on_every_write_shape(self, tmp_path, failpoint, kind):
+        generator = DeltaGenerator(random.Random(7))
+        data_dir = str(tmp_path / "d")
+        database = durable_database(data_dir)
+        seeded: Write = ("load", "ITEM", generator.rows_for("ITEM", 4), None)
+        apply(database, seeded, "seed")
+        live_items = list(seeded[2])
+        write = next_write(random.Random(7), generator, live_items, kind)
+
+        install(f"{failpoint}=raise")
+        try:
+            with pytest.raises(FaultInjected):
+                apply(database, write, "faulted")
+        finally:
+            clear()
+        simulate_crash(database)
+        database = durable_database(data_dir)
+        retry = apply(database, write, "faulted")
+        assert applied_in_full(write, retry) or retry["deduplicated"]
+        assert_round_agreement(database, [seeded, write])
 
     def test_crash_during_recovery_then_recover(self, tmp_path):
         generator = DeltaGenerator(random.Random(99))
@@ -154,7 +231,7 @@ class TestFaultRecoveryDifferential:
             clear()
 
         recovered = durable_database(data_dir)
-        assert_round_agreement(recovered, [("ORD", rows)])
+        assert_round_agreement(recovered, [("load", "ORD", rows, None)])
         for engine in ENGINE_NAMES:
             count = recovered.connect(engine=engine).sql(
                 "SELECT COUNT(*) AS n FROM ORD t0"

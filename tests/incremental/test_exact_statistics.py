@@ -92,8 +92,7 @@ def test_seeded_write_script_keeps_statistics_equal_to_recollect():
             # a write that fails mid-apply rolls back; statistics recollect
             # once and folding resumes from there
             failing_delete = bool(live) and rng.random() < 0.5
-            point = "delta_delete.after_apply" if failing_delete else "delta.apply.after_apply"
-            install(f"{point}=raise@1")
+            install("delta.apply.after_apply=raise@1")
             with pytest.raises(FaultInjected):
                 if failing_delete:
                     db.delete_rows("ORDERS", [live[0]])
