@@ -23,9 +23,10 @@ Writes — :meth:`Database.load_rows`, :meth:`~Database.delete_rows` and
 rows) and run one pipeline: dedup the request id, validate, log one WAL
 record, then apply — tuple vertices leave and join the existing TAG
 encoding in place, statistics fold both halves exactly, executors are
-patched through their one ``apply`` hook, delta-mode materialized views
-are counting-maintained by delete terms and seminaïve insert terms over
-only the touched vertices, and recompute-mode views rebuild once.  A
+patched through their one ``apply`` hook, delta-mode and aggregate
+materialized views fold the bag delta of counting delete terms and
+seminaïve insert terms over only the touched vertices (aggregate views
+into per-group partial state), and recompute-mode views rebuild once.  A
 failure mid-apply rolls the whole delta back.  Compiled plans survive
 every data-only write (their cache keys depend only on the schema
 version); only schema changes or an explicit out-of-band
@@ -741,14 +742,10 @@ class Database:
         counters = self.maintenance
 
         maybe_fire("delta.apply.before_graph_patch")
-        affected = [
-            view
-            for view in self._views.values()
-            if relation.name in {table.table for table in view.spec.tables}
-        ]
+        affected = [view for view in self._views.values() if relation.name in view.base_tables]
         # with a stale graph the delta terms have no history to join
         # against, so every affected view rebuilds instead
-        maintained = [view for view in affected if graph_fresh and view.mode == "delta"]
+        maintained = [view for view in affected if graph_fresh and view.incremental]
         if delta.deleted_positions:
             # counting view maintenance MUST see the pre-delete graph: the
             # telescoped delete terms join the deleted tuples against
@@ -811,7 +808,7 @@ class Database:
         # recompute-mode views go last, once per write, after the graph
         # patch: their engine run must not trigger a stale-graph re-encode
         for view in affected:
-            if not (graph_fresh and view.mode == "delta"):
+            if not (graph_fresh and view.incremental):
                 view_started = time.perf_counter()
                 self._rebuild_view(view)
                 counters.views_recomputed += 1
@@ -869,12 +866,17 @@ class Database:
     ) -> Dict[str, Any]:
         """Register ``sql`` as a materialized view and populate it.
 
-        Delta-eligible shapes (connected join/filter/projection blocks
-        without aggregates, subqueries or outer joins) are maintained by
-        counting delete terms and seminaïve re-runs over only the touched
-        vertices on each write; everything else is recomputed, once per
-        write.  Parameterized
-        statements are rejected.  Returns the view's info dict.
+        Connected blocks without subqueries or outer joins are maintained
+        on each write from the bag delta of counting delete terms and
+        seminaïve insert terms over only the touched vertices: a plain
+        join/filter/projection view folds it into a keyed bag, an
+        aggregate view (``COUNT/SUM/AVG/MIN/MAX/COUNT DISTINCT``, grouped
+        or global) into per-group partial state, re-finalizing only the
+        touched groups (float sums are exact over the live rows; see
+        :mod:`repro.incremental.views`).  Views with subqueries, outer
+        joins or a disconnected join graph are recomputed, once per
+        write.  Parameterized statements are rejected.  Returns the
+        view's info dict.
 
         On a durable database the view *definition* is WAL-logged (after
         validation, before population) so recovery re-materializes it;
@@ -896,54 +898,28 @@ class Database:
             view = MaterializedView(
                 name=view_name, sql=sql, spec=spec, columns=[], mode=mode
             )
-            if mode == "delta":
-                self._populate_view_delta(view)
-            else:
-                self._recompute_view(view)
+            self._rebuild_view(view)
             self._views[view_name] = view
             return view.info()
 
-    def _populate_view_delta(self, view: Any) -> None:
-        """Initial full population of a delta-maintained view.
+    def _rebuild_view(self, view: Any) -> None:
+        """Populate a view from scratch, preserving its storage semantics.
 
-        Runs the compiled fragment with no alias windows so the stored
-        rows are the *pre-distinct bag* — exactly what seminaïve delta
-        appends extend; DISTINCT is applied at serve time.
+        Incremental views fold one unwindowed run of their fragment
+        (against the current, possibly freshly re-encoded graph) — the
+        same bag their write deltas extend; recompute views go through
+        the default engine.
         """
-        from ..incremental.views import run_view_fragment
+        from ..incremental.views import note_base_counts, populate_view
 
-        compiled = view.compiled_for(self.catalog)
-        graph = self.tag_graph()
-        view.rows = run_view_fragment(graph, compiled)
-        view.columns = [column.alias for column in compiled.config.output_columns]
-        view.base_counts = {
-            table.table: self.catalog.relation(table.table).physical_count
-            for table in view.spec.tables
-        }
-
-    def _recompute_view(self, view: Any) -> None:
-        """Recompute a view from scratch through the default engine."""
+        if view.incremental:
+            populate_view(view, self.tag_graph(), self.catalog)
+            return
         result = self.engine(self.default_engine).execute(view.spec)
         view.rows = [dict(row) for row in result.rows]
         view.columns = list(result.columns)
-        view.base_counts = {
-            table.table: self.catalog.relation(table.table).physical_count
-            for table in view.spec.tables
-        }
+        note_base_counts(view, self.catalog)
         view.recompute_count += 1
-
-    def _rebuild_view(self, view: Any) -> None:
-        """Rebuild a view from scratch, preserving its storage semantics.
-
-        Delta views store the pre-DISTINCT bag, so they repopulate through
-        the fragment path (against the freshly re-encoded graph); recompute
-        views go through the engine as usual.
-        """
-        if view.mode == "delta":
-            self._populate_view_delta(view)
-            view.recompute_count += 1
-        else:
-            self._recompute_view(view)
 
     def query_view(self, name: str) -> QueryResult:
         """Serve a materialized view's current contents (no recomputation)."""
@@ -955,9 +931,8 @@ class Database:
             view = self._views.get(name)
             if view is None:
                 raise ViewError(f"no materialized view named {name!r}")
-            rows = view.result_rows()
             metrics = RunMetrics(label=f"view:{name}")
-            return QueryResult([dict(row) for row in rows], list(view.columns), metrics)
+            return QueryResult(view.result_rows(), list(view.columns), metrics)
 
     def views(self) -> List[Dict[str, Any]]:
         """Info dicts for every registered materialized view."""

@@ -1,7 +1,7 @@
 """Materialized views maintained by seminaïve delta re-runs.
 
 A view registered through :meth:`repro.api.Database.materialize` stores
-its result rows.  When a delta of new tuples lands, re-running the whole
+its result.  When a delta of new tuples lands, re-running the whole
 query would scan everything again; instead the classic seminaïve
 expansion (after *Modular Materialisation of Datalog Programs*) rewrites
 the delta of an n-way join as a sum of n terms, each touching the new
@@ -20,38 +20,67 @@ neighbourhood.
 
 Deletes maintain the same views by the mirrored telescoping (see
 :func:`refresh_view_delete`): each term pins one alias to exactly the
-deleted tuple vertices via sparse membership sets and bag-subtracts the
-derived rows from the stored result — counting-based maintenance, run
-against the pre-delete graph.
+deleted tuple vertices via sparse membership sets and derives the rows
+the delete removes — counting-based maintenance, run against the
+pre-delete graph.
 
-Views whose delta isn't expressible this way (aggregates, GROUP BY,
-subqueries, outer joins, a disconnected join graph) fall back to a
-recompute on write; the database reports them separately
-(``views_recomputed`` vs ``views_refreshed``).  DISTINCT views keep the
-*pre-distinct bag* — appends to a bag are local, while appends to a
-deduplicated set would need to know the multiplicities — and deduplicate
-at serve time.
+Both directions produce an exact *bag* delta of fragment rows, which the
+view folds into its stored state (:meth:`MaterializedView.fold`):
+
+* ``"delta"`` views (connected join/filter/projection blocks) keep a
+  keyed bag — output value tuple → multiplicity — so folding costs
+  O(rows changed).  DISTINCT is applied at serve time: appends to a bag
+  are local, while a deduplicated set would need the multiplicities.
+* ``"aggregate"`` views (the same blocks with aggregates, grouped or
+  global) run a *pre-aggregation fragment* — the same tables, joins and
+  filters, projecting the GROUP BY columns, the non-aggregate outputs
+  and each aggregate's argument — and fold its bag delta into per-group
+  partial state: the row count, ``COUNT(col)`` non-NULL counts, ``SUM``
+  and ``AVG`` as (sum, count), and ``MIN`` / ``MAX`` / ``COUNT
+  DISTINCT`` as value → refcount maps.  Removing what was never folded
+  in raises, which rolls the write back.  A group whose row count
+  reaches 0 disappears; only touched groups are re-finalized.  A global
+  aggregate over no rows serves what the engines return over empty
+  input.
+
+**Float SUM/AVG rule.**  A group's float sum is kept as Shewchuk exact
+partials (the incremental form of :func:`math.fsum`), so the served value
+is the correctly rounded sum of the *live multiset*: independent of write
+order, exact under deletion, and bit-identical after recovery
+re-materializes the view.  It may differ from a cold left-to-right
+re-execution by a few ulps.  Integer sums stay Python ints.
+
+Initial population and every rebuild fold the same fragment run without
+windows (:func:`populate_view`).  Views whose delta isn't expressible
+this way (subqueries, outer joins, a disconnected join graph) are
+recomputed on write through the engine; the database reports them
+separately (``views_recomputed`` vs ``views_refreshed``).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..algebra.logical import QuerySpec
+from ..algebra.expressions import Expression
+from ..algebra.logical import AggFunc, OutputColumn, QuerySpec
 from ..algebra.parameters import spec_parameters
 from ..bsp.engine import BSPEngine
 from ..bsp.partition import SinglePartitioner
 from ..relational.catalog import Catalog
+from ..relational.types import NULL
+from ..storage.columns import _release
 from ..tag.encoder import TagGraph
 
 __all__ = [
     "ViewError",
     "MaterializedView",
     "view_refresh_mode",
+    "populate_view",
     "refresh_view_delta",
     "refresh_view_delete",
     "run_view_fragment",
@@ -61,14 +90,19 @@ __all__ = [
 #: 2·depth + 1 supersteps; this bounds runaway plans, not normal ones).
 VIEW_MAX_SUPERSTEPS = 10_000
 
+Row = Tuple[Any, ...]
+
 
 class ViewError(ValueError):
     """Raised for queries that cannot back a materialized view."""
 
 
 def view_refresh_mode(spec: QuerySpec) -> str:
-    """``"delta"`` if the spec supports seminaïve windows, else ``"recompute"``.
+    """``"delta"``, ``"aggregate"`` or ``"recompute"`` for ``spec``.
 
+    Connected blocks without subqueries or outer joins are maintained
+    from seminaïve bag deltas — as a keyed bag (``"delta"``) or, when
+    they aggregate, as per-group partial state (``"aggregate"``).
     Parameterized queries are rejected outright: a view is one stored
     result set, while a parameterized query is a family of them.
     """
@@ -79,64 +113,362 @@ def view_refresh_mode(spec: QuerySpec) -> str:
         )
     if not spec.tables:
         raise ViewError("a materialized view needs at least one table")
-    if spec.subqueries or spec.aggregates or spec.group_by or spec.outer_joins:
+    if spec.subqueries or spec.outer_joins or not spec.is_connected():
         return "recompute"
-    if not spec.is_connected():
-        return "recompute"
-    return "delta"
+    # GROUP BY without aggregates is an ungrouped bag on every engine
+    return "aggregate" if spec.aggregates else "delta"
 
 
-@dataclass
+# ----------------------------------------------------------------------
+# per-group partial aggregate state
+# ----------------------------------------------------------------------
+def _grow(partials: List[float], x: float) -> None:
+    """Add ``x`` to Shewchuk's non-overlapping ``partials`` exactly."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+
+
+class _Count:
+    """``COUNT(col)``: the group's live non-NULL values."""
+
+    __slots__ = ("count",)
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def fold(self, value: Any, sign: int) -> None:
+        self.count += sign
+        if self.count < 0:
+            raise ViewError("aggregate view state underflow: removed an unseen value")
+
+
+class _Sum(_Count):
+    """``SUM`` / ``AVG``: an exact running sum of the live non-NULL values.
+
+    Ints add as Python ints; finite floats as exact partials; NaN and
+    infinities are refcounted apart (their arithmetic is not invertible).
+    """
+
+    __slots__ = ("ints", "floats", "partials", "special")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.ints: Any = 0
+        self.floats = 0  # live float values: the served sum is a float iff any
+        self.partials: List[float] = []
+        self.special: Dict[str, int] = {}
+
+    def fold(self, value: Any, sign: int) -> None:
+        super().fold(value, sign)
+        if not isinstance(value, float):
+            self.ints = self.ints + value if sign > 0 else self.ints - value
+            return
+        self.floats += sign
+        if math.isfinite(value):
+            _grow(self.partials, value if sign > 0 else -value)
+        elif sign > 0:
+            self.special[repr(value)] = self.special.get(repr(value), 0) + 1
+        else:
+            _release(self.special, repr(value))
+
+    def total(self) -> Any:
+        if not self.floats:
+            return self.ints
+        special = self.special
+        if special:
+            if "nan" in special or ("inf" in special and "-inf" in special):
+                return math.nan
+            return math.inf if "inf" in special else -math.inf
+        return math.fsum(self.partials + [self.ints] if self.ints else self.partials)
+
+
+class _Values:
+    """``MIN`` / ``MAX`` / ``COUNT DISTINCT``: live value → refcount."""
+
+    __slots__ = ("values",)
+
+    def __init__(self) -> None:
+        self.values: Dict[Any, int] = {}
+
+    def fold(self, value: Any, sign: int) -> None:
+        if sign > 0:
+            self.values[value] = self.values.get(value, 0) + 1
+        else:
+            _release(self.values, value)
+
+
+_STATE = {
+    AggFunc.COUNT: _Count,
+    AggFunc.SUM: _Sum,
+    AggFunc.AVG: _Sum,
+    AggFunc.MIN: _Values,
+    AggFunc.MAX: _Values,
+    AggFunc.COUNT_DISTINCT: _Values,
+}
+
+
+def _final(function: AggFunc, state: Any, rows: int) -> Any:
+    """One aggregate's value from its state (``None`` state: COUNT(*))."""
+    if state is None:
+        return rows
+    if function is AggFunc.COUNT:
+        return state.count
+    if function is AggFunc.SUM:
+        return state.total()
+    if function is AggFunc.AVG:
+        return state.total() / state.count if state.count else NULL
+    if function is AggFunc.COUNT_DISTINCT:
+        return len(state.values)
+    if not state.values:
+        return NULL
+    return min(state.values) if function is AggFunc.MIN else max(state.values)
+
+
+class _Group:
+    """One group's live row count, non-aggregate outputs and partials."""
+
+    __slots__ = ("rows", "outputs", "states")
+
+    def __init__(self, aggregates: Sequence[Tuple[AggFunc, Optional[int]]]) -> None:
+        self.rows = 0
+        self.outputs: Dict[Any, int] = {}
+        self.states = [
+            None if argument is None else _STATE[function]()
+            for function, argument in aggregates
+        ]
+
+
+def _getter(indexes: Sequence[int]) -> Callable[[Row], Any]:
+    """A hashable key of ``indexes`` for a fragment row."""
+    if not indexes:
+        return lambda row: ()
+    return itemgetter(*indexes)
+
+
+class _AggregateLayout:
+    """How an aggregate view's fragment rows map onto groups and finals."""
+
+    def __init__(self, spec: QuerySpec) -> None:
+        expressions: List[Expression] = []
+
+        def column(expression: Expression) -> int:
+            for index, seen in enumerate(expressions):
+                if seen == expression:
+                    return index
+            expressions.append(expression)
+            return len(expressions) - 1
+
+        group = [column(ref) for ref in spec.group_by]
+        outputs = [column(output.expression) for output in spec.output]
+        self.aggregates = [
+            (aggregate.function, None if aggregate.argument is None else column(aggregate.argument))
+            for aggregate in spec.aggregates
+        ]
+        #: the pre-aggregation fragment: same block, one column per
+        #: distinct GROUP BY / output / argument expression
+        self.fragment_spec = replace(
+            spec,
+            group_by=[],
+            aggregates=[],
+            distinct=False,
+            output=[
+                OutputColumn(expression, f"#{index}")
+                for index, expression in enumerate(expressions)
+            ],
+        )
+        self.group_key = _getter(group)
+        self.output_values = _getter(outputs) if outputs else None
+        self.output_aliases = [output.alias for output in spec.output]
+        self.aggregate_aliases = [aggregate.alias for aggregate in spec.aggregates]
+        from ..core import operations as ops
+
+        #: what every engine serves for a global aggregate over no rows
+        self.empty_row = (
+            None
+            if spec.group_by
+            else ops.finalize_partial(ops.empty_partial(spec.aggregates), spec.aggregates)
+        )
+
+    def fold(self, group: _Group, row: Row, sign: int) -> None:
+        group.rows += sign
+        if group.rows < 0:
+            raise ViewError("aggregate view state underflow: removed an unseen row")
+        if self.output_values is not None:
+            values = self.output_values(row)
+            if sign > 0:
+                group.outputs[values] = group.outputs.get(values, 0) + 1
+            else:
+                _release(group.outputs, values)
+        for (_function, argument), state in zip(self.aggregates, group.states):
+            if state is not None:
+                value = row[argument]
+                if value is not NULL:
+                    state.fold(value, sign)
+
+    def finalize(self, group: _Group) -> Dict[str, Any]:
+        row: Dict[str, Any] = {}
+        if self.output_values is not None:
+            values = next(iter(group.outputs))  # every live row's, when grouped on
+            if len(self.output_aliases) == 1:
+                values = (values,)
+            row.update(zip(self.output_aliases, values))
+        for alias, (function, _argument), state in zip(
+            self.aggregate_aliases, self.aggregates, group.states
+        ):
+            row[alias] = _final(function, state, group.rows)
+        return row
+
+
+# ----------------------------------------------------------------------
+# the view
+# ----------------------------------------------------------------------
+@dataclass(eq=False)
 class MaterializedView:
-    """One registered view: its query, stored rows, and refresh bookkeeping."""
+    """One registered view: its query, stored state, and refresh bookkeeping."""
 
     name: str
     sql: str
     spec: QuerySpec
     columns: List[str]
-    mode: str  # "delta" | "recompute"
-    #: for delta views: the pre-DISTINCT bag; for recompute views: the
-    #: final rows as the executor produced them
+    mode: str  # "delta" | "aggregate" | "recompute"
+    #: recompute views: the rows as the engine produced them
     rows: List[Dict[str, Any]] = field(default_factory=list)
-    #: per-relation tuple counts the stored rows reflect
+    #: delta views: the pre-DISTINCT bag, output value tuple -> multiplicity
+    bag: Counter = field(default_factory=Counter)
+    #: aggregate views: group key -> partial state, and its finalized row
+    groups: Dict[Any, _Group] = field(default_factory=dict)
+    finals: Dict[Any, Dict[str, Any]] = field(default_factory=dict)
+    #: per-relation tuple counts the stored state reflects
     base_counts: Dict[str, int] = field(default_factory=dict)
     refresh_count: int = 0
     recompute_count: int = 0
     last_refresh_seconds: float = 0.0
     last_delta_rows: int = 0
+    _layout: Optional[_AggregateLayout] = None
     _compiled: Any = None
     _compiled_schema_version: int = -1
 
-    # ------------------------------------------------------------------
-    def result_rows(self) -> List[Dict[str, Any]]:
-        """The rows the view serves (deduplicated here for DISTINCT)."""
-        if self.mode == "delta" and self.spec.distinct:
-            from ..core import operations as ops
+    def __post_init__(self) -> None:
+        if self.mode == "aggregate":
+            self._layout = _AggregateLayout(self.spec)
+            self.columns = self.spec.result_columns()
 
-            return ops.deduplicate(self.rows)
-        return list(self.rows)
+    @property
+    def base_tables(self) -> Set[str]:
+        """Every relation the view reads, subquery blocks included."""
+        tables: Set[str] = set()
+        pending = [self.spec]
+        while pending:
+            spec = pending.pop()
+            tables.update(table_ref.table for table_ref in spec.tables)
+            pending.extend(subquery.query for subquery in spec.subqueries)
+        return tables
+
+    @property
+    def incremental(self) -> bool:
+        """Whether writes fold bag deltas in (else: recompute per write)."""
+        return self.mode != "recompute"
+
+    @property
+    def fragment_spec(self) -> QuerySpec:
+        """The block whose fragment rows the view folds."""
+        return self._layout.fragment_spec if self._layout is not None else self.spec
+
+    # ------------------------------------------------------------------
+    def fold(self, rows: Sequence[Row], sign: int) -> None:
+        """Add (``sign`` 1) or remove (-1) a bag of fragment rows.
+
+        Removing a row the state never held raises, so a maintenance bug
+        rolls the write back instead of serving a wrong view.
+        """
+        if self._layout is None:
+            if sign > 0:
+                self.bag.update(rows)
+            else:
+                bag = self.bag
+                for row in rows:
+                    _release(bag, row)
+            return
+        layout, groups = self._layout, self.groups
+        touched: Dict[Any, _Group] = {}
+        for row in rows:
+            key = layout.group_key(row)
+            group = groups.get(key)
+            if group is None:
+                if sign < 0:
+                    raise ViewError(f"view {self.name!r}: removing from absent group {key!r}")
+                group = groups[key] = _Group(layout.aggregates)
+            layout.fold(group, row, sign)
+            touched[key] = group
+        for key, group in touched.items():
+            if group.rows:
+                self.finals[key] = layout.finalize(group)
+            else:
+                del groups[key]
+                del self.finals[key]
+
+    def clear(self) -> None:
+        """Drop the stored state ahead of a full repopulation."""
+        self.rows, self.bag, self.groups, self.finals = [], Counter(), {}, {}
+
+    def result_rows(self) -> List[Dict[str, Any]]:
+        """Fresh row dicts of what the view serves."""
+        if self.mode == "recompute":
+            return [dict(row) for row in self.rows]
+        if self._layout is not None:
+            if not self.finals and self._layout.empty_row is not None:
+                return [dict(self._layout.empty_row)]
+            return [dict(row) for row in self.finals.values()]
+        columns = self.columns
+        if self.spec.distinct:
+            return [dict(zip(columns, values)) for values in self.bag]
+        return [
+            dict(zip(columns, values))
+            for values, multiplicity in self.bag.items()
+            for _ in range(multiplicity)
+        ]
+
+    def served_count(self) -> int:
+        """How many rows :meth:`result_rows` returns, without building them."""
+        if self.mode == "recompute":
+            return len(self.rows)
+        if self._layout is not None:
+            return len(self.finals) or int(self._layout.empty_row is not None)
+        return len(self.bag) if self.spec.distinct else sum(self.bag.values())
 
     def compiled_for(self, catalog: Catalog) -> Any:
         """The view's compiled fragment, recompiled only on schema change."""
         if self._compiled is None or self._compiled_schema_version != catalog.schema_version:
             from ..core.compiler import compile_fragment
 
-            self._compiled = compile_fragment(self.spec, catalog)
+            self._compiled = compile_fragment(self.fragment_spec, catalog)
             self._compiled_schema_version = catalog.schema_version
         return self._compiled
 
     def info(self) -> Dict[str, Any]:
-        return {
+        info = {
             "name": self.name,
             "sql": self.sql,
             "mode": self.mode,
-            "rows": len(self.rows),
+            "rows": self.served_count(),
             "distinct": self.spec.distinct,
             "refresh_count": self.refresh_count,
             "recompute_count": self.recompute_count,
             "last_refresh_seconds": round(self.last_refresh_seconds, 6),
             "last_delta_rows": self.last_delta_rows,
         }
+        if self.mode == "aggregate":
+            info["groups"] = len(self.groups)
+        return info
 
 
 # ----------------------------------------------------------------------
@@ -148,10 +480,13 @@ def run_view_fragment(
     alias_ranges: Optional[Dict[str, Tuple[int, Optional[int]]]] = None,
     alias_members: Optional[Dict[str, Set[int]]] = None,
     alias_excluded: Optional[Dict[str, Set[int]]] = None,
-) -> List[Dict[str, Any]]:
-    """Run a compiled NONE-aggregation fragment, windowed per alias."""
+) -> List[Row]:
+    """Run a compiled NONE-aggregation fragment, windowed per alias.
+
+    Returns decoded value tuples in ``compiled.slotted.output_columns``
+    order — the keys of a view's bag.
+    """
     from ..exec.program import TagJoinKernel
-    from ..storage.rewrite import decode_output_rows
 
     program = TagJoinKernel(
         graph,
@@ -164,11 +499,42 @@ def run_view_fragment(
     )
     engine = BSPEngine(graph, SinglePartitioner(), max_supersteps=VIEW_MAX_SUPERSTEPS)
     engine.run(program)
+    rows = program.result_tuples()
     # view rows are served directly, so this is their result boundary:
-    # the one dict per row, and pass-through codes decoded exactly once
-    columns = compiled.slotted.output_columns
-    rows = [dict(zip(columns, values)) for values in program.result_tuples()]
-    return decode_output_rows(rows, compiled.output_decoders)
+    # pass-through codes are decoded exactly once
+    decoders = [
+        (index, compiled.output_decoders[column])
+        for index, column in enumerate(compiled.slotted.output_columns)
+        if column in compiled.output_decoders
+    ]
+    if not decoders:
+        return list(rows)
+    decoded = []
+    for values in rows:
+        values = list(values)
+        for index, decode in decoders:
+            values[index] = decode(values[index])
+        decoded.append(tuple(values))
+    return decoded
+
+
+def note_base_counts(view: MaterializedView, catalog: Catalog) -> None:
+    """Record the per-relation tuple counts the view's state reflects."""
+    # physical, not live: base_counts mirror the tuple-counter space
+    view.base_counts = {
+        table: catalog.relation(table).physical_count for table in view.base_tables
+    }
+
+
+def populate_view(view: MaterializedView, graph: TagGraph, catalog: Catalog) -> None:
+    """(Re)build an incremental view: fold one unwindowed fragment run."""
+    compiled = view.compiled_for(catalog)
+    view.clear()
+    if view.mode == "delta":
+        view.columns = list(compiled.slotted.output_columns)
+    view.fold(run_view_fragment(graph, compiled), 1)
+    note_base_counts(view, catalog)
+    view.recompute_count += 1
 
 
 def refresh_view_delta(
@@ -177,7 +543,7 @@ def refresh_view_delta(
     catalog: Catalog,
     changed: Dict[str, Tuple[int, int]],
 ) -> int:
-    """Fold a write's delta into ``view.rows``; returns rows appended.
+    """Fold a write's appended rows into the view; returns rows folded.
 
     Args:
         changed: ``relation -> (old_count, new_count)`` for every base
@@ -191,7 +557,7 @@ def refresh_view_delta(
     started = time.perf_counter()
     compiled = view.compiled_for(catalog)
     aliases = [(table_ref.alias, table_ref.table) for table_ref in view.spec.tables]
-    appended = 0
+    added: List[Row] = []
     for i, (alias_i, table_i) in enumerate(aliases):
         window = changed.get(table_i)
         if window is None:
@@ -201,17 +567,13 @@ def refresh_view_delta(
             old_count = changed.get(table_j)
             if old_count is not None:
                 ranges[alias_j] = (0, old_count[0])
-        delta_rows = run_view_fragment(graph, compiled, ranges)
-        view.rows.extend(delta_rows)
-        appended += len(delta_rows)
-
-    for _alias, table in aliases:
-        # physical, not live: base_counts mirror the tuple-counter space
-        view.base_counts[table] = catalog.relation(table).physical_count
+        added.extend(run_view_fragment(graph, compiled, ranges))
+    view.fold(added, 1)
+    note_base_counts(view, catalog)
     view.refresh_count += 1
-    view.last_delta_rows = appended
+    view.last_delta_rows = len(added)
     view.last_refresh_seconds = time.perf_counter() - started
-    return appended
+    return len(added)
 
 
 def refresh_view_delete(
@@ -220,7 +582,7 @@ def refresh_view_delete(
     catalog: Catalog,
     deleted: Dict[str, Set[int]],
 ) -> int:
-    """Fold a delete out of ``view.rows``; returns rows removed.
+    """Fold a delete out of the view; returns rows removed.
 
     The deletion mirror of :func:`refresh_view_delta`.  Writing the
     post-delete state as ``(R₁−D₁) ⋈ … ⋈ (Rₙ−Dₙ)``, the removed result
@@ -245,7 +607,7 @@ def refresh_view_delete(
     started = time.perf_counter()
     compiled = view.compiled_for(catalog)
     aliases = [(table_ref.alias, table_ref.table) for table_ref in view.spec.tables]
-    removed_rows: List[Dict[str, Any]] = []
+    removed: List[Row] = []
     for i, (alias_i, table_i) in enumerate(aliases):
         dead = deleted.get(table_i)
         if not dead:
@@ -256,44 +618,12 @@ def refresh_view_delete(
             dead_j = deleted.get(table_j)
             if dead_j:
                 excluded[alias_j] = set(dead_j)
-        removed_rows.extend(
-            run_view_fragment(
-                graph, compiled, alias_members=members, alias_excluded=excluded
-            )
+        removed.extend(
+            run_view_fragment(graph, compiled, alias_members=members, alias_excluded=excluded)
         )
-    removed = len(removed_rows)
-    if removed:
-        view.rows = _bag_subtract(
-            view.rows, removed_rows, compiled.slotted.output_columns
-        )
-    for _alias, table in aliases:
-        view.base_counts[table] = catalog.relation(table).physical_count
+    view.fold(removed, -1)
+    note_base_counts(view, catalog)
     view.refresh_count += 1
-    view.last_delta_rows = removed
+    view.last_delta_rows = len(removed)
     view.last_refresh_seconds = time.perf_counter() - started
-    return removed
-
-
-def _bag_subtract(
-    rows: List[Dict[str, Any]], removed: List[Dict[str, Any]], columns: Sequence[str]
-) -> List[Dict[str, Any]]:
-    """``rows`` minus ``removed`` with bag (multiplicity) semantics.
-
-    Rows are identified by their values in ``columns`` order (the view's
-    compiled output columns, which every stored row carries).
-    """
-    key = itemgetter(*columns)
-    pending = Counter(map(key, removed))
-    outstanding = len(removed)
-    kept: List[Dict[str, Any]] = []
-    for position, row in enumerate(rows):
-        if not outstanding:
-            kept.extend(rows[position:])  # nothing left to remove: one slice
-            break
-        row_key = key(row)
-        if pending.get(row_key, 0) > 0:
-            pending[row_key] -= 1
-            outstanding -= 1
-        else:
-            kept.append(row)
-    return kept
+    return len(removed)

@@ -12,14 +12,20 @@ and engines in place.  After every round the harness asserts:
   extended into its relations before first use, so every structure is
   built cold.
 
-A separate test drives a materialized view through a randomized
-``load_rows`` sequence and checks it stays identical to cold
-re-execution — the acceptance property of seminaïve view maintenance.
+Separate tests drive materialized views through randomized write
+sequences and check they stay identical to cold re-execution — the
+acceptance property of seminaïve view maintenance: a join view under
+``load_rows``, and aggregate views (grouped and global, single-table and
+join) under interleaved inserts, updates and deletes, checked after
+every write.  ``-m differential`` runs the aggregate script for
+``DIFFERENTIAL_EXAMPLES`` writes.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import math
+import os
 import random
 from collections import Counter
 from typing import Dict, List
@@ -47,6 +53,8 @@ from differential_harness import (
 from repro.api import Database
 
 ROUNDS = 6
+DEEP_EXAMPLES = int(os.environ.get("DIFFERENTIAL_EXAMPLES", "500"))
+DEEP_DERANDOMIZE = os.environ.get("DIFFERENTIAL_SEED_MODE", "fixed") != "random"
 
 #: fixed battery spanning the FK chain: counts, grouped aggregates, plain
 #: projections, NULL-sensitive filters — all sensitive to appended rows
@@ -288,3 +296,112 @@ def test_materialized_view_matches_cold_reexecution(seed):
             "materialized view diverged from cold re-execution after "
             f"{[(name, len(rows)) for name, rows in applied]}"
         )
+
+
+# ----------------------------------------------------------------------
+# aggregate views under random inserts, updates and deletes
+# ----------------------------------------------------------------------
+#: grouped and global, single-table and join; every aggregate the view
+#: state folds, over int, float, string and date arguments with NULLs
+AGGREGATE_VIEWS = {
+    "by_status": (
+        "SELECT t0.O_STATUS AS g0, COUNT(*) AS n, COUNT(t0.O_PRIO) AS prios, "
+        "SUM(t0.O_PRIO) AS sum_int, SUM(t0.O_TOTAL) AS sum_float, AVG(t0.O_TOTAL) AS mean, "
+        "MIN(t0.O_TOTAL) AS lo, MAX(t0.O_REF) AS hi, COUNT(DISTINCT t0.O_CUST) AS custs "
+        "FROM ORD t0 GROUP BY t0.O_STATUS"
+    ),
+    "items": (
+        "SELECT COUNT(*) AS n, SUM(t0.I_QTY) AS sum_int, SUM(t0.I_PRICE) AS sum_float, "
+        "AVG(t0.I_QTY) AS mean, MIN(t0.I_PRICE) AS lo, MAX(t0.I_TAG) AS hi, "
+        "COUNT(DISTINCT t0.I_TAG) AS tags FROM ITEM t0"
+    ),
+    "by_region": (
+        "SELECT t0.C_REGION AS g0, COUNT(*) AS n, SUM(t1.O_TOTAL) AS sum_float, "
+        "AVG(t1.O_PRIO) AS mean, MIN(t0.C_SINCE) AS first, MAX(t1.O_TOTAL) AS hi, "
+        "COUNT(DISTINCT t1.O_STATUS) AS statuses "
+        "FROM CUST t0, ORD t1 WHERE t0.C_ID = t1.O_CUST GROUP BY t0.C_REGION"
+    ),
+    "big_order_items": (
+        "SELECT COUNT(*) AS n, SUM(t1.I_QTY) AS sum_int, SUM(t1.I_PRICE) AS sum_float, "
+        "AVG(t1.I_PRICE) AS mean, MAX(t0.O_TOTAL) AS hi "
+        "FROM ORD t0, ITEM t1 WHERE t0.O_ID = t1.I_ORD AND t0.O_TOTAL > 500"
+    ),
+}
+
+#: per table, the non-key columns an update may rewrite (keys stay put so
+#: the surviving delta rows remain FK-valid)
+_UPDATABLE = {"CUST": (1, 3, 5), "ORD": (2, 3, 4), "ITEM": (2, 3, 4)}
+
+
+def assert_aggregates_close(served, cold, context: str) -> None:
+    """Row-for-row equality; floats within a 1e-9 relative tolerance."""
+    columns = list(cold.columns)
+    assert list(served.columns) == columns
+    got, want = served.to_tuples(columns), cold.to_tuples(columns)
+    assert len(got) == len(want), context
+    for got_row, want_row in zip(got, want):
+        for got_value, want_value in zip(got_row, want_row):
+            if isinstance(want_value, float):
+                assert math.isclose(got_value, want_value, rel_tol=1e-9), (
+                    got_row, want_row, context,
+                )
+            else:
+                assert got_value == want_value, (got_row, want_row, context)
+
+
+def run_aggregate_view_script(seed: int, writes: int) -> None:
+    """``writes`` random writes; every view equals cold re-execution after each."""
+    rng = random.Random(seed)
+    generator = DeltaGenerator(rng)
+    database = make_database()
+    for name, sql in AGGREGATE_VIEWS.items():
+        assert database.materialize(sql, name=name)["mode"] == "aggregate"
+    # surviving delta rows per table: the reference's extension set
+    shadow: Dict[str, List[list]] = {"CUST": [], "ORD": [], "ITEM": []}
+    fresh = {"CUST": generator.rows_for("CUST", 8), "ORD": generator.rows_for("ORD", 8)}
+
+    for step in range(writes):
+        table = rng.choice(("CUST", "ORD", "ITEM", "ORD", "ITEM"))
+        live = shadow[table]
+        kind = rng.choice(("insert", "insert", "update", "delete")) if live else "insert"
+        if kind == "insert":
+            rows = generator.rows_for(table, rng.randint(1, 4))
+            assert database.load_rows(table, rows) == len(rows)
+            live.extend(rows)
+        elif kind == "delete":
+            count = rng.randint(1, min(3, len(live)))
+            victims = [live.pop(rng.randrange(len(live))) for _ in range(count)]
+            assert database.delete_rows(table, victims) == len(victims)
+        else:
+            index = rng.randrange(len(live))
+            replacement = list(live[index])
+            # a fresh row's value for each rewritten column: random group
+            # moves, NULLs in and out, new extremes
+            donor = generator.rows_for(table, 1)[0] if table == "ITEM" else fresh[table][step % 8]
+            for column in rng.sample(_UPDATABLE[table], rng.randint(1, 2)):
+                replacement[column] = donor[column]
+            assert database.update_rows(table, [live[index]], [replacement]) == 1
+            live[index] = replacement
+
+        reference = reference_database([(name, rows) for name, rows in shadow.items() if rows])
+        for name, sql in AGGREGATE_VIEWS.items():
+            assert_aggregates_close(
+                database.query_view(name),
+                reference.connect().sql(sql),
+                f"view {name} after write {step} ({kind} {table}), seed {seed}",
+            )
+
+    maintenance = database.cache_stats()["maintenance"]
+    assert maintenance["views_recomputed"] == 0
+    assert maintenance["full_rebuilds"] == 0
+
+
+@pytest.mark.parametrize("seed", [11, 20260808])
+def test_aggregate_views_match_cold_reexecution(seed):
+    run_aggregate_view_script(seed, writes=30)
+
+
+@pytest.mark.differential
+def test_aggregate_views_match_cold_reexecution_deep():
+    seed = 20260808 if DEEP_DERANDOMIZE else random.SystemRandom().randrange(2**32)
+    run_aggregate_view_script(seed, writes=DEEP_EXAMPLES)

@@ -2,11 +2,12 @@
 
 Insert, delete and update each become one ``Delta`` that is logged as one
 WAL record, applied once and — on a failure mid-apply — rolled back
-once.  These tests pin the three consequences: a torn update leaves
-memory, a retry and recovery in agreement; a recompute-mode view is
-rebuilt once per update, not once per half; and the WAL still writes
-(and recovery still reads) exactly the ``load`` / ``delete`` / ``update``
-record shapes it always has.
+once.  These tests pin the consequences: a torn update leaves memory, a
+retry and recovery in agreement; a recompute-mode view is rebuilt once
+per update, not once per half, and an aggregate view folds the update
+and rolls back with it; and the WAL still writes (and recovery still
+reads) exactly the ``load`` / ``delete`` / ``update`` record shapes it
+always has.
 """
 
 import os
@@ -92,9 +93,12 @@ class TestTornUpdate:
 
 
 class TestOneRecomputePerUpdate:
+    #: the subquery keeps the view in recompute mode
     VIEW_SQL = (
         "SELECT o.O_CUSTKEY AS c, COUNT(*) AS n, SUM(o.O_TOTAL) AS s "
-        "FROM ORDERS o GROUP BY o.O_CUSTKEY"
+        "FROM ORDERS o WHERE o.O_CUSTKEY IN "
+        "(SELECT c.C_CUSTKEY FROM CUSTOMER c WHERE c.C_ACCTBAL > 60) "
+        "GROUP BY o.O_CUSTKEY"
     )
 
     def test_update_recomputes_an_aggregate_view_once(self):
@@ -106,6 +110,64 @@ class TestOneRecomputePerUpdate:
         assert db.maintenance.views_recomputed == recomputed + 1
         cold = db.connect().sql(self.VIEW_SQL).to_tuples()
         assert sorted(db.query_view("spend").to_tuples()) == sorted(cold)
+
+
+class TestAggregateViewWrites:
+    """An aggregate view folds each write once, rolls back with it, and
+    comes back bit-identical from disk (its float sums are exact)."""
+
+    VIEW_SQL = (
+        "SELECT o.O_PRIORITY AS p, COUNT(*) AS n, SUM(o.O_TOTAL) AS s, "
+        "AVG(o.O_TOTAL) AS a, MIN(o.O_TOTAL) AS lo, MAX(o.O_TOTAL) AS hi "
+        "FROM ORDERS o GROUP BY o.O_PRIORITY"
+    )
+
+    def served(self, db):
+        return db.query_view("agg").to_tuples()
+
+    def test_update_folds_once_without_recompute(self):
+        db = Database(make_mini_catalog())
+        db.materialize(self.VIEW_SQL, name="agg")
+        assert db.views()[0]["mode"] == "aggregate"
+        assert db.update_rows("ORDERS", [OLD], [NEW]) == 1
+        assert db.maintenance.views_recomputed == 0
+        assert db.views()[0]["refresh_count"] == 2  # the delete terms, then the insert terms
+        assert self.served(db) == db.connect(engine="rdbms").sql(self.VIEW_SQL).to_tuples()
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda db: db.apply_write("ORDERS", [[106, 11, 0.1, "HIGH"]]),
+            lambda db: db.apply_delete("ORDERS", [OLD]),
+            lambda db: db.apply_update("ORDERS", [OLD], [NEW]),
+        ],
+        ids=["insert", "delete", "update"],
+    )
+    def test_failure_after_apply_leaves_the_view_as_before(self, write):
+        db = Database(make_mini_catalog())
+        db.materialize(self.VIEW_SQL, name="agg")
+        before = self.served(db)
+        install("delta.apply.after_apply=raise@1")
+        with pytest.raises(FaultInjected):
+            write(db)
+        clear()
+        assert self.served(db) == before
+
+    def test_reopened_database_serves_bit_identical_rows(self, tmp_path):
+        data_dir = str(tmp_path / "d")
+        db = Database(make_mini_catalog(), data_dir=data_dir)
+        db.materialize(self.VIEW_SQL, name="agg")
+        db.load_rows("ORDERS", [[106, 11, 0.1, "HIGH"], [107, 12, 0.2, "HIGH"]])
+        db.checkpoint()
+        db.load_rows("ORDERS", [[108, 13, 1e16, "LOW"], [109, 13, 0.3, "LOW"]])
+        db.update_rows("ORDERS", [OLD], [NEW])
+        db.delete_rows("ORDERS", [[108, 13, 1e16, "LOW"]])
+        before = self.served(db)
+        db.close()
+        reopened = Database(make_mini_catalog(), data_dir=data_dir)
+        assert reopened.recovery_report["views_restored"] == 1
+        assert self.served(reopened) == before  # exact, floats included
+        reopened.close()
 
 
 class TestWalFormatPinned:

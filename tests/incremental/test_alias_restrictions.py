@@ -36,8 +36,10 @@ def fragment():
 
 
 def run(graph, compiled, **restrictions):
+    columns = compiled.slotted.output_columns
+    ck, ok = columns.index("ck"), columns.index("ok")
     rows = run_view_fragment(graph, compiled, **restrictions)
-    return sorted((row["ck"], row["ok"]) for row in rows)
+    return sorted((values[ck], values[ok]) for values in rows)
 
 
 def start_alias(graph, compiled):

@@ -359,12 +359,61 @@ class TestViewMaintenanceUnderDelete:
         db.delete_rows("ORDERS", lambda row: row[0] in (102, 104))
         assert self.view_rows(db, "pairs") == query_rows(db, sql)
 
-    def test_aggregate_view_recomputed_correctly(self):
+    def test_aggregate_view_folds_deletes(self):
         sql = (
             "SELECT o.O_PRIORITY AS prio, COUNT(*) AS n FROM ORDERS o "
             "GROUP BY o.O_PRIORITY"
         )
         db = Database(make_mini_catalog(), engine="tag")
-        db.materialize(sql, name="by_prio")
+        assert db.materialize(sql, name="by_prio")["mode"] == "aggregate"
         db.delete_rows("ORDERS", lambda row: row[0] in (100, 101))
         assert self.view_rows(db, "by_prio") == query_rows(db, sql)
+        assert db.maintenance.views_recomputed == 0
+
+    def test_self_join_aggregate_view_deletes_exactly(self):
+        # the telescoped terms feed the group state the same bag delta
+        # they feed a plain view: no pair may leave its group twice
+        sql = (
+            "SELECT a.O_CUSTKEY AS cust, COUNT(*) AS n, SUM(b.O_TOTAL) AS total "
+            "FROM ORDERS a, ORDERS b WHERE a.O_CUSTKEY = b.O_CUSTKEY "
+            "GROUP BY a.O_CUSTKEY"
+        )
+        db = Database(make_mini_catalog(), engine="tag")
+        db.materialize(sql, name="pairs")
+        db.load_rows("ORDERS", [[106, 10, 1.5, "LOW"], [107, 12, 2.5, "LOW"]])
+        db.delete_rows("ORDERS", lambda row: row[0] in (100, 106, 102))
+        assert self.view_rows(db, "pairs") == query_rows(db, sql)
+
+
+class TestAggregateViewUnderDelete:
+    SQL = (
+        "SELECT o.O_CUSTKEY AS cust, COUNT(*) AS n, SUM(o.O_TOTAL) AS total, "
+        "MIN(o.O_TOTAL) AS lo, MAX(o.O_TOTAL) AS hi FROM ORDERS o GROUP BY o.O_CUSTKEY"
+    )
+
+    def test_deleting_the_current_min_and_max(self):
+        db = Database(make_mini_catalog(), engine="tag")
+        db.materialize(self.SQL, name="spend")
+        # customer 10 holds 50.0 (max) and 20.0 (min); add a middle value
+        db.load_rows("ORDERS", [[106, 10, 30.0, "LOW"]])
+        db.delete_rows("ORDERS", lambda row: row[0] == 100)  # the max leaves
+        assert query_rows(db, self.SQL) == db.query_view("spend").to_tuples()
+        db.delete_rows("ORDERS", lambda row: row[0] == 101)  # then the min
+        row = next(r for r in db.query_view("spend").rows if r["cust"] == 10)
+        assert (row["lo"], row["hi"], row["n"]) == (30.0, 30.0, 1)
+        assert query_rows(db, self.SQL) == db.query_view("spend").to_tuples()
+
+    def test_global_aggregate_over_a_table_emptied_by_deletes(self):
+        sql = (
+            "SELECT COUNT(*) AS n, SUM(o.O_TOTAL) AS total, AVG(o.O_TOTAL) AS mean, "
+            "MIN(o.O_PRIORITY) AS first FROM ORDERS o"
+        )
+        db = Database(make_mini_catalog(), engine="tag")
+        db.materialize(sql, name="all")
+        db.delete_rows("ORDERS", lambda row: True)
+        assert db.query_view("all").rows == db.connect().sql(sql).rows
+        assert db.query_view("all").rows == [{"n": 0, "total": 0, "mean": None, "first": None}]
+        assert db.views()[0]["rows"] == 1 and db.views()[0]["groups"] == 0
+        db.load_rows("ORDERS", [[106, 10, 2.0, "LOW"]])
+        assert db.query_view("all").to_tuples() == query_rows(db, sql)
+
