@@ -11,7 +11,7 @@ from .aggregators import (
     SumAggregator,
 )
 from .engine import BSPEngine, BSPError, RunState, SuperstepContext, VertexProgram
-from .graph import Edge, Graph, GraphError, Vertex, VertexId
+from .graph import Graph, GraphError, Vertex, VertexId
 from .metrics import RunMetrics, SuperstepMetrics, payload_size_bytes
 from .partition import (
     HashPartitioner,
@@ -27,7 +27,6 @@ __all__ = [
     "BSPError",
     "CollectAggregator",
     "CountAggregator",
-    "Edge",
     "Graph",
     "GraphError",
     "GroupAggregator",

@@ -53,7 +53,7 @@ from typing import (
 from ..core.cancellation import check_cancelled
 from ..durability.failpoints import maybe_fire
 from .aggregators import Aggregator, AggregatorRegistry
-from .graph import Edge, Graph, Vertex, VertexId
+from .graph import Graph, Vertex, VertexId
 from .metrics import RunMetrics, payload_size_bytes
 from .partition import Partitioner, SinglePartitioner
 
@@ -162,10 +162,6 @@ class SuperstepContext:
             if source_partition != target_partition:
                 self._network_messages += 1
                 self._network_bytes += size
-
-    def send_along(self, edge: Edge, payload: Any) -> None:
-        """Send a message across ``edge`` (to its target)."""
-        self.send(edge.target, payload)
 
     # ------------------------------------------------------------------
     # bulk surface for programs that implement ``compute_superstep``

@@ -1,14 +1,14 @@
 """Property-graph storage for the vertex-centric BSP engine.
 
-Vertices and edges carry a label and a property map, exactly the data model
-assumed by the paper's Section 2/3: a vertex has an id, a label, state, and
-a list of outgoing (labelled) edges.  The store keeps a per-vertex index of
-outgoing edges grouped by label, and beside it a label-first adjacency of
-bare target ids (``label -> vertex id -> [target ids]``), because TAG-join
-runs a superstep as one loop that asks every frontier vertex for "my
-out-edges labelled ``R.A``" (Algorithm 2, lines 11-13): the label is
-resolved once per superstep and each vertex costs one dict lookup.  Both
-are patched in place by every mutation; neither is ever rebuilt.
+Vertices carry a label and a property map, and edges a label, the data
+model of the paper's Section 2/3: a vertex has an id, a label, state, and
+a list of outgoing (labelled) edges.  TAG-join only ever asks one question
+of the edges — "my out-edges labelled ``R.A``" (Algorithm 2, lines 11-13)
+— so the store keeps them once, label-first, as bare target ids
+(``label -> vertex id -> [target ids]``): a superstep resolves the label
+once and each frontier vertex costs one dict lookup.  Edges carry no
+properties.  Every mutation patches the index in place; it is never
+rebuilt.
 """
 
 from __future__ import annotations
@@ -25,27 +25,7 @@ class GraphError(KeyError):
     """Raised for unknown vertex ids or duplicate insertions."""
 
 
-_NO_PROPERTIES: Mapping[str, Any] = MappingProxyType({})
 _NO_TARGETS: Mapping[VertexId, List[VertexId]] = MappingProxyType({})
-
-
-@dataclass(slots=True)
-class Edge:
-    """A directed, labelled edge with an optional property map.
-
-    An edge added without properties shares one immutable empty map
-    instead of owning a dict (a TAG graph has one edge per attribute
-    occurrence and none of them carries properties).
-    """
-
-    source: VertexId
-    target: VertexId
-    label: str
-    # a factory only because dataclasses reject an unhashable default
-    properties: Mapping[str, Any] = field(default_factory=lambda: _NO_PROPERTIES)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Edge({self.source} -[{self.label}]-> {self.target})"
 
 
 @dataclass
@@ -75,14 +55,12 @@ class Vertex:
 
 
 class Graph:
-    """An in-memory labelled property graph with label-indexed adjacency."""
+    """An in-memory labelled property graph with label-first adjacency."""
 
     def __init__(self, name: str = "graph") -> None:
         self.name = name
         self._vertices: Dict[VertexId, Vertex] = {}
-        # adjacency: vertex id -> edge label -> list of edges
-        self._out_edges: Dict[VertexId, Dict[str, List[Edge]]] = {}
-        # the same edges label-first, as bare target ids, in edge order
+        # the one edge store: label -> source id -> target ids, in edge order
         self._targets: Dict[str, Dict[VertexId, List[VertexId]]] = {}
         # label -> its vertex ids in insertion order (a dict as an ordered
         # set: removing one vertex must not rescan the label's population)
@@ -104,18 +82,12 @@ class Graph:
         vertex = Vertex(vertex_id, label, dict(properties or {}), ordinal=self._next_ordinal)
         self._next_ordinal += 1
         self._vertices[vertex_id] = vertex
-        self._out_edges[vertex_id] = {}
         self._vertices_by_label.setdefault(label, {})[vertex_id] = None
         return vertex
 
     def add_edge(
-        self,
-        source: VertexId,
-        target: VertexId,
-        label: str,
-        properties: Optional[Dict[str, Any]] = None,
-        undirected: bool = False,
-    ) -> Edge:
+        self, source: VertexId, target: VertexId, label: str, undirected: bool = False
+    ) -> None:
         """Add an edge; with ``undirected=True`` also add the reverse edge.
 
         The TAG encoding treats edges as two-way relationships and models
@@ -125,19 +97,13 @@ class Graph:
             raise GraphError(f"unknown source vertex {source!r}")
         if target not in self._vertices:
             raise GraphError(f"unknown target vertex {target!r}")
-        edge = self._link(source, target, label, properties)
+        by_source = self._targets.setdefault(label, {})
+        by_source.setdefault(source, []).append(target)
         if undirected:
-            self._link(target, source, label, properties)
-        return edge
-
-    def _link(
-        self, source: VertexId, target: VertexId, label: str, properties: Optional[Dict[str, Any]]
-    ) -> Edge:
-        edge = Edge(source, target, label, dict(properties) if properties else _NO_PROPERTIES)
-        self._out_edges[source].setdefault(label, []).append(edge)
-        self._targets.setdefault(label, {}).setdefault(source, []).append(target)
-        self._edge_count += 1
-        return edge
+            by_source.setdefault(target, []).append(source)
+            self._edge_count += 2
+        else:
+            self._edge_count += 1
 
     def remove_vertex(self, vertex_id: VertexId) -> None:
         """Remove a vertex and its outgoing edges (incoming edges are left dangling).
@@ -148,34 +114,33 @@ class Graph:
         self.remove_vertices([vertex_id])
 
     def remove_vertices(self, vertex_ids: Iterable[VertexId]) -> None:
-        """Batch form of :meth:`remove_vertex`; costs O(vertices removed)."""
+        """Batch form of :meth:`remove_vertex`.
+
+        Each label's index is visited once for the whole batch, at the
+        cost of the smaller of its sources and the batch.
+        """
         dead = [self.vertex(vertex_id) for vertex_id in set(vertex_ids)]  # raises first
         for vertex in dead:
-            vertex_id = vertex.vertex_id
             labelled = self._vertices_by_label[vertex.label]
-            del labelled[vertex_id]
+            del labelled[vertex.vertex_id]
             if not labelled:
                 del self._vertices_by_label[vertex.label]
-            for label, edges in self._out_edges.pop(vertex_id).items():
-                self._edge_count -= len(edges)
-                self._forget_source(label, vertex_id)
-            del self._vertices[vertex_id]
-
-    def _forget_source(self, label: str, source: VertexId) -> None:
-        """Drop ``source``'s target list under ``label`` — and the label with its last one."""
-        by_source = self._targets[label]
-        del by_source[source]
-        if not by_source:
-            del self._targets[label]
+            del self._vertices[vertex.vertex_id]
+        gone = {vertex.vertex_id for vertex in dead}
+        for label, by_source in list(self._targets.items()):
+            for source in by_source.keys() & gone:
+                self._edge_count -= len(by_source.pop(source))
+            if not by_source:
+                del self._targets[label]
 
     def remove_edges_to(
         self, source: VertexId, label: str, dead: AbstractSet[VertexId], ordered: bool = False
     ) -> int:
         """Remove the ``label``-edges from ``source`` into ``dead``; returns how many.
 
-        An emptied list is dropped, key and all, from both indexes: a
-        surviving vertex must look exactly like a fresh build, which never
-        creates empty adjacency lists.
+        An emptied list is dropped, key and all (and the label with its
+        last list): a surviving vertex must look exactly like a fresh
+        build, which never creates empty adjacency lists.
 
         ``ordered=True`` is the caller's promise that these targets sit in
         vertex-creation order without repeats and that every id in ``dead``
@@ -185,12 +150,11 @@ class Graph:
         does not pay for its whole degree; when filtering the list once
         is fewer steps than ``len(dead)`` bisections, it is filtered.
         """
-        by_label = self._out_edges[source]
-        edges = by_label.get(label)
-        if not edges:
+        by_source = self._targets.get(label, _NO_TARGETS)
+        targets = by_source.get(source)
+        if not targets:
             return 0
-        targets = self._targets[label][source]
-        before = len(edges)
+        before = len(targets)
         if ordered and len(dead) * before.bit_length() < before:
             vertices = self._vertices
 
@@ -200,15 +164,15 @@ class Graph:
             for target in dead:
                 at = bisect_left(targets, ordinal(target), key=ordinal)
                 if at < len(targets) and targets[at] == target:
-                    del targets[at], edges[at]
+                    del targets[at]
         else:
-            edges[:] = [edge for edge in edges if edge.target not in dead]
-            targets[:] = [edge.target for edge in edges]
-        if not edges:
-            del by_label[label]
-            self._forget_source(label, source)
-        self._edge_count -= before - len(edges)
-        return before - len(edges)
+            targets[:] = [target for target in targets if target not in dead]
+        if not targets:
+            del by_source[source]
+            if not by_source:
+                del self._targets[label]
+        self._edge_count -= before - len(targets)
+        return before - len(targets)
 
     # ------------------------------------------------------------------
     # lookups
@@ -238,15 +202,6 @@ class Graph:
     def labels(self) -> List[str]:
         return list(self._vertices_by_label)
 
-    def out_edges(self, vertex_id: VertexId, label: Optional[str] = None) -> List[Edge]:
-        by_label = self._out_edges.get(vertex_id, {})
-        if label is not None:
-            return list(by_label.get(label, []))
-        edges: List[Edge] = []
-        for edge_list in by_label.values():
-            edges.extend(edge_list)
-        return edges
-
     def adjacency(self, label: str) -> Mapping[VertexId, List[VertexId]]:
         """``vertex id -> [target ids]`` of the ``label``-edges, in edge order.
 
@@ -263,17 +218,8 @@ class Graph:
         """Target ids of the ``label``-edges out of a vertex (read-only, no copy)."""
         return self._targets.get(label, _NO_TARGETS).get(vertex_id, ())
 
-    def out_edge_labels(self, vertex_id: VertexId) -> List[str]:
-        return list(self._out_edges.get(vertex_id, {}))
-
-    def out_degree(self, vertex_id: VertexId, label: Optional[str] = None) -> int:
-        by_label = self._out_edges.get(vertex_id, {})
-        if label is not None:
-            return len(by_label.get(label, []))
-        return sum(len(edge_list) for edge_list in by_label.values())
-
-    def neighbours(self, vertex_id: VertexId, label: Optional[str] = None) -> List[VertexId]:
-        return [edge.target for edge in self.out_edges(vertex_id, label)]
+    def out_degree(self, vertex_id: VertexId, label: str) -> int:
+        return len(self.edge_targets(vertex_id, label))
 
     # ------------------------------------------------------------------
     # whole-graph statistics

@@ -123,11 +123,7 @@ class CycleQueryProgram(VertexProgram):
     # ------------------------------------------------------------------
     def initial_active_vertices(self, graph: Graph):
         """The X1 attribute vertices (values appearing in R1's back column)."""
-        return [
-            vertex_id
-            for vertex_id in self.graph.attribute_vertex_ids()
-            if graph.out_degree(vertex_id, self._start_label) > 0
-        ]
+        return list(self.graph.attribute_adjacency(self._start_label))
 
     def compute(self, vertex: Vertex, messages: List[Any], graph: Graph, context) -> None:
         if context.superstep == 0:
@@ -151,8 +147,8 @@ class CycleQueryProgram(VertexProgram):
             self._forward(vertex, graph, context, "R", origin, hop_index=0, rows=[{}])
         else:
             # light: wake up the R1 tuples; they start per-tuple propagations
-            for edge in graph.out_edges(vertex.vertex_id, self._start_label):
-                context.send(edge.target, ("WAKE", vertex.vertex_id))
+            for target in graph.edge_targets(vertex.vertex_id, self._start_label):
+                context.send(target, ("WAKE", vertex.vertex_id))
                 context.charge()
 
     # ------------------------------------------------------------------
@@ -204,10 +200,10 @@ class CycleQueryProgram(VertexProgram):
         # left: continue from X2 onwards (hop index 1 in the left path)
         self._forward(vertex, graph, context, "L", origin, hop_index=1, rows=[own_row])
         # right: bounce off the X1 attribute vertex, which relays into Rn
-        for edge in graph.out_edges(
+        for target in graph.edge_targets(
             vertex.vertex_id, edge_label(relation.table, relation.back_column)
         ):
-            context.send(edge.target, ("FWD", "R", origin, 0, [own_row]))
+            context.send(target, ("FWD", "R", origin, 0, [own_row]))
             context.charge()
 
     def _forward(
@@ -224,10 +220,10 @@ class CycleQueryProgram(VertexProgram):
         if hop_index >= len(path) or not rows:
             return
         label = path[hop_index].label
-        edges = graph.out_edges(vertex.vertex_id, label)
-        context.charge(len(edges))
-        for edge in edges:
-            context.send(edge.target, ("MSG", direction, origin, hop_index, rows))
+        targets = graph.edge_targets(vertex.vertex_id, label)
+        context.charge(len(targets))
+        for target in targets:
+            context.send(target, ("MSG", direction, origin, hop_index, rows))
 
     # ------------------------------------------------------------------
     # the meeting attribute vertices intersect both directions

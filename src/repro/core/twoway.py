@@ -95,13 +95,10 @@ class TwoWayJoinProgram(VertexProgram):
     # ------------------------------------------------------------------
     def initial_active_vertices(self, graph: Graph):
         """The attribute vertices of the (primary) join attribute."""
-        candidates: Set[str] = set()
-        for vertex_id in self.graph.attribute_vertex_ids():
-            if graph.out_degree(vertex_id, self.left_label) or graph.out_degree(
-                vertex_id, self.right_label
-            ):
-                candidates.add(vertex_id)
-        return candidates
+        return (
+            self.graph.attribute_adjacency(self.left_label).keys()
+            | self.graph.attribute_adjacency(self.right_label).keys()
+        )
 
     def compute(self, vertex: Vertex, messages: List[Any], graph: Graph, context) -> None:
         if context.superstep == 0:
@@ -113,15 +110,15 @@ class TwoWayJoinProgram(VertexProgram):
 
     # superstep 0: reduction at the join-attribute vertex ----------------
     def _reduce(self, vertex: Vertex, graph: Graph, context) -> None:
-        left_edges = graph.out_edges(vertex.vertex_id, self.left_label)
-        right_edges = graph.out_edges(vertex.vertex_id, self.right_label)
-        context.charge(len(left_edges) + len(right_edges))
-        if not left_edges or not right_edges:
+        left_targets = graph.edge_targets(vertex.vertex_id, self.left_label)
+        right_targets = graph.edge_targets(vertex.vertex_id, self.right_label)
+        context.charge(len(left_targets) + len(right_targets))
+        if not left_targets or not right_targets:
             return  # not a join value: deactivate silently
-        for edge in left_edges:
-            context.send(edge.target, (vertex.vertex_id, "left"))
-        for edge in right_edges:
-            context.send(edge.target, (vertex.vertex_id, "right"))
+        for target in left_targets:
+            context.send(target, (vertex.vertex_id, "left"))
+        for target in right_targets:
+            context.send(target, (vertex.vertex_id, "right"))
 
     # superstep 1: tuple vertices reply with their values ----------------
     def _reply(self, vertex: Vertex, messages: List[Any], graph: Graph, context) -> None:
@@ -206,10 +203,10 @@ class SemiJoinProgram(VertexProgram):
 
     def compute(self, vertex: Vertex, messages: List[Any], graph: Graph, context) -> None:
         if context.superstep == 0:
-            edges = graph.out_edges(vertex.vertex_id, self.left_label)
-            context.charge(len(edges))
-            for edge in edges:
-                context.send(edge.target, vertex.vertex_id)
+            targets = graph.edge_targets(vertex.vertex_id, self.left_label)
+            context.charge(len(targets))
+            for target in targets:
+                context.send(target, vertex.vertex_id)
         elif context.superstep == 1:
             has_right = graph.out_degree(vertex.vertex_id, self.right_label) > 0
             context.charge(len(messages))
@@ -277,32 +274,29 @@ class OuterJoinProgram(VertexProgram):
         self._matched_right: Set[str] = set()
 
     def initial_active_vertices(self, graph: Graph):
-        candidates = set()
-        for vertex_id in self.graph.attribute_vertex_ids():
-            if graph.out_degree(vertex_id, self.left_label) or graph.out_degree(
-                vertex_id, self.right_label
-            ):
-                candidates.add(vertex_id)
-        return candidates
+        return (
+            self.graph.attribute_adjacency(self.left_label).keys()
+            | self.graph.attribute_adjacency(self.right_label).keys()
+        )
 
     def compute(self, vertex: Vertex, messages: List[Any], graph: Graph, context) -> None:
         if context.superstep == 0:
-            left_edges = graph.out_edges(vertex.vertex_id, self.left_label)
-            right_edges = graph.out_edges(vertex.vertex_id, self.right_label)
-            context.charge(len(left_edges) + len(right_edges))
+            left_targets = graph.edge_targets(vertex.vertex_id, self.left_label)
+            right_targets = graph.edge_targets(vertex.vertex_id, self.right_label)
+            context.charge(len(left_targets) + len(right_targets))
             keep = False
             if self.kind is OuterJoinKind.LEFT:
-                keep = bool(left_edges)
+                keep = bool(left_targets)
             elif self.kind is OuterJoinKind.RIGHT:
-                keep = bool(right_edges)
+                keep = bool(right_targets)
             else:
-                keep = bool(left_edges or right_edges)
+                keep = bool(left_targets or right_targets)
             if not keep:
                 return
-            for edge in left_edges:
-                context.send(edge.target, (vertex.vertex_id, "left"))
-            for edge in right_edges:
-                context.send(edge.target, (vertex.vertex_id, "right"))
+            for target in left_targets:
+                context.send(target, (vertex.vertex_id, "left"))
+            for target in right_targets:
+                context.send(target, (vertex.vertex_id, "right"))
         elif context.superstep == 1:
             tuple_data = vertex.properties.get(TUPLE_DATA_KEY)
             if tuple_data is None:

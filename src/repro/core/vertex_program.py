@@ -233,21 +233,21 @@ class TagJoinProgram(VertexProgram):
     ) -> None:
         step = scheduled.step
         label = step.label
-        edges = self.graph.out_edges(vertex.vertex_id, label)
-        context.charge(len(edges))
+        targets = self.graph.edge_targets(vertex.vertex_id, label)
+        context.charge(len(targets))
 
         if scheduled.phase is Phase.REDUCE_UP:
-            for edge in edges:
-                context.send(edge.target, vertex.vertex_id)
+            for target in targets:
+                context.send(target, vertex.vertex_id)
             return
 
         marked: Set[VertexId] = (
             context.state(vertex).get(_MARKED_KEY, {}).get(step.edge.edge_id, set())
         )
         if scheduled.phase is Phase.REDUCE_DOWN:
-            for edge in edges:
-                if edge.target in marked:
-                    context.send(edge.target, vertex.vertex_id)
+            for target in targets:
+                if target in marked:
+                    context.send(target, vertex.vertex_id)
             return
 
         # collection phase: propagate this node's value along marked edges
@@ -258,9 +258,9 @@ class TagJoinProgram(VertexProgram):
             table = [self._own_row(vertex, source_node)]
         if not table:
             return
-        for edge in edges:
-            if edge.target in marked:
-                context.send(edge.target, table)
+        for target in targets:
+            if target in marked:
+                context.send(target, table)
 
     # ------------------------------------------------------------------
     # result assembly (runs at the vertices holding the plan root's values)

@@ -44,6 +44,7 @@ from ..incremental.delta import Delta, resolve_delta
 from .failpoints import maybe_fire
 from .snapshot import (
     SNAPSHOT_FORMAT_VERSION,
+    SnapshotError,
     load_latest_snapshot,
     prune_snapshots,
     write_snapshot,
@@ -265,7 +266,13 @@ class DurabilityManager:
         }
         catalog = database.catalog
         state = None
-        loaded = load_latest_snapshot(self.data_dir)
+        try:
+            loaded = load_latest_snapshot(
+                self.data_dir, (int(record.get("lsn", 0)) for record in self.wal.records())
+            )
+        except SnapshotError as exc:
+            # raised before anything is written: the files stay as found
+            raise DurabilityError(f"refusing to recover {self.data_dir!r}: {exc}") from exc
         if loaded is not None:
             state, path = loaded
             fingerprint = state.get("schema_fingerprint")

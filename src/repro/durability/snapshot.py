@@ -21,9 +21,11 @@ covers the canonical (sorted-key, compact) JSON of ``state``.  Writes go
 through a temp file + fsync + atomic rename + directory fsync, so a crash
 at any point leaves either no new snapshot or a complete valid one —
 never a half-written file the loader could mistake for truth.  The loader
-tries snapshots newest-first and skips any that fail the checksum, so a
-corrupted latest snapshot degrades to the previous one plus a longer WAL
-replay rather than to an unrecoverable store.
+tries snapshots newest-first and skips one that fails the checksum only
+while the WAL still holds every record the skipped snapshot covered past
+the older one, so the fallback plus a longer WAL replay rebuilds the same
+state; otherwise, and for a snapshot of another format version, it
+refuses rather than open with acknowledged writes missing.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import hashlib
 import json
 import os
 import re
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from .failpoints import maybe_fire
 
@@ -44,6 +46,11 @@ _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{12})\.json$")
 
 class SnapshotError(RuntimeError):
     """A snapshot file is unreadable, corrupt, or from an unknown format."""
+
+
+class SnapshotFormatError(SnapshotError):
+    """A checksum-valid snapshot of another ``format_version``: intact data
+    this code cannot read, never a corruption to skip."""
 
 
 def snapshot_filename(wal_lsn: int) -> str:
@@ -109,7 +116,7 @@ def read_snapshot(path: str) -> Dict[str, Any]:
         raise SnapshotError(f"snapshot {path!r} failed checksum verification")
     version = state.get("format_version")
     if version != SNAPSHOT_FORMAT_VERSION:
-        raise SnapshotError(
+        raise SnapshotFormatError(
             f"snapshot {path!r} has format_version {version!r}, "
             f"expected {SNAPSHOT_FORMAT_VERSION}"
         )
@@ -131,19 +138,48 @@ def list_snapshots(directory: str) -> List[Tuple[int, str]]:
     return found
 
 
-def load_latest_snapshot(directory: str) -> Optional[Tuple[Dict[str, Any], str]]:
+def load_latest_snapshot(
+    directory: str, wal_lsns: Iterable[int]
+) -> Optional[Tuple[Dict[str, Any], str]]:
     """The newest snapshot that passes verification, or ``None``.
 
-    Corrupt/torn snapshot files (a crash cannot produce one through the
-    atomic-rename protocol, but disks can) are skipped, not fatal: the
-    previous snapshot plus a longer WAL suffix reconstructs the same state.
+    ``wal_lsns`` are the LSNs of the records the WAL still holds.  A
+    corrupt or torn snapshot (a crash cannot produce one through the
+    atomic-rename protocol, but disks can) is skipped only when those
+    records cover everything it covered past the snapshot loaded instead
+    (past LSN 0 when none is left): its LSN is in its file name, and a
+    checkpoint may already have compacted that stretch of the WAL away.
+    When they do not, :class:`SnapshotError` is raised.  A snapshot of
+    another format version raises :class:`SnapshotFormatError` and is
+    never skipped.
     """
-    for _, path in list_snapshots(directory):
+    held = set(wal_lsns)
+    skipped_lsn: Optional[int] = None
+    for lsn, path in list_snapshots(directory):
         try:
-            return read_snapshot(path), path
+            state = read_snapshot(path)
+        except SnapshotFormatError:
+            raise
         except SnapshotError:
+            if skipped_lsn is None:
+                skipped_lsn = lsn
             continue
+        _check_replayable(held, lsn, skipped_lsn)
+        return state, path
+    _check_replayable(held, 0, skipped_lsn)
     return None
+
+
+def _check_replayable(held: Set[int], from_lsn: int, skipped_lsn: Optional[int]) -> None:
+    """Raise unless the WAL holds every record in ``(from_lsn, skipped_lsn]``."""
+    if skipped_lsn is None:
+        return
+    missing = [lsn for lsn in range(from_lsn + 1, skipped_lsn + 1) if lsn not in held]
+    if missing:
+        raise SnapshotError(
+            f"snapshot {snapshot_filename(skipped_lsn)} is unreadable and the WAL "
+            f"no longer holds records {missing[0]}..{missing[-1]} it covered"
+        )
 
 
 def prune_snapshots(directory: str, keep: int = 2) -> List[str]:
@@ -161,6 +197,7 @@ def prune_snapshots(directory: str, keep: int = 2) -> List[str]:
 __all__ = [
     "SNAPSHOT_FORMAT_VERSION",
     "SnapshotError",
+    "SnapshotFormatError",
     "list_snapshots",
     "load_latest_snapshot",
     "prune_snapshots",

@@ -244,18 +244,19 @@ class TagGraph(Graph):
     def attribute_value(self, vertex: Vertex) -> Any:
         return vertex.properties[ATTRIBUTE_VALUE_KEY]
 
-    def attribute_vertices_with_edge(self, relation_name: str, column_name: str) -> List[VertexId]:
-        """Attribute vertices having at least one ``R.A`` out-edge.
+    def attribute_adjacency(self, label: str) -> Dict[VertexId, Sequence[VertexId]]:
+        """``attribute vertex id -> [tuple vertex ids]`` of the ``label``-edges.
 
-        Used to activate join-attribute vertices at the start of a phase
-        without scanning the full attribute-vertex population.
+        The label index also lists each edge's tuple side (a tuple links
+        to its value under the same ``R.A`` label); this keeps the
+        attribute vertices only — those with at least one such edge.
         """
-        label = edge_label(relation_name, column_name)
-        result = []
-        for vertex_id in self._attribute_ids:
-            if self.out_degree(vertex_id, label) > 0:
-                result.append(vertex_id)
-        return result
+        attributes = self._attribute_ids
+        return {
+            source: targets
+            for source, targets in self.adjacency(label).items()
+            if source in attributes
+        }
 
     def attribute_vertex_ids(self) -> List[VertexId]:
         return list(self._attribute_ids)
@@ -333,9 +334,6 @@ class TagGraph(Graph):
         report.per_relation[schema.name] = report.per_relation.get(schema.name, 0) + 1
         return vertex_id
 
-    def insert_tuple(self, schema: Schema, values: Dict[str, Any]) -> VertexId:
-        return self.append_tuple(schema, values)
-
     def delete_tuple(self, vertex_id: VertexId) -> None:
         """Delete a tuple vertex, its incident edges, and — exactly when the
         last referencing tuple dies — its now-unreferenced attribute vertices.
@@ -369,13 +367,19 @@ class TagGraph(Graph):
             vertices.append(vertex)
         report = self.load_report
         edges_before = self.edge_count
-        # one reference drop per incident edge, grouped per attribute
+        # one reference drop per incident edge, grouped per attribute; a
+        # tuple's edges carry the ``R.A`` labels of its materialised columns
         drops: Dict[VertexId, int] = {}
         touched: set = set()  # (attribute id, edge label) lists to filter
         for vertex_id in dead:
-            for edge in self.out_edges(vertex_id):
-                drops[edge.target] = drops.get(edge.target, 0) + 1
-                touched.add((edge.target, edge.label))
+            relation = self.vertex(vertex_id).label
+            for column_name, _dtype, materialise, _codec in self._column_plans[relation]:
+                if not materialise:
+                    continue
+                label = edge_label(relation, column_name)
+                for attr_id in self.edge_targets(vertex_id, label):
+                    drops[attr_id] = drops.get(attr_id, 0) + 1
+                    touched.add((attr_id, label))
         for attr_id, label in touched:
             # reverse edges were appended as the tuples were, in tuple order
             self.remove_edges_to(attr_id, label, dead, ordered=True)
@@ -422,17 +426,6 @@ class TagGraph(Graph):
         index (the encoder calls this with the physical row count)."""
         if count > self._tuple_counters.get(relation_name, 0):
             self._tuple_counters[relation_name] = count
-
-    # internal ------------------------------------------------------------
-    def _connect(self, tuple_vertex: VertexId, relation: str, column: str, value: Any) -> None:
-        """Legacy raw-value connect (no encoding, no byte accounting)."""
-        attr_id = attribute_vertex_id(value)
-        if not self.has_vertex(attr_id):
-            self.add_vertex(attr_id, attribute_label(value), {ATTRIBUTE_VALUE_KEY: value})
-            self._attribute_ids[attr_id] = attr_id
-            self.load_report.attribute_vertices += 1
-        self.add_edge(tuple_vertex, attr_id, edge_label(relation, column), undirected=True)
-        self._attribute_refcounts[attr_id] = self._attribute_refcounts.get(attr_id, 0) + 1
 
 
 class TagEncoder:

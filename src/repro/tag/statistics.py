@@ -78,13 +78,8 @@ def edge_label_degrees(graph: TagGraph, relation: str, column: str) -> List[int]
     skew (heavy values), which is what the heavy/light split of the cyclic
     algorithm keys on (Section 6.1.2).
     """
-    label = edge_label(relation, column)
-    degrees = []
-    for vertex_id in graph.attribute_vertex_ids():
-        degree = graph.out_degree(vertex_id, label)
-        if degree:
-            degrees.append(degree)
-    return degrees
+    targets = graph.attribute_adjacency(edge_label(relation, column)).values()
+    return [len(tuples) for tuples in targets]
 
 
 def column_selectivity(graph: TagGraph, relation: str, column: str) -> float:

@@ -41,20 +41,17 @@ def graph_properties(graph):
 def assert_graphs_equal(patched, rebuilt):
     """A patched graph is indistinguishable from a cold re-encode.
 
-    Same vertices, labels and per-vertex edges — and the same label-first
-    adjacency index: the labels present (a label whose last edge went is
-    dropped, never left as an empty entry), the sources under each, the
-    targets of each source.  Within one graph the index must list exactly
-    the targets of the vertex's edge list, in the same order.
+    Same vertices and labels — and the same label-first adjacency index,
+    the graph's one edge store: the labels present (a label whose last
+    edge went is dropped, never left as an empty entry), the sources under
+    each, the targets of each source.  Within one graph no list is empty
+    and the lists add up to the edge count.
     """
     patched_ids = sorted(patched.vertex_ids())
     assert patched_ids == sorted(rebuilt.vertex_ids())
     assert patched.edge_count == rebuilt.edge_count
     assert patched.count_by_label() == rebuilt.count_by_label()
     for vertex_id in patched_ids:
-        assert sorted(patched.out_edge_labels(vertex_id)) == sorted(
-            rebuilt.out_edge_labels(vertex_id)
-        ), vertex_id
         # tuple vertices carry their index; attribute vertices carry none
         assert patched.vertex(vertex_id).properties.get(TUPLE_INDEX_KEY) == rebuilt.vertex(
             vertex_id
@@ -71,7 +68,6 @@ def assert_graphs_equal(patched, rebuilt):
         for label in graph.edge_labels():
             for source, targets in graph.adjacency(label).items():
                 assert targets, (label, source)
-                assert targets == [edge.target for edge in graph.out_edges(source, label)]
                 indexed += len(targets)
         assert indexed == graph.edge_count
 

@@ -14,6 +14,7 @@ from repro.api import Database
 from repro.durability.manager import DurabilityError
 from repro.durability.snapshot import (
     SnapshotError,
+    SnapshotFormatError,
     list_snapshots,
     load_latest_snapshot,
     prune_snapshots,
@@ -69,9 +70,19 @@ class TestSnapshotFiles:
         )
         with open(newest, "w") as handle:
             handle.write("{ half a json")
-        state, path = load_latest_snapshot(str(tmp_path))
+        # the WAL still holds record 2, which only the corrupt snapshot covered
+        state, path = load_latest_snapshot(str(tmp_path), wal_lsns=[2, 3])
         assert state["v"] == "old"
         assert os.path.basename(path) == snapshot_filename(1)
+        # ... and once it is compacted away, skipping would lose record 2
+        with pytest.raises(SnapshotError):
+            load_latest_snapshot(str(tmp_path), wal_lsns=[3])
+
+    def test_loader_refuses_another_format_version(self, tmp_path):
+        write_snapshot(str(tmp_path), {"format_version": 1, "wal_lsn": 1})
+        write_snapshot(str(tmp_path), {"format_version": 99, "wal_lsn": 2})
+        with pytest.raises(SnapshotFormatError):
+            load_latest_snapshot(str(tmp_path), wal_lsns=[2])
 
     def test_prune_keeps_newest(self, tmp_path):
         for lsn in (1, 2, 3, 4):
@@ -204,3 +215,75 @@ class TestRecoveryEquivalence:
         # starts from the same durable state and succeeds
         recovered = Database(make_mini_catalog(), data_dir=data_dir)
         assert golden(recovered) == expected
+
+
+def _orders_keys(database: Database) -> list:
+    return sorted(
+        row["k"] for row in database.connect().sql("SELECT o.O_ORDERKEY AS k FROM ORDERS o").rows
+    )
+
+
+def _files(directory: str) -> dict:
+    contents = {}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as handle:
+            contents[name] = handle.read()
+    return contents
+
+
+class TestRecoveryRefusesWhatItCannotRebuild:
+    """Rows 9001 and 9002 are written with a checkpoint between them and a
+    clean close after: snapshots at LSN 1 and 2, and a WAL compacted empty.
+    Only the newest snapshot holds row 9002, so recovery must not fall back
+    past it."""
+
+    def _closed_store(self, tmp_path) -> str:
+        data_dir = str(tmp_path / "d")
+        db = Database(make_mini_catalog(), data_dir=data_dir)
+        db.load_rows("ORDERS", NEW_ORDERS[:1])
+        db.checkpoint()
+        db.load_rows("ORDERS", NEW_ORDERS[1:2])
+        db.close()
+        assert [lsn for lsn, _ in list_snapshots(data_dir)] == [2, 1]
+        return data_dir
+
+    def _assert_refused(self, data_dir: str) -> None:
+        before = _files(data_dir)
+        with pytest.raises(DurabilityError):
+            Database(make_mini_catalog(), data_dir=data_dir)
+        assert _files(data_dir) == before
+
+    def test_other_format_version_is_refused(self, tmp_path):
+        data_dir = self._closed_store(tmp_path)
+        path = os.path.join(data_dir, snapshot_filename(2))
+        state = read_snapshot(path)
+        state["format_version"] += 1
+        os.remove(path)
+        write_snapshot(data_dir, state)  # checksum-valid, another version
+        self._assert_refused(data_dir)
+
+    def test_corrupt_newest_is_refused_once_the_wal_is_compacted(self, tmp_path):
+        data_dir = self._closed_store(tmp_path)
+        with open(os.path.join(data_dir, snapshot_filename(2)), "r+b") as handle:
+            handle.seek(40)
+            handle.write(b"#")
+        self._assert_refused(data_dir)
+
+    def test_corrupt_newest_falls_back_while_the_wal_covers_it(self, tmp_path):
+        data_dir = str(tmp_path / "d")
+        db = Database(make_mini_catalog(), data_dir=data_dir)
+        db.load_rows("ORDERS", NEW_ORDERS[:1])
+        db.checkpoint()
+        db.load_rows("ORDERS", NEW_ORDERS[1:2])
+        expected = _orders_keys(db)
+        # a snapshot renamed into place, then a crash before compaction
+        newest = write_snapshot(data_dir, db._durability.build_state(db))
+        db._durability.wal.sync()
+        with open(newest, "r+b") as handle:
+            handle.seek(40)
+            handle.write(b"#")
+
+        recovered = Database(make_mini_catalog(), data_dir=data_dir)
+        assert recovered.recovery_report["snapshot_lsn"] == 1
+        assert recovered.recovery_report["rows_replayed"] == 1
+        assert _orders_keys(recovered) == expected

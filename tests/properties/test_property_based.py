@@ -157,9 +157,11 @@ def test_tag_encoding_size_linear_and_bipartite(rows):
     distinct_values = {value for row in rows for value in row}
     assert graph.load_report.attribute_vertices <= len(distinct_values)
     assert graph.edge_count == 2 * 2 * len(rows)  # two columns, undirected
-    for vertex in graph.vertices():
-        for edge in graph.out_edges(vertex.vertex_id):
-            assert graph.is_tuple_vertex(vertex) != graph.is_tuple_vertex(graph.vertex(edge.target))
+    for label in graph.edge_labels():
+        for source, targets in graph.adjacency(label).items():
+            is_tuple = graph.is_tuple_vertex(graph.vertex(source))
+            for target in targets:
+                assert is_tuple != graph.is_tuple_vertex(graph.vertex(target))
 
 
 @SLOW
