@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-stress test-differential test-chaos perf perf-quick perf-tests bench-smoke bench-incremental bench-delete bench-recovery bench serve-bench examples lint format-check
+.PHONY: test test-stress test-differential test-chaos perf perf-quick perf-tests bench-smoke bench-incremental bench-delete bench-recovery bench examples lint format-check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -62,13 +62,6 @@ bench-delete:
 bench-recovery:
 	$(PYTHON) -m repro.bench.recovery \
 		--out benchmarks/results/BENCH_recovery.json
-
-# closed-loop serving benchmark against a live query server; exits non-zero
-# if sustained QPS is zero, any response frame fails schema validation, or
-# the warm-started server recompiles a manifest-covered query shape
-serve-bench:
-	$(PYTHON) -m repro.serve.driver --scale 0.05 --duration 6 --qps 80 \
-		--out benchmarks/results/BENCH_serving.json
 
 examples:
 	$(PYTHON) examples/quickstart.py

@@ -730,7 +730,7 @@ class Database:
     ) -> None:
         """Graph, statistics, engines and views for a delta the relation
         already holds (the body of :meth:`_apply`)."""
-        from ..incremental.views import refresh_view_delete, refresh_view_delta
+        from ..incremental.views import refresh_view
 
         catalog = self.catalog
         graph_fresh = self._graph is not None and self._graph_version == version_before
@@ -746,16 +746,21 @@ class Database:
         # with a stale graph the delta terms have no history to join
         # against, so every affected view rebuilds instead
         maintained = [view for view in affected if graph_fresh and view.incremental]
-        if delta.deleted_positions:
-            # counting view maintenance MUST see the pre-delete graph: the
-            # telescoped delete terms join the deleted tuples against
-            # state that still contains them
-            dead = {relation.name: {position + 1 for position in delta.deleted_positions}}
+
+        def refresh_maintained(touched: Iterable[int], sign: int) -> None:
             for view in maintained:
                 view_started = time.perf_counter()
-                refresh_view_delete(view, self._graph, catalog, dead)
-                counters.views_delete_refreshed += 1
+                refresh_view(view, self._graph, catalog, {relation.name: touched}, sign)
+                if sign < 0:
+                    counters.views_delete_refreshed += 1
+                else:
+                    counters.views_refreshed += 1
                 counters.view_refresh_seconds += time.perf_counter() - view_started
+
+        if delta.deleted_positions:
+            # the delete terms MUST see the pre-delete graph: they join the
+            # deleted tuples against state that still contains them
+            refresh_maintained([position + 1 for position in delta.deleted_positions], -1)
         if graph_fresh:
             patch_graph(self._graph, relation.schema, delta)
             self._graph_version = catalog.version
@@ -797,14 +802,9 @@ class Database:
         counters.last_delta_seconds = elapsed
 
         if delta.inserted_rows:
-            # seminaïve insert terms over the patched graph: the window
-            # [before, end) is exactly the appended tuple vertices
-            window = {relation.name: (before, relation.physical_count)}
-            for view in maintained:
-                view_started = time.perf_counter()
-                refresh_view_delta(view, self._graph, catalog, window)
-                counters.views_refreshed += 1
-                counters.view_refresh_seconds += time.perf_counter() - view_started
+            # the insert terms need the patched graph: the appended tuple
+            # vertices, indexes before + 1 .. physical_count, exist only now
+            refresh_maintained(range(before + 1, relation.physical_count + 1), 1)
         # recompute-mode views go last, once per write, after the graph
         # patch: their engine run must not trigger a stale-graph re-encode
         for view in affected:
@@ -905,12 +905,12 @@ class Database:
     def _rebuild_view(self, view: Any) -> None:
         """Populate a view from scratch, preserving its storage semantics.
 
-        Incremental views fold one unwindowed run of their fragment
+        Incremental views fold one unrestricted run of their fragment
         (against the current, possibly freshly re-encoded graph) — the
         same bag their write deltas extend; recompute views go through
         the default engine.
         """
-        from ..incremental.views import note_base_counts, populate_view
+        from ..incremental.views import populate_view
 
         if view.incremental:
             populate_view(view, self.tag_graph(), self.catalog)
@@ -918,7 +918,6 @@ class Database:
         result = self.engine(self.default_engine).execute(view.spec)
         view.rows = [dict(row) for row in result.rows]
         view.columns = list(result.columns)
-        note_base_counts(view, self.catalog)
         view.recompute_count += 1
 
     def query_view(self, name: str) -> QueryResult:

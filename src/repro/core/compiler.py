@@ -132,7 +132,6 @@ def compile_fragment(
     extra_filters: Optional[Dict[str, List[Expression]]] = None,
     extra_residuals: Optional[List[Expression]] = None,
     eager_partial_aggregation: bool = True,
-    collect_output_centrally: bool = False,
     preferred_root: Optional[str] = None,
 ) -> CompiledFragment:
     """Compile a connected, non-degenerate query block into a fragment.
@@ -144,8 +143,6 @@ def compile_fragment(
             membership checks injected by the executor).
         eager_partial_aggregation: pre-aggregate at the root vertices
             before contacting the global aggregator (ablation A03).
-        collect_output_centrally: ship output rows to a collector
-            aggregator instead of leaving them distributed.
         preferred_root: force the join tree root to a specific alias.
     """
     if not spec.tables:
@@ -226,7 +223,6 @@ def compile_fragment(
         group_by_columns=group_by_columns,
         aggregation_class=aggregation_class,
         eager_partial_aggregation=eager_partial_aggregation,
-        collect_output_centrally=collect_output_centrally,
     )
     # derive the kernel's compiled forms once, here, so plan-cache hits
     # (and every execution after the first) start from compiled closures

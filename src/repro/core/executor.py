@@ -34,7 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from ..algebra.expressions import Expression, col
 from ..algebra.logical import AggregationClass, OutputColumn, QuerySpec
-from ..bsp.aggregators import CollectAggregator
 from ..bsp.engine import BSPEngine
 from ..bsp.metrics import RunMetrics
 from ..bsp.partition import HashPartitioner, Partitioner, SinglePartitioner
@@ -49,7 +48,7 @@ from .compiler import CompiledFragment, compile_fragment, effective_aggregation_
 from .cyclic import CycleQueryProgram, CycleRelation
 from .hypergraph import connected_components, detect_simple_cycle
 from .subquery import compile_subquery_filters
-from .vertex_program import GLOBAL_GROUPS_AGGREGATOR, GLOBAL_OUTPUT_AGGREGATOR
+from .vertex_program import GLOBAL_GROUPS_AGGREGATOR
 
 
 class ExecutionError(RuntimeError):
@@ -174,7 +173,6 @@ class TagJoinExecutor:
         graph: TagGraph,
         catalog: Catalog,
         num_workers: int = 1,
-        collect_output_centrally: bool = False,
         eager_partial_aggregation: bool = True,
         use_wco_cycles: bool = True,
         max_supersteps: int = 10_000,
@@ -193,7 +191,6 @@ class TagJoinExecutor:
         self.graph = graph
         self.catalog = catalog
         self.num_workers = num_workers
-        self.collect_output_centrally = collect_output_centrally
         self.eager_partial_aggregation = eager_partial_aggregation
         self.use_wco_cycles = use_wco_cycles
         self.max_supersteps = max_supersteps
@@ -297,7 +294,6 @@ class TagJoinExecutor:
             extra_residuals=[],
             use_cost_based_planner=self.use_cost_based_planner,
             eager_partial_aggregation=self.eager_partial_aggregation,
-            collect_output_centrally=self.collect_output_centrally,
             num_workers=self.num_workers,
         )
 
@@ -527,7 +523,6 @@ class TagJoinExecutor:
                     extra_residuals=extra_residuals,
                     use_cost_based_planner=self.use_cost_based_planner,
                     eager_partial_aggregation=self.eager_partial_aggregation,
-                    collect_output_centrally=self.collect_output_centrally,
                     num_workers=self.num_workers,
                 )
                 cached = self.plan_cache.lookup(key)
@@ -570,7 +565,6 @@ class TagJoinExecutor:
             extra_filters=extra_filters,
             extra_residuals=extra_residuals,
             eager_partial_aggregation=self.eager_partial_aggregation,
-            collect_output_centrally=self.collect_output_centrally,
             preferred_root=preferred_root,
         )
 
@@ -607,8 +601,6 @@ class TagJoinExecutor:
         engine = self._make_engine()
         if compiled.aggregation_class in (AggregationClass.GLOBAL, AggregationClass.SCALAR):
             register_group_aggregator(engine, slotted.aggregates)
-        if self.collect_output_centrally:
-            engine.register_aggregator(CollectAggregator(GLOBAL_OUTPUT_AGGREGATOR))
 
         program = TagJoinKernel(self.graph, compiled.config, slotted, compiled.vectorized)
         engine.run(program)

@@ -14,7 +14,6 @@ not a production mode, and the only place ``TagJoinProgram`` is built.
 from __future__ import annotations
 
 from ..algebra.logical import AggregationClass, QuerySpec
-from ..bsp.aggregators import CollectAggregator
 from ..bsp.metrics import RunMetrics
 from ..storage.rewrite import decode_output_rows
 from . import operations as ops
@@ -22,7 +21,6 @@ from .compiler import CompiledFragment
 from .executor import QueryResult, TagJoinExecutor
 from .vertex_program import (
     GLOBAL_GROUPS_AGGREGATOR,
-    GLOBAL_OUTPUT_AGGREGATOR,
     TagJoinProgram,
     register_group_aggregator,
 )
@@ -42,8 +40,6 @@ class ReferenceTagJoinExecutor(TagJoinExecutor):
         engine = self._make_engine()
         if compiled.aggregation_class in (AggregationClass.GLOBAL, AggregationClass.SCALAR):
             register_group_aggregator(engine, config.aggregates)
-        if self.collect_output_centrally:
-            engine.register_aggregator(CollectAggregator(GLOBAL_OUTPUT_AGGREGATOR))
 
         program = TagJoinProgram(self.graph, config)
         engine.run(program)

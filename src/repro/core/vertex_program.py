@@ -53,8 +53,6 @@ class ScheduledStep:
 
 #: Name of the global aggregator used for global / scalar aggregation.
 GLOBAL_GROUPS_AGGREGATOR = "tagjoin:groups"
-#: Name of the collector used when the client asks for centralized output.
-GLOBAL_OUTPUT_AGGREGATOR = "tagjoin:output"
 
 # context.state(vertex) keys — live in the run's RunState, never on the
 # shared graph, so concurrent executions of one graph cannot interfere
@@ -82,7 +80,6 @@ class FragmentConfig:
     group_by_columns: List[str] = field(default_factory=list)  # qualified names
     aggregation_class: AggregationClass = AggregationClass.NONE
     eager_partial_aggregation: bool = True
-    collect_output_centrally: bool = False
 
     @property
     def start_node_id(self) -> str:
@@ -278,11 +275,9 @@ class TagJoinProgram(VertexProgram):
         context.charge(len(rows))
 
         if config.aggregation_class is AggregationClass.NONE:
-            produced = [ops.evaluate_output_columns(config.output_columns, row) for row in rows]
-            if config.collect_output_centrally:
-                for row in produced:
-                    context.aggregate(GLOBAL_OUTPUT_AGGREGATOR, row)
-            self.output_rows.extend(produced)
+            self.output_rows.extend(
+                [ops.evaluate_output_columns(config.output_columns, row) for row in rows]
+            )
             return
 
         if config.aggregation_class is AggregationClass.LOCAL:

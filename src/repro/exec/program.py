@@ -55,7 +55,6 @@ from ..bsp.graph import Graph, Vertex, VertexId
 from ..bsp.metrics import payload_size_bytes
 from ..core.vertex_program import (
     GLOBAL_GROUPS_AGGREGATOR,
-    GLOBAL_OUTPUT_AGGREGATOR,
     FragmentConfig,
     Phase,
     ScheduledStep,
@@ -86,9 +85,6 @@ from .vectorized.operations import factorize_groups, first_row_output
 #: vs 105 ms); at 256 ``h.q9`` at 1.12x.
 COLUMNAR_THRESHOLD = 128
 
-#: per-alias ``(lo_exclusive, hi_inclusive | None)`` tuple-index window
-AliasWindow = Tuple[int, Optional[int]]
-
 
 class TagJoinKernel(VertexProgram):
     """Vertex-centric evaluation of one tree-shaped query fragment.
@@ -106,28 +102,20 @@ class TagJoinKernel(VertexProgram):
         config: FragmentConfig,
         slotted: SlottedFragment,
         vectorized: VectorizedFragment,
-        alias_ranges: Optional[Dict[str, AliasWindow]] = None,
         alias_members: Optional[Dict[str, Set[int]]] = None,
         alias_excluded: Optional[Dict[str, Set[int]]] = None,
     ) -> None:
         """
         Args:
-            alias_ranges: optional per-alias tuple-index windows restricting
-                which tuple vertices of that alias participate.  Tuple
-                vertex ids encode their 1-based insertion index (``R_7`` is
-                the 7th ``R`` tuple), so a window selects a contiguous
-                slice of a relation's load history.  Seminaïve
-                materialized-view refresh uses windows to evaluate each
-                delta term ``Q(old, .., Δ_i, .., full)`` over only the
-                relevant old/new vertices.
             alias_members: optional per-alias tuple-index *membership* sets
                 — an alias with an entry only accepts tuple vertices whose
-                index is in the set.  Deletion-delta terms use this to pin
-                one alias to exactly the deleted tuples (which are sparse,
-                not a contiguous window).
-            alias_excluded: optional per-alias tuple-index *exclusion* sets.
-                The telescoping delete terms use this to keep earlier
-                aliases on the "already deleted" side of the product.
+                1-based tuple index (physical position + 1) is in the set.
+                A view-refresh delta term pins its alias to exactly the
+                written tuples this way.
+            alias_excluded: optional per-alias tuple-index *exclusion* sets
+                — an alias with an entry rejects tuple vertices whose index
+                is in the set.  Delta terms keep earlier aliases on the
+                ``Rⱼ − Xⱼ`` side of the telescoped product this way.
 
         Aliases without an entry see the full relation.
         """
@@ -136,7 +124,6 @@ class TagJoinKernel(VertexProgram):
         self.slotted = slotted
         self.vectorized = vectorized
         self.columnar_threshold = COLUMNAR_THRESHOLD
-        self.alias_ranges = alias_ranges or {}
         self.alias_members = alias_members or {}
         self.alias_excluded = alias_excluded or {}
         self.output_rows: List[SlottedRow] = []
@@ -165,19 +152,13 @@ class TagJoinKernel(VertexProgram):
         admit = self._admit[start.alias]
         if admit is None:
             return graph.vertices_with_label(start.table)
-        # an alias pinned to a member set or an index window seeds the
-        # frontier from those indexes instead of scanning the whole label
-        pinned: Optional[Iterable[int]] = self.alias_members.get(start.alias)
-        window = self.alias_ranges.get(start.alias)
-        if pinned is None and window is not None:
-            last = window[1]
-            if last is None:
-                last = self.graph.tuple_index_ceiling(start.table)
-            pinned = range(window[0] + 1, last + 1)
+        # an alias pinned to a member set seeds the frontier from those
+        # indexes, ascending, instead of scanning the whole label
+        pinned = self.alias_members.get(start.alias)
         if pinned is None:
             candidates: Iterable[VertexId] = graph.vertices_with_label(start.table)
         else:
-            ids = (tuple_vertex_id(start.table, index) for index in pinned)
+            ids = (tuple_vertex_id(start.table, index) for index in sorted(pinned))
             candidates = [vertex_id for vertex_id in ids if graph.has_vertex(vertex_id)]
         return [vertex_id for vertex_id in candidates if admit(graph.vertex(vertex_id))]
 
@@ -441,11 +422,7 @@ class TagJoinKernel(VertexProgram):
 
         if config.aggregation_class is AggregationClass.NONE:
             output = slotted.output
-            produced = [output(row) for row in rows]
-            if config.collect_output_centrally:
-                for row in produced:
-                    context.aggregate(GLOBAL_OUTPUT_AGGREGATOR, row)
-            self.output_rows.extend(produced)
+            self.output_rows.extend([output(row) for row in rows])
             return
 
         aggregates = slotted.aggregates
@@ -486,11 +463,7 @@ class TagJoinKernel(VertexProgram):
         context.charge(len(rows))
 
         if config.aggregation_class is AggregationClass.NONE:
-            produced = ColumnBatch(vectorized.outputs(rows), rows.length)
-            self.output_batches.append(produced)
-            if config.collect_output_centrally:
-                for row in produced.to_tuples():
-                    context.aggregate(GLOBAL_OUTPUT_AGGREGATOR, row)
+            self.output_batches.append(ColumnBatch(vectorized.outputs(rows), rows.length))
             return
 
         aggregates = vectorized.aggregates
@@ -530,22 +503,18 @@ class TagJoinKernel(VertexProgram):
     # helpers
     # ------------------------------------------------------------------
     def _admission(self, alias: str) -> Optional[Callable[[Vertex], bool]]:
-        """Compile the alias's window / membership / exclusion sets and its
+        """Compile the alias's membership / exclusion sets and its
         pushed-down filter into one test on a tuple vertex (None: all pass)."""
         predicate = self.slotted.filters.get(alias)
-        window = self.alias_ranges.get(alias)
         members = self.alias_members.get(alias)
         excluded = self.alias_excluded.get(alias)
-        if window is None and members is None and excluded is None:
+        if members is None and excluded is None:
             if predicate is None:
                 return None
             return lambda vertex: predicate(vertex.properties[TUPLE_DATA_KEY])
-        lo_exclusive, hi_inclusive = window if window is not None else (0, None)
 
         def admit(vertex: Vertex) -> bool:
             index = vertex.properties[TUPLE_INDEX_KEY]
-            if index <= lo_exclusive or (hi_inclusive is not None and index > hi_inclusive):
-                return False
             if members is not None and index not in members:
                 return False
             if excluded is not None and index in excluded:

@@ -11,9 +11,10 @@ This package replaces that with delta maintenance end to end:
   the :class:`~repro.tag.encoder.TagGraph` (the paper's Section 3
   observation that attribute vertices are cheaper to maintain than RDBMS
   indexes: writes are local edge changes);
-* :mod:`~repro.incremental.views` — materialized views maintained by
-  seminaïve delta re-runs over only the new vertices (iterated supersteps
-  on the BSP engine), after *Modular Materialisation of Datalog Programs*;
+* :mod:`~repro.incremental.views` — materialized views maintained by one
+  signed seminaïve delta over only the written tuple vertices (iterated
+  supersteps on the BSP engine), after *Modular Materialisation of
+  Datalog Programs*;
 * :mod:`~repro.incremental.locks` — the reader/writer lock serializing
   delta application against in-flight reads;
 * :mod:`~repro.incremental.maintenance` — the counters surfaced through
@@ -41,8 +42,7 @@ _EXPORTS = {
     "MaterializedView": "views",
     "ViewError": "views",
     "view_refresh_mode": "views",
-    "refresh_view_delta": "views",
-    "refresh_view_delete": "views",
+    "refresh_view": "views",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -1,30 +1,37 @@
-"""Materialized views maintained by seminaïve delta re-runs.
+"""Materialized views maintained by one signed seminaïve delta.
 
 A view registered through :meth:`repro.api.Database.materialize` stores
-its result.  When a delta of new tuples lands, re-running the whole
-query would scan everything again; instead the classic seminaïve
-expansion (after *Modular Materialisation of Datalog Programs*) rewrites
-the delta of an n-way join as a sum of n terms, each touching the new
-tuples of exactly one alias::
+its result.  Re-running the whole query per write would scan everything
+again.  Instead, the TAG encoding gives every tuple its own vertex, so a
+write is a set ``Xᵢ`` of tuple vertices per relation, and the counting /
+seminaïve expansion (after *Modular Materialisation of Datalog
+Programs*) telescopes the change of an n-way join into n terms, each
+touching the written tuples of exactly one alias::
 
-    Δ(R₁ ⋈ … ⋈ Rₙ) = Σᵢ  old(R₁) ⋈ … ⋈ old(Rᵢ₋₁) ⋈ Δ(Rᵢ) ⋈ full(Rᵢ₊₁) ⋈ … ⋈ full(Rₙ)
+    Δ(R₁ ⋈ … ⋈ Rₙ) = ±Σᵢ (R₁−X₁) ⋈ … ⋈ (Rᵢ₋₁−Xᵢ₋₁) ⋈ Xᵢ ⋈ Rᵢ₊₁ ⋈ … ⋈ Rₙ
 
-(the old/full split prevents double counting when several aliases — or
-the same table self-joined — grew in one write).  Tuple vertex ids encode
-their 1-based insertion index, so "old", "Δ" and "full" are per-alias
-*index windows*; each term compiles to the view's cached plan fragment
-run with :class:`~repro.exec.program.TagJoinKernel`'s
-``alias_ranges`` windows over only the relevant vertices — iterated
-supersteps on the BSP engine, touching nothing outside the delta's join
-neighbourhood.
+evaluated on a graph that holds ``X``.  For an insert the ``Rᵢ`` are the
+post-insert relations and the sum is added; for a delete they are the
+pre-delete relations and the sum is removed.  The ``Rⱼ−Xⱼ`` split
+prevents double counting when several aliases — or the same table
+self-joined — were written at once.
 
-Deletes maintain the same views by the mirrored telescoping (see
-:func:`refresh_view_delete`): each term pins one alias to exactly the
-deleted tuple vertices via sparse membership sets and derives the rows
-the delete removes — counting-based maintenance, run against the
-pre-delete graph.
+:func:`refresh_view` is that identity, once.  Term *i* runs the view's
+cached plan fragment with :class:`~repro.exec.program.TagJoinKernel`'s
+per-alias tuple-index sets: alias *i* is pinned to ``Xᵢ`` by a *member*
+set, earlier aliases over a touched relation drop ``Xⱼ`` by an
+*exclusion* set.  Sets are tested per (vertex, alias) pair, so the
+identity holds under self-joins without a DRed over-delete/re-derive
+pass.  Each term runs as iterated supersteps on the BSP engine, touching
+nothing outside the write's join neighbourhood.
 
-Both directions produce an exact *bag* delta of fragment rows, which the
+A write that deletes and inserts (an update) calls it twice, because the
+graph holds each half at a different moment: the delete terms before the
+graph patch (they join the dead tuples against state that still contains
+them), the insert terms after it (the new tuple vertices exist only
+then).
+
+Both calls produce an exact *bag* delta of fragment rows, which the
 view folds into its stored state (:meth:`MaterializedView.fold`):
 
 * ``"delta"`` views (connected join/filter/projection blocks) keep a
@@ -51,7 +58,7 @@ re-materializes the view.  It may differ from a cold left-to-right
 re-execution by a few ulps.  Integer sums stay Python ints.
 
 Initial population and every rebuild fold the same fragment run without
-windows (:func:`populate_view`).  Views whose delta isn't expressible
+restrictions (:func:`populate_view`).  Views whose delta isn't expressible
 this way (subqueries, outer joins, a disconnected join graph) are
 recomputed on write through the engine; the database reports them
 separately (``views_recomputed`` vs ``views_refreshed``).
@@ -64,7 +71,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..algebra.expressions import Expression
 from ..algebra.logical import AggFunc, OutputColumn, QuerySpec
@@ -81,8 +88,7 @@ __all__ = [
     "MaterializedView",
     "view_refresh_mode",
     "populate_view",
-    "refresh_view_delta",
-    "refresh_view_delete",
+    "refresh_view",
     "run_view_fragment",
 ]
 
@@ -347,8 +353,6 @@ class MaterializedView:
     #: aggregate views: group key -> partial state, and its finalized row
     groups: Dict[Any, _Group] = field(default_factory=dict)
     finals: Dict[Any, Dict[str, Any]] = field(default_factory=dict)
-    #: per-relation tuple counts the stored state reflects
-    base_counts: Dict[str, int] = field(default_factory=dict)
     refresh_count: int = 0
     recompute_count: int = 0
     last_refresh_seconds: float = 0.0
@@ -472,16 +476,15 @@ class MaterializedView:
 
 
 # ----------------------------------------------------------------------
-# fragment execution with per-alias windows
+# fragment execution with per-alias member / exclusion sets
 # ----------------------------------------------------------------------
 def run_view_fragment(
     graph: TagGraph,
     compiled: Any,
-    alias_ranges: Optional[Dict[str, Tuple[int, Optional[int]]]] = None,
     alias_members: Optional[Dict[str, Set[int]]] = None,
     alias_excluded: Optional[Dict[str, Set[int]]] = None,
 ) -> List[Row]:
-    """Run a compiled NONE-aggregation fragment, windowed per alias.
+    """Run a compiled NONE-aggregation fragment, restricted per alias.
 
     Returns decoded value tuples in ``compiled.slotted.output_columns``
     order — the keys of a view's bag.
@@ -493,7 +496,6 @@ def run_view_fragment(
         compiled.config,
         compiled.slotted,
         compiled.vectorized,
-        alias_ranges=alias_ranges,
         alias_members=alias_members,
         alias_excluded=alias_excluded,
     )
@@ -518,112 +520,57 @@ def run_view_fragment(
     return decoded
 
 
-def note_base_counts(view: MaterializedView, catalog: Catalog) -> None:
-    """Record the per-relation tuple counts the view's state reflects."""
-    # physical, not live: base_counts mirror the tuple-counter space
-    view.base_counts = {
-        table: catalog.relation(table).physical_count for table in view.base_tables
-    }
-
-
 def populate_view(view: MaterializedView, graph: TagGraph, catalog: Catalog) -> None:
-    """(Re)build an incremental view: fold one unwindowed fragment run."""
+    """(Re)build an incremental view: fold one unrestricted fragment run."""
     compiled = view.compiled_for(catalog)
     view.clear()
     if view.mode == "delta":
         view.columns = list(compiled.slotted.output_columns)
     view.fold(run_view_fragment(graph, compiled), 1)
-    note_base_counts(view, catalog)
     view.recompute_count += 1
 
 
-def refresh_view_delta(
+def refresh_view(
     view: MaterializedView,
     graph: TagGraph,
     catalog: Catalog,
-    changed: Dict[str, Tuple[int, int]],
+    touched: Dict[str, Iterable[int]],
+    sign: int,
 ) -> int:
-    """Fold a write's appended rows into the view; returns rows folded.
+    """Fold one signed delta term sum into the view; returns rows folded.
+
+    Term *i* pins alias *i* to its relation's touched tuples, excludes
+    them from every earlier alias over a touched relation, and lets later
+    aliases see the full relation (see the module docstring).  ``graph``
+    must hold the touched tuples: the pre-patch graph for deletes
+    (``sign`` -1), the patched one for inserts (``sign`` 1).
 
     Args:
-        changed: ``relation -> (old_count, new_count)`` for every base
-            relation that actually received rows in this write.  Counts
-            are *physical* (tombstones included): tuple vertex indexes
-            equal physical position + 1, so windows over vertex indexes
-            only line up with physical coordinates.  Relations of the
-            view absent from ``changed`` are treated as unchanged
-            (old == full).
+        touched: ``relation -> tuple vertex indexes`` (1-based, i.e.
+            physical position + 1) for every relation the write touched;
+            relations absent from it are unchanged.
     """
     started = time.perf_counter()
     compiled = view.compiled_for(catalog)
+    touched_sets = {table: set(indexes) for table, indexes in touched.items()}
     aliases = [(table_ref.alias, table_ref.table) for table_ref in view.spec.tables]
-    added: List[Row] = []
+    rows: List[Row] = []
     for i, (alias_i, table_i) in enumerate(aliases):
-        window = changed.get(table_i)
-        if window is None:
-            continue  # Δᵢ is empty — the whole term vanishes
-        ranges: Dict[str, Tuple[int, Optional[int]]] = {alias_i: (window[0], None)}
-        for alias_j, table_j in aliases[:i]:
-            old_count = changed.get(table_j)
-            if old_count is not None:
-                ranges[alias_j] = (0, old_count[0])
-        added.extend(run_view_fragment(graph, compiled, ranges))
-    view.fold(added, 1)
-    note_base_counts(view, catalog)
-    view.refresh_count += 1
-    view.last_delta_rows = len(added)
-    view.last_refresh_seconds = time.perf_counter() - started
-    return len(added)
-
-
-def refresh_view_delete(
-    view: MaterializedView,
-    graph: TagGraph,
-    catalog: Catalog,
-    deleted: Dict[str, Set[int]],
-) -> int:
-    """Fold a delete out of the view; returns rows removed.
-
-    The deletion mirror of :func:`refresh_view_delta`.  Writing the
-    post-delete state as ``(R₁−D₁) ⋈ … ⋈ (Rₙ−Dₙ)``, the removed result
-    rows telescope exactly::
-
-        old − new = Σᵢ (R₁−D₁) ⋈ … ⋈ (Rᵢ₋₁−Dᵢ₋₁) ⋈ Dᵢ ⋈ Rᵢ₊₁ ⋈ … ⋈ Rₙ
-
-    Term *i* pins alias *i* to exactly the deleted tuples (a sparse
-    *membership* set, not a window) and keeps earlier aliases on the
-    already-deleted side via *exclusion* sets.  Membership and exclusion
-    are evaluated per (vertex, alias) pair by the vertex program, so the
-    identity holds even when the deleted table appears under several
-    aliases (self-joins) — no DRed over-delete/re-derive pass is needed.
-
-    MUST run against the *pre-delete* graph: terms with ``j > i`` read
-    the full relations, deleted vertices included.
-
-    Args:
-        deleted: ``relation -> deleted tuple vertex indexes`` (1-based,
-            i.e. physical position + 1) for every relation losing rows.
-    """
-    started = time.perf_counter()
-    compiled = view.compiled_for(catalog)
-    aliases = [(table_ref.alias, table_ref.table) for table_ref in view.spec.tables]
-    removed: List[Row] = []
-    for i, (alias_i, table_i) in enumerate(aliases):
-        dead = deleted.get(table_i)
-        if not dead:
-            continue  # Dᵢ is empty — the whole term vanishes
-        members = {alias_i: set(dead)}
-        excluded: Dict[str, Set[int]] = {}
-        for alias_j, table_j in aliases[:i]:
-            dead_j = deleted.get(table_j)
-            if dead_j:
-                excluded[alias_j] = set(dead_j)
-        removed.extend(
-            run_view_fragment(graph, compiled, alias_members=members, alias_excluded=excluded)
+        members = touched_sets.get(table_i)
+        if not members:
+            continue  # Xᵢ is empty: the whole term vanishes
+        excluded = {
+            alias_j: touched_sets[table_j]
+            for alias_j, table_j in aliases[:i]
+            if touched_sets.get(table_j)
+        }
+        rows.extend(
+            run_view_fragment(
+                graph, compiled, alias_members={alias_i: members}, alias_excluded=excluded
+            )
         )
-    view.fold(removed, -1)
-    note_base_counts(view, catalog)
+    view.fold(rows, sign)
     view.refresh_count += 1
-    view.last_delta_rows = len(removed)
+    view.last_delta_rows = len(rows)
     view.last_refresh_seconds = time.perf_counter() - started
-    return len(removed)
+    return len(rows)

@@ -11,11 +11,6 @@ for "millions of users" lives here:
   schema contract.
 * :mod:`repro.serve.client` — ``await connect(host, port)`` and a
   pipelining :class:`ServeClient` with remote prepared statements.
-* :mod:`repro.serve.driver` — a seeded closed-loop workload driver that
-  hammers a live server with mixed SELECT / parameterized / write
-  traffic at a target QPS and writes the ``BENCH_serving.json``
-  artifact (p50/p99 latency, sustained QPS, timeout/rejection counts,
-  cold-vs-warm compile assertion).
 """
 
 from .breaker import CircuitBreaker

@@ -20,7 +20,7 @@ Requests pipeline freely: every request gets a fresh ``id`` and a reader
 task dispatches responses by id, so concurrent ``await``\\ s on one client
 are safe.  Server-side failures surface as :class:`ServerError` with the
 machine-readable ``code`` (``queue_full``, ``deadline_exceeded``, ...) so
-callers — the workload driver above all — can count rejection classes
+callers — load generators above all — can count rejection classes
 without string-matching messages.
 
 **Retries are idempotent by construction.**  Every operation retries
@@ -108,7 +108,7 @@ class ServeClient:
         self._closed = False
         #: frames that failed validate_response_frame (should stay empty)
         self.invalid_frames: List[str] = []
-        #: retry observability, for the driver's ledger
+        #: retry observability, for load generators
         self.retries = 0
         self.reconnects = 0
 

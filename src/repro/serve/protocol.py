@@ -35,9 +35,9 @@ Values inside ``params``, ``rows`` and result payloads use the
 type-tagged scalar encoding of :mod:`repro.core.wire`.
 
 :func:`validate_response_frame` is the schema contract: the client
-library, the workload driver and the serving tests all run every frame
-through it, and CI fails if any frame the server emits does not satisfy
-it.
+library, the perf ledger's ``serve_mixed`` workload and the serving
+tests all run every frame through it, and CI fails if any frame the
+server emits does not satisfy it.
 """
 
 from __future__ import annotations
@@ -165,14 +165,14 @@ def validate_request_frame(frame: Dict[str, Any]) -> Tuple[Any, str]:
 
 
 # ----------------------------------------------------------------------
-# response validation (the driver/CI schema contract)
+# response validation (the client/CI schema contract)
 # ----------------------------------------------------------------------
 def validate_response_frame(frame: Any) -> Optional[str]:
     """Return ``None`` for a well-formed response frame, else the defect.
 
-    Used by the client library on every frame it reads and by the workload
-    driver to fail the serving benchmark when the server emits anything
-    off-schema.
+    Used by the client library on every frame it reads and by the perf
+    ledger's ``serve_mixed`` workload to fail a run when the server emits
+    anything off-schema.
     """
     if not isinstance(frame, dict):
         return "response frame is not an object"

@@ -52,8 +52,8 @@ from ..storage.encoding import (
 #: encoding — use :meth:`TagGraph.decoded_tuple_data` at the boundary).
 TUPLE_DATA_KEY = "tuple"
 #: Property key under which a tuple vertex stores its 1-based tuple index
-#: (the ``7`` of ``R_7``: physical row position + 1), so windowed view
-#: refresh never parses it back out of the vertex id.
+#: (the ``7`` of ``R_7``: physical row position + 1), so view refresh's
+#: member and exclusion sets never parse it back out of the vertex id.
 TUPLE_INDEX_KEY = "index"
 #: Property key under which an attribute vertex stores its (decoded) value.
 ATTRIBUTE_VALUE_KEY = "value"
@@ -415,10 +415,6 @@ class TagGraph(Graph):
         ]
         self.delete_tuples(deleted)
         return deleted
-
-    def tuple_index_ceiling(self, relation_name: str) -> int:
-        """The largest tuple index the relation has ever been assigned."""
-        return self._tuple_counters.get(relation_name, 0)
 
     def note_tuple_floor(self, relation_name: str, count: int) -> None:
         """Raise the relation's tuple counter to at least ``count`` so the

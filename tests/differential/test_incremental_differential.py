@@ -16,8 +16,8 @@ Separate tests drive materialized views through randomized write
 sequences and check they stay identical to cold re-execution — the
 acceptance property of seminaïve view maintenance: a join view under
 ``load_rows``, and aggregate views (grouped and global, single-table and
-join) under interleaved inserts, updates and deletes, checked after
-every write.  ``-m differential`` runs the aggregate script for
+join) beside a DISTINCT join view and a filtered self-join view under
+interleaved inserts, updates and deletes, checked after every write.  ``-m differential`` runs the aggregate script for
 ``DIFFERENTIAL_EXAMPLES`` writes.
 """
 
@@ -328,6 +328,21 @@ AGGREGATE_VIEWS = {
     ),
 }
 
+#: keyed-bag views maintained beside the aggregate ones: DISTINCT is
+#: applied at serve time over the bag, and a self-join is where the
+#: exclusion sets on earlier aliases decide whether a write touching both
+#: aliases' relation is counted once
+DELTA_VIEWS = {
+    "region_statuses": (
+        "SELECT DISTINCT t0.C_REGION AS region, t1.O_STATUS AS status "
+        "FROM CUST t0, ORD t1 WHERE t0.C_ID = t1.O_CUST"
+    ),
+    "co_orders": (
+        "SELECT t0.O_ID AS first, t1.O_ID AS second, t1.O_TOTAL AS total "
+        "FROM ORD t0, ORD t1 WHERE t0.O_CUST = t1.O_CUST AND t1.O_TOTAL > 500"
+    ),
+}
+
 #: per table, the non-key columns an update may rewrite (keys stay put so
 #: the surviving delta rows remain FK-valid)
 _UPDATABLE = {"CUST": (1, 3, 5), "ORD": (2, 3, 4), "ITEM": (2, 3, 4)}
@@ -349,6 +364,10 @@ def assert_aggregates_close(served, cold, context: str) -> None:
                 assert got_value == want_value, (got_row, want_row, context)
 
 
+def bag(result) -> Counter:
+    return Counter(tuple(sorted(row.items())) for row in result.rows)
+
+
 def run_aggregate_view_script(seed: int, writes: int) -> None:
     """``writes`` random writes; every view equals cold re-execution after each."""
     rng = random.Random(seed)
@@ -356,6 +375,8 @@ def run_aggregate_view_script(seed: int, writes: int) -> None:
     database = make_database()
     for name, sql in AGGREGATE_VIEWS.items():
         assert database.materialize(sql, name=name)["mode"] == "aggregate"
+    for name, sql in DELTA_VIEWS.items():
+        assert database.materialize(sql, name=name)["mode"] == "delta"
     # surviving delta rows per table: the reference's extension set
     shadow: Dict[str, List[list]] = {"CUST": [], "ORD": [], "ITEM": []}
     fresh = {"CUST": generator.rows_for("CUST", 8), "ORD": generator.rows_for("ORD", 8)}
@@ -389,6 +410,10 @@ def run_aggregate_view_script(seed: int, writes: int) -> None:
                 database.query_view(name),
                 reference.connect().sql(sql),
                 f"view {name} after write {step} ({kind} {table}), seed {seed}",
+            )
+        for name, sql in DELTA_VIEWS.items():
+            assert bag(database.query_view(name)) == bag(reference.connect().sql(sql)), (
+                f"view {name} after write {step} ({kind} {table}), seed {seed}"
             )
 
     maintenance = database.cache_stats()["maintenance"]

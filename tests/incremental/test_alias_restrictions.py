@@ -1,10 +1,10 @@
-"""Per-alias windows, member sets and exclusion sets of the TAG-join kernel.
+"""Per-alias member sets and exclusion sets of the TAG-join kernel.
 
-View refresh evaluates each delta term by restricting aliases to slices of
-their relation's tuple-index space.  The kernel reads a tuple's index off
-the vertex (stored at encode time, never parsed back out of the id) and,
-when the *start* alias is pinned to a member set or a window, seeds the
-first frontier from those indexes instead of scanning the relation.
+View refresh evaluates each delta term by restricting aliases to subsets
+of their relation's tuple-index space.  The kernel reads a tuple's index
+off the vertex (stored at encode time, never parsed back out of the id)
+and, when the *start* alias is pinned to a member set, seeds the first
+frontier from those indexes instead of scanning the relation.
 """
 
 import pytest
@@ -56,21 +56,26 @@ def test_tuple_vertices_carry_their_index(fragment):
 
 
 @pytest.mark.parametrize("alias,index_of,column", [("c", CUSTOMER_INDEX, 0), ("o", ORDER_INDEX, 1)])
-def test_windows_members_and_exclusions_restrict_one_alias(fragment, alias, index_of, column):
+def test_members_and_exclusions_restrict_one_alias(fragment, alias, index_of, column):
     graph, compiled = fragment
 
     def expected(keep):
         return [row for row in FULL_JOIN if keep(index_of[row[column]])]
 
     assert run(graph, compiled) == FULL_JOIN
-    assert run(graph, compiled, alias_ranges={alias: (2, None)}) == expected(lambda i: i > 2)
-    assert run(graph, compiled, alias_ranges={alias: (1, 3)}) == expected(lambda i: 1 < i <= 3)
+    # the tail of the load history: everything after index 2
+    assert run(graph, compiled, alias_excluded={alias: {1, 2}}) == expected(lambda i: i > 2)
+    assert run(graph, compiled, alias_members={alias: set(range(3, 8))}) == expected(
+        lambda i: i > 2
+    )
+    # a contiguous slice of it
+    assert run(graph, compiled, alias_members={alias: {2, 3}}) == expected(lambda i: 1 < i <= 3)
     assert run(graph, compiled, alias_members={alias: {1, 4}}) == expected(lambda i: i in (1, 4))
     assert run(graph, compiled, alias_excluded={alias: {1, 4}}) == expected(
         lambda i: i not in (1, 4)
     )
     assert run(
-        graph, compiled, alias_ranges={alias: (0, 4)}, alias_excluded={alias: {3}}
+        graph, compiled, alias_members={alias: {1, 2, 3, 4}}, alias_excluded={alias: {3}}
     ) == expected(lambda i: i <= 4 and i != 3)
     assert run(graph, compiled, alias_members={alias: set()}) == []
 
@@ -86,13 +91,24 @@ def test_a_pinned_start_alias_seeds_the_frontier_without_a_label_scan(fragment, 
 
     monkeypatch.setattr(graph, "vertices_with_label", no_scan)
     assert run(graph, compiled, alias_members={start: {1, 3}}) == expected
+    # the frontier is seeded in ascending tuple-index order
+    kernel = TagJoinKernel(
+        graph,
+        compiled.config,
+        compiled.slotted,
+        compiled.vectorized,
+        alias_members={start: {4, 77, 1, 3}},
+    )
+    table = "CUSTOMER" if start == "c" else "ORDERS"
+    assert kernel.initial_active_vertices(graph) == [f"{table}_{i}" for i in (1, 3, 4)]
     # indexes naming no vertex (a tombstoned position, one never assigned) are skipped
     assert run(graph, compiled, alias_members={start: {1, 3, 77}}) == expected
-    # a closed window, and an open one closed by the relation's index ceiling
-    assert run(graph, compiled, alias_ranges={start: (0, 3)}) == [
+    # a head and a tail of the load history, the tail's set reaching past
+    # the last index the relation was assigned
+    assert run(graph, compiled, alias_members={start: {1, 2, 3}}) == [
         row for row in FULL_JOIN if index_of[row[column]] <= 3
     ]
-    assert run(graph, compiled, alias_ranges={start: (3, None)}) == [
+    assert run(graph, compiled, alias_members={start: set(range(4, 12))}) == [
         row for row in FULL_JOIN if index_of[row[column]] > 3
     ]
 
