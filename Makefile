@@ -1,11 +1,13 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-stress test-differential test-chaos perf perf-quick perf-tests bench-smoke bench-incremental bench-delete bench-recovery bench examples lint format-check
+.PHONY: test test-stress test-differential test-chaos perf perf-quick perf-tests bench-recovery bench examples lint format-check
 
 test:
 	$(PYTHON) -m pytest -x -q
 
+# concurrency stress plus the write-path timing gates
+# (tests/stress/test_write_path_gates.py)
 test-stress:
 	$(PYTHON) -m pytest -m stress -q
 
@@ -35,26 +37,6 @@ perf-quick:
 
 perf-tests:
 	$(PYTHON) -m pytest perf/tests -q
-
-bench-smoke:
-	$(PYTHON) -m repro.bench.smoke --scale 0.03 --out benchmarks/results/smoke.json
-
-# delta ingest vs scorched-earth rebuild at 1/100/10k-row batches plus
-# seminaïve view refresh cost; exits non-zero if a <=1% delta is not
-# measurably sub-linear, a data-only write recompiles a plan, or the
-# patched graph/view diverge from a cold rebuild
-bench-incremental:
-	$(PYTHON) -m repro.bench.incremental --base-rows 20000 \
-		--out benchmarks/results/BENCH_incremental.json
-
-# tombstone delete deltas vs scorched-earth rebuild; exits non-zero if
-# deleting 1% of 20k rows is not >=10x faster than the full rebuild, a
-# 1-row by-value delete at 20k rows takes more than 3x what it takes at
-# 2k (median of 31), a delete recompiles a plan or triggers a full
-# rebuild, or the patched graph/maintained view diverge from a cold rebuild
-bench-delete:
-	$(PYTHON) -m repro.bench.delete --base-rows 20000 \
-		--out benchmarks/results/BENCH_delete.json
 
 # WAL write-path overhead + recovery-time curve; exits non-zero if a
 # recovered database diverges from a clean load or buffered-WAL ingest

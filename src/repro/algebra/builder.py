@@ -107,44 +107,6 @@ class QueryBuilder:
         )
         return self
 
-    def in_subquery(
-        self,
-        outer_expr: Expression,
-        subquery: QuerySpec,
-        inner_column: ColumnRef,
-        negated: bool = False,
-        correlation: Iterable[JoinCondition] = (),
-    ) -> "QueryBuilder":
-        kind = SubqueryKind.NOT_IN if negated else SubqueryKind.IN
-        self._spec.subqueries.append(
-            SubqueryPredicate(
-                kind=kind,
-                query=subquery,
-                outer_expr=outer_expr,
-                inner_column=inner_column,
-                correlation=list(correlation),
-            )
-        )
-        return self
-
-    def scalar_subquery(
-        self,
-        outer_expr: Expression,
-        comparison_op: str,
-        subquery: QuerySpec,
-        correlation: Iterable[JoinCondition] = (),
-    ) -> "QueryBuilder":
-        self._spec.subqueries.append(
-            SubqueryPredicate(
-                kind=SubqueryKind.SCALAR,
-                query=subquery,
-                outer_expr=outer_expr,
-                comparison_op=comparison_op,
-                correlation=list(correlation),
-            )
-        )
-        return self
-
     # ------------------------------------------------------------------
     # GROUP BY / aggregates / SELECT list
     # ------------------------------------------------------------------

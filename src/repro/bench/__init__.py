@@ -1,11 +1,17 @@
-"""Benchmark harness, reporting and memory measurement."""
+"""Benchmark harness, reporting and memory measurement for ``benchmarks/``.
+
+The paper's tables and figures are regenerated by ``benchmarks/`` through
+these helpers; the perf ledger (``perf/`` + ``BENCHMARK.json``) is the
+per-commit trajectory.  Write-path gates live in the test suite: the
+timing bounds in ``tests/stress/test_write_path_gates.py`` (``-m stress``)
+and the correctness checks in tier-1.  ``recovery`` is the one CLI bench
+left here (``make bench-recovery``).
+"""
 
 from .harness import (
     QueryRun,
     WorkloadReport,
     default_engines,
-    parameterized_execution_report,
-    repeated_execution_report,
     result_checksum,
     run_query,
     run_workload,
@@ -29,10 +35,8 @@ __all__ = [
     "default_engines",
     "format_table",
     "network_table",
-    "parameterized_execution_report",
     "peak_memory_bytes",
     "per_query_table",
-    "repeated_execution_report",
     "result_checksum",
     "run_query",
     "run_workload",

@@ -10,13 +10,12 @@ speedup tables).
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..api.registry import EngineContext, create_engine
-from ..core.executor import QueryResult, TagJoinExecutor
+from ..core.executor import QueryResult
 from ..relational.catalog import Catalog
 from ..sql import parse_and_bind
 from ..tag.encoder import TagGraph, encode_catalog
@@ -275,181 +274,6 @@ def run_query(
             row_count=0,
             error=f"{type(exc).__name__}: {exc}",
         )
-
-
-def repeated_execution_report(
-    executor: TagJoinExecutor,
-    catalog: Catalog,
-    sql: str,
-    repeats: int = 3,
-    name: str = "repeated",
-) -> Dict[str, Any]:
-    """Execute one query ``repeats`` times and report the plan cache's effect.
-
-    The first execution compiles (cache miss); subsequent executions should
-    hit the cache and spend (near) zero time in compilation.  The returned
-    report carries per-iteration compile/wall times plus the executor's
-    cache counters — this is what the smoke benchmark and CI artifact use
-    to demonstrate the amortization.
-    """
-    spec = parse_and_bind(sql, catalog, name=name)
-    iterations: List[Dict[str, Any]] = []
-    first_rows: Optional[List[Tuple]] = None
-    for index in range(max(1, repeats)):
-        result = executor.execute(spec)
-        if first_rows is None:
-            first_rows = result.to_tuples()
-        elif result.to_tuples() != first_rows:
-            raise AssertionError(
-                f"repeated execution of {name!r} returned differing rows at iteration {index}"
-            )
-        iterations.append(
-            {
-                "iteration": index,
-                "wall_seconds": result.metrics.wall_time_seconds,
-                "compile_seconds": result.metrics.compile_seconds,
-                "plan_cache_hits": result.metrics.plan_cache_hits,
-                "plan_cache_misses": result.metrics.plan_cache_misses,
-                "rows": len(result.rows),
-            }
-        )
-    first_compile = iterations[0]["compile_seconds"]
-    warm = iterations[1:] or iterations
-    warm_compile = sum(item["compile_seconds"] for item in warm) / len(warm)
-    return {
-        "query": name,
-        "repeats": len(iterations),
-        "iterations": iterations,
-        "first_compile_seconds": first_compile,
-        "warm_mean_compile_seconds": warm_compile,
-        "compile_speedup": (first_compile / warm_compile) if warm_compile > 0 else float("inf"),
-        "plan_cache": executor.plan_cache_stats(),
-    }
-
-
-def parameterized_execution_report(
-    database: Any,
-    sql: str,
-    param_sets: Sequence[Any],
-    engine: Optional[str] = None,
-    name: str = "parameterized",
-) -> Dict[str, Any]:
-    """Execute one prepared statement over several parameter sets and report
-    the parameter-generic plan cache's effect.
-
-    Because the plan-cache fingerprint renders parameters by name rather
-    than by value, only the first execution should compile; every later
-    parameter set — even with different values — must be a warm hit.  The
-    returned report (part of the smoke-bench JSON artifact) carries the
-    per-iteration counters plus the hit rate over the warm executions.
-    """
-    session = database.connect(engine=engine)
-    statement = session.prepare(sql, name=name)
-    iterations: List[Dict[str, Any]] = []
-    for index, params in enumerate(param_sets):
-        result = statement.execute(params)
-        iterations.append(
-            {
-                "iteration": index,
-                "params": params,
-                "rows": len(result.rows),
-                "wall_seconds": result.metrics.wall_time_seconds,
-                "compile_seconds": result.metrics.compile_seconds,
-                "plan_cache_hits": result.metrics.plan_cache_hits,
-                "plan_cache_misses": result.metrics.plan_cache_misses,
-            }
-        )
-    warm = iterations[1:]
-    warm_hits = sum(item["plan_cache_hits"] for item in warm)
-    return {
-        "query": name,
-        "sql": " ".join(sql.split()),
-        "parameters": statement.parameter_names,
-        "executions": len(iterations),
-        "iterations": iterations,
-        "cold_misses": iterations[0]["plan_cache_misses"] if iterations else 0,
-        "warm_hits": warm_hits,
-        "warm_hit_rate": warm_hits / len(warm) if warm else 0.0,
-        "cache_stats": database.cache_stats(),
-    }
-
-
-def concurrent_execution_report(
-    database: Any,
-    sql: str,
-    param_sets: Sequence[Any],
-    threads: int = 4,
-    batch_size: int = 32,
-    name: str = "concurrent",
-) -> Dict[str, Any]:
-    """Measure batched throughput of one parameterized query under several
-    execution strategies.
-
-    The report (part of the smoke-bench JSON artifact) executes one batch
-    of ``batch_size`` parameterized queries three ways:
-
-    * ``serial`` — a plain one-thread loop; also the ground truth every
-      other mode's row sets are compared against.
-    * ``threads`` — :meth:`repro.api.Database.execute_many` with a thread
-      pool.  Correctness under real interleaving; wall-clock bounded by
-      the GIL for this pure-Python engine.
-    * ``processes`` — ``execute_many(mode="process")``, fork-based workers
-      sharing the encoded graph copy-on-write (skipped where ``fork`` is
-      unavailable).  This is where multi-core hardware shows up as
-      throughput.
-
-    ``speedup_vs_serial`` is the best concurrent mode's throughput over
-    the serial loop; ``cpu_count`` is recorded so a single-core reading
-    (where no strategy *can* beat a serial loop) is interpretable.
-    """
-    items = [(sql, param_sets[index % len(param_sets)]) for index in range(batch_size)]
-    session = database.connect()
-    session.sql(sql, params=items[0][1])  # warm the shared plan cache
-
-    def timed(run: Callable[[], List[Any]]) -> Tuple[float, List[Any]]:
-        started = time.perf_counter()
-        results = run()
-        return time.perf_counter() - started, results
-
-    serial_seconds, serial_results = timed(
-        lambda: [session.sql(query, params=bindings) for query, bindings in items]
-    )
-    truth = [result.to_tuples() for result in serial_results]
-
-    threaded_seconds, threaded_results = timed(
-        lambda: database.execute_many(items, max_workers=threads)
-    )
-
-    modes: Dict[str, Dict[str, Any]] = {}
-
-    def record(mode: str, seconds: float, results: List[Any]) -> None:
-        modes[mode] = {
-            "seconds": seconds,
-            "queries_per_second": len(items) / seconds if seconds > 0 else float("inf"),
-            "results_match_serial": [r.to_tuples() for r in results] == truth,
-        }
-
-    record("threads", threaded_seconds, threaded_results)
-    if hasattr(os, "fork"):
-        forked_seconds, forked_results = timed(
-            lambda: database.execute_many(items, max_workers=threads, mode="process")
-        )
-        record("processes", forked_seconds, forked_results)
-
-    best_mode = min(modes, key=lambda mode: modes[mode]["seconds"])
-    best_seconds = modes[best_mode]["seconds"]
-    return {
-        "query": name,
-        "sql": " ".join(sql.split()),
-        "batch_size": len(items),
-        "workers": threads,
-        "cpu_count": os.cpu_count(),
-        "serial_seconds": serial_seconds,
-        "modes": modes,
-        "best_concurrent_mode": best_mode,
-        "speedup_vs_serial": serial_seconds / best_seconds if best_seconds > 0 else 0.0,
-        "results_match": all(data["results_match_serial"] for data in modes.values()),
-    }
 
 
 def run_workload(

@@ -163,19 +163,3 @@ class ReadWriteLock:
             yield
         finally:
             self.release_write()
-
-    # ------------------------------------------------------------------
-    @contextmanager
-    def quiesced_for_fork(self):
-        """Hold the lock's internal mutex so ``os.fork`` inherits it unlocked.
-
-        Forking while *another* thread sits inside the condition's mutex
-        would copy a locked mutex into the child, deadlocking the child's
-        first read acquisition.  The fork caller wraps ``os.fork()`` in
-        this context: holding the mutex guarantees no other thread is
-        mid-critical-section at the instant of the fork, and the child's
-        copy is released when the parent's ``with`` would be — i.e. the
-        child starts from a coherent, unheld lock.
-        """
-        with self._cond:
-            yield

@@ -160,6 +160,18 @@ class Binder:
         spec.distinct = statement.distinct
         for item in statement.items:
             self._bind_select_item(spec, scope, item)
+        # result rows are keyed by column name, so a repeated name would
+        # silently keep only one of the columns
+        aliases = [column.alias for column in spec.output]
+        aliases += [aggregate.alias for aggregate in spec.aggregates]
+        seen = set()
+        for alias in aliases:
+            if alias in seen:
+                raise SqlBindError(
+                    f"output column {alias!r} appears more than once in the SELECT list; "
+                    "rename one with AS"
+                )
+            seen.add(alias)
 
         # GROUP BY
         for group_expr in statement.group_by:

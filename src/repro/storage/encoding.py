@@ -192,16 +192,6 @@ class RelationCodec:
             return None
         return codec.decode
 
-    def encode_values(self, values: Dict[str, Any]) -> Dict[str, Any]:
-        """Encode a column-name keyed value dict (unknown keys pass through)."""
-        if not self.encoded_columns:
-            return dict(values)
-        encoded = dict(values)
-        for name in self.encoded_columns:
-            if name in encoded:
-                encoded[name] = self.by_name[name].encode(encoded[name])
-        return encoded
-
     def decode_values(self, values: Dict[str, Any]) -> Dict[str, Any]:
         if not self.encoded_columns:
             return dict(values)
