@@ -346,6 +346,13 @@ def eq(left: Expression, right: Expression) -> Comparison:
     return Comparison("=", left, right)
 
 
+def referenced_aliases(expression: Expression) -> FrozenSet[str]:
+    """The aliases whose columns ``expression`` reads (qualified names only)."""
+    return frozenset(
+        qualified.split(".", 1)[0] for qualified in expression.columns() if "." in qualified
+    )
+
+
 def conjunction(predicates: Sequence[Expression]) -> Optional[Expression]:
     """AND together a list of predicates (None for an empty list)."""
     if not predicates:

@@ -7,25 +7,34 @@ constructs the TAG traversal plan (Section 5.1) and packages filters,
 projections and aggregation metadata into a
 :class:`~repro.core.vertex_program.FragmentConfig` the vertex program runs
 from.
+
+Every condition is checked where it first binds.  A tree edge routes on
+its highest-NDV join variable (:func:`~repro.core.jointree.build_join_tree`
+is handed the catalog); each remaining condition — the other keys of a
+multi-key edge, a cycle-closing edge, a cross-alias WHERE predicate or
+subquery check — is placed by :func:`place_residuals` at the first
+collection merge whose row holds every alias it references, and a
+predicate over at most one alias becomes a pushed-down filter.  No
+residual is left for result assembly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..exec.fragment import SlottedFragment
     from ..exec.vectorized.fragment import VectorizedFragment
 
-from ..algebra.expressions import ColumnRef, Comparison, Expression, col
+from ..algebra.expressions import ColumnRef, Comparison, Expression, col, referenced_aliases
 from ..algebra.logical import AggregationClass, JoinCondition, OutputColumn, QuerySpec
 from ..relational.catalog import Catalog
 from ..storage.rewrite import FragmentRewriter
 from .hypergraph import build_hypergraph
 from .jointree import JoinTree, build_join_tree
 from .tag_plan import TagPlan, build_tag_plan
-from .vertex_program import FragmentConfig, build_schedule
+from .vertex_program import FragmentConfig, Phase, ScheduledStep, build_schedule
 
 
 class CompileError(ValueError):
@@ -52,6 +61,30 @@ class CompiledFragment:
     #: alias -> decoder for pass-through outputs of encoded columns; the
     #: executor applies these exactly once, at the public result boundary
     output_decoders: Dict[str, Callable[[Any], Any]] = field(default_factory=dict)
+    #: where each residual condition is checked, in residual order (EXPLAIN)
+    residual_checks: List["ResidualCheck"] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class ResidualCheck:
+    """Where one residual condition is checked.
+
+    ``step`` is the schedule index of the collection merge that checks the
+    condition and ``alias`` that merge's relation alias; ``step`` is None
+    for a predicate over at most one alias, which runs as a pushed-down
+    filter on ``alias``.  ``text`` renders the condition as written.
+    """
+
+    text: str
+    step: Optional[int]
+    alias: str
+
+    def describe(self) -> str:
+        if self.step is None:
+            return f"{self.text}: pushed-down filter on {self.alias}"
+        # superstep k receives (and merges) schedule step k - 1
+        superstep = self.step + 1
+        return f"{self.text}: checked at the merge into {self.alias} (superstep {superstep})"
 
 
 def choose_group_by_root(
@@ -126,6 +159,49 @@ def residual_expressions(conditions: List[JoinCondition]) -> List[Expression]:
     ]
 
 
+def place_residuals(
+    predicates: List[Expression], plan: TagPlan, schedule: List[ScheduledStep]
+) -> List[Tuple[Optional[int], str]]:
+    """Where each predicate is checked: ``(schedule index, alias)`` per predicate.
+
+    Replays the collection schedule once, tracking which aliases the rows
+    of each step's table hold (a relation target adds its alias; an
+    attribute target passes its input through).  A predicate over several
+    aliases is checked at the first collection merge whose rows hold all of
+    them — the index of that step and its relation alias.  A predicate over
+    at most one of the plan's aliases binds at a tuple vertex: ``(None,
+    alias)``, a pushed-down filter on that alias (on the start relation
+    when it names none).
+    """
+    start = plan.node(schedule[0].step.source) if schedule else plan.relation_nodes()[0]
+    held: Dict[str, FrozenSet[str]] = {}
+    merges: List[Tuple[int, str, FrozenSet[str]]] = []
+    for index, scheduled in enumerate(schedule):
+        if scheduled.phase is not Phase.COLLECT:
+            continue
+        step = scheduled.step
+        target = plan.node(step.target)
+        # a relation source without a table yet sends its own row
+        aliases = held.get(step.source) or frozenset({plan.node(step.source).alias})
+        if target.is_relation:
+            aliases = aliases | {target.alias}
+            merges.append((index, target.alias, aliases))
+        held[step.target] = aliases
+    plan_aliases = frozenset(node.alias for node in plan.relation_nodes())
+
+    placed: List[Tuple[Optional[int], str]] = []
+    for predicate in predicates:
+        aliases = referenced_aliases(predicate)
+        if not merges or (len(aliases) <= 1 and aliases <= plan_aliases):
+            placed.append((None, next(iter(aliases & plan_aliases), start.alias)))
+            continue
+        # a predicate naming an alias no row holds stays at the root merge,
+        # where it fails to resolve exactly as it would anywhere else
+        index, alias, _ = next((merge for merge in merges if aliases <= merge[2]), merges[-1])
+        placed.append((index, alias))
+    return placed
+
+
 def compile_fragment(
     spec: QuerySpec,
     catalog: Catalog,
@@ -160,7 +236,7 @@ def compile_fragment(
         preferred_root = spec.tables[0].alias
 
     hypergraph = build_hypergraph(spec)
-    join_tree = build_join_tree(spec, hypergraph, preferred_root=preferred_root)
+    join_tree = build_join_tree(spec, hypergraph, preferred_root=preferred_root, catalog=catalog)
     alias_tables = spec.alias_map()
     plan = build_tag_plan(join_tree, catalog, alias_tables, group_by_root=group_root)
     schedule = build_schedule(plan)
@@ -177,10 +253,18 @@ def compile_fragment(
         alias: spec.required_columns_of(alias) for alias in spec.aliases()
     }
 
-    residuals = list(spec.residual_predicates)
-    residuals.extend(residual_expressions(join_tree.residual_conditions))
+    # (as written, predicate) per residual condition
+    residuals: List[Tuple[str, Expression]] = [
+        (repr(predicate), predicate) for predicate in spec.residual_predicates
+    ]
+    residuals.extend(
+        zip(
+            map(repr, join_tree.residual_conditions),
+            residual_expressions(join_tree.residual_conditions),
+        )
+    )
     if extra_residuals:
-        residuals.extend(extra_residuals)
+        residuals.extend((repr(predicate), predicate) for predicate in extra_residuals)
         # make sure the columns these predicates inspect survive projection
         for predicate in extra_residuals:
             for qualified in predicate.columns():
@@ -188,6 +272,18 @@ def compile_fragment(
                     alias, column = qualified.split(".", 1)
                     if alias in required:
                         required[alias].add(column)
+
+    # each residual runs where it first binds: at a collection merge, or
+    # (over at most one alias) as a pushed-down filter
+    residual_checks: List[ResidualCheck] = []
+    step_residuals: Dict[int, List[Expression]] = {}
+    placements = place_residuals([predicate for _, predicate in residuals], plan, schedule)
+    for (text, predicate), (step, alias) in zip(residuals, placements):
+        residual_checks.append(ResidualCheck(text, step, alias))
+        if step is None:
+            filters.setdefault(alias, []).append(predicate)
+        else:
+            step_residuals.setdefault(step, []).append(predicate)
 
     output_columns = list(spec.output)
     if not output_columns and not spec.aggregates:
@@ -207,7 +303,10 @@ def compile_fragment(
     rewriter = FragmentRewriter.for_catalog(catalog, alias_tables)
     if rewriter is not None:
         filters = rewriter.rewrite_filters(filters)
-        residuals = rewriter.rewrite_predicates(residuals)
+        step_residuals = {
+            step: rewriter.rewrite_predicates(predicates)
+            for step, predicates in step_residuals.items()
+        }
         output_columns, output_decoders = rewriter.rewrite_outputs(output_columns)
         aggregates = rewriter.rewrite_aggregates(aggregates)
 
@@ -217,7 +316,7 @@ def compile_fragment(
         alias_tables=alias_tables,
         filters=filters,
         required_columns={alias: columns for alias, columns in required.items()},
-        residual_predicates=residuals,
+        step_residuals=step_residuals,
         output_columns=output_columns,
         aggregates=aggregates,
         group_by_columns=group_by_columns,
@@ -239,4 +338,5 @@ def compile_fragment(
         slotted=slotted,
         vectorized=vectorized,
         output_decoders=output_decoders,
+        residual_checks=residual_checks,
     )

@@ -16,8 +16,8 @@ Dispatch logic (paper Section 6.4, "TAG-join algorithm"):
   worst-case-optimal heavy/light cycle algorithm (Sections 6.1-6.2);
 * everything else (the common case: acyclic queries, and cyclic queries
   with acyclic attachments) runs through the join-tree-driven vertex
-  program of Algorithm 2, with cycle-closing conditions verified at
-  result-assembly time.
+  program of Algorithm 2, with cycle-closing conditions checked at the
+  first collection merge whose row holds both of their aliases.
 """
 
 from __future__ import annotations
@@ -390,11 +390,9 @@ class TagJoinExecutor:
             lines.append(f"  aggregation class: {compiled.aggregation_class.value}")
             lines.append(f"  join tree (root = {tree.root}):")
             lines.extend(self._render_tree(spec, tree, tree.root, depth=2))
-            if tree.residual_conditions:
-                lines.append(
-                    "  residual join conditions: "
-                    + "; ".join(repr(condition) for condition in tree.residual_conditions)
-                )
+            if compiled.residual_checks:
+                lines.append("  residual conditions (each checked where it first binds):")
+                lines.extend(f"    {check.describe()}" for check in compiled.residual_checks)
             if choice is not None:
                 cost = choice.cost
                 lines.append(
@@ -645,7 +643,12 @@ class TagJoinExecutor:
         extra_filters: Dict[str, List[Expression]],
         metrics: RunMetrics,
     ) -> Optional[List[Dict[str, Any]]]:
-        """Run the heavy/light cycle program; None if the cycle shape is unusable."""
+        """Run the heavy/light cycle program; None if the cycle shape is unusable.
+
+        Unusable: two conditions between one alias pair, or a cycle column
+        without attribute vertices (floats, long text) for the program to
+        route through.
+        """
         alias_map = spec.alias_map()
         relations: List[CycleRelation] = []
         n = len(cycle_order)
@@ -655,6 +658,12 @@ class TagJoinExecutor:
             back_column = self._column_between(spec, alias, previous_alias)
             forward_column = self._column_between(spec, alias, next_alias)
             if back_column is None or forward_column is None:
+                return None
+            schema = self.catalog.schema(alias_map[alias])
+            if not all(
+                schema.column(column).materialise_as_vertex
+                for column in (back_column, forward_column)
+            ):
                 return None
             relations.append(
                 CycleRelation(

@@ -45,11 +45,13 @@ class JoinVariable:
         return f"{alias}.{column}"
 
     def column_of(self, alias: str) -> Optional[str]:
-        """The column of ``alias`` belonging to this variable (None if absent)."""
-        for member_alias, member_column in self.members:
-            if member_alias == alias:
-                return member_column
-        return None
+        """The column of ``alias`` belonging to this variable (None if absent).
+
+        When the variable holds several columns of ``alias`` (``a.X = b.K
+        AND a.Y = b.K``), the first by name: the one a tree edge routes on.
+        """
+        columns = [column for member, column in self.members if member == alias]
+        return min(columns, default=None)
 
     def aliases(self) -> Set[str]:
         return {alias for alias, _ in self.members}

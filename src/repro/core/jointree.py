@@ -3,11 +3,18 @@
 For acyclic queries the GYO elimination order yields a join tree directly
 (paper Section 5.1).  For cyclic queries we follow the paper's two-step
 TAG-join strategy in a simplified but sound form: a spanning tree of the
-join graph drives the traversal, the join conditions not represented by
-spanning-tree edges ("residual" conditions, e.g. the cycle-closing edge of
-TPC-H Q5) are verified when results are assembled.  Pure cycle queries are
+join graph drives the traversal, and the join conditions not represented
+by spanning-tree edges ("residual" conditions, e.g. the cycle-closing edge
+of TPC-H Q5) are checked during collection.  Pure cycle queries are
 additionally recognised upstream and dispatched to the worst-case-optimal
 algorithm of Section 6 (see :mod:`repro.core.cyclic`).
+
+A tree edge whose two aliases share several join variables (a multi-key
+join such as TPC-H Q9's PARTSUPP ⋈ LINEITEM on PARTKEY and SUPPKEY)
+routes on the variable with the highest NDV — the one whose attribute
+vertices split the join into the most buckets; the others become
+residual conditions too.  The compiler checks every residual at the first
+collection merge whose row holds all of its aliases.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..algebra.logical import JoinCondition, QuerySpec
+from ..relational.catalog import Catalog
 from .hypergraph import Hypergraph, JoinVariable, alias_adjacency, build_hypergraph
 
 
@@ -96,13 +104,18 @@ def build_join_tree(
     spec: QuerySpec,
     hypergraph: Optional[Hypergraph] = None,
     preferred_root: Optional[str] = None,
+    catalog: Optional[Catalog] = None,
 ) -> JoinTree:
     """Build a join tree for (the connected join graph of) ``spec``.
 
     Acyclic queries get a GYO-derived join tree; cyclic queries get a
     BFS spanning tree plus residual conditions.  ``preferred_root`` (an
     alias) re-roots the tree, which the executor uses to place the
-    collection phase's final values where aggregation wants them.
+    collection phase's final values where aggregation wants them.  With a
+    ``catalog``, each edge routes on its highest-NDV join variable (see
+    :func:`_choose_variable`); without one, on the first condition written.
+    The planner and the compiler pass the same catalog, so the tree the
+    planner costs is the tree that gets compiled.
     """
     hypergraph = hypergraph or build_hypergraph(spec)
     aliases = spec.aliases()
@@ -114,9 +127,9 @@ def build_join_tree(
 
     acyclic, elimination = hypergraph.gyo_reduction()
     if acyclic:
-        tree = _tree_from_elimination(spec, hypergraph, elimination)
+        tree = _tree_from_elimination(spec, hypergraph, elimination, catalog)
     else:
-        tree = _spanning_tree(spec, hypergraph)
+        tree = _spanning_tree(spec, hypergraph, catalog)
         tree.is_acyclic_query = False
     if preferred_root and preferred_root in tree.parent and preferred_root != tree.root:
         tree = reroot(tree, preferred_root)
@@ -131,6 +144,7 @@ def _tree_from_elimination(
     spec: QuerySpec,
     hypergraph: Hypergraph,
     elimination: Sequence[Tuple[str, Optional[str]]],
+    catalog: Optional[Catalog],
 ) -> JoinTree:
     parent: Dict[str, Optional[str]] = {}
     edges: List[TreeEdge] = []
@@ -140,7 +154,7 @@ def _tree_from_elimination(
         if witness is None:
             root = alias
             continue
-        variable = _choose_variable(spec, hypergraph, alias, witness)
+        variable = _choose_variable(spec, hypergraph, alias, witness, catalog)
         if variable is not None:
             edges.append(TreeEdge(child=alias, parent=witness, variable=variable))
         else:
@@ -157,7 +171,9 @@ def _tree_from_elimination(
 # ----------------------------------------------------------------------
 # cyclic case: spanning tree + residual conditions
 # ----------------------------------------------------------------------
-def _spanning_tree(spec: QuerySpec, hypergraph: Hypergraph) -> JoinTree:
+def _spanning_tree(
+    spec: QuerySpec, hypergraph: Hypergraph, catalog: Optional[Catalog]
+) -> JoinTree:
     adjacency = alias_adjacency(spec)
     aliases = spec.aliases()
     root = aliases[0]
@@ -169,7 +185,7 @@ def _spanning_tree(spec: QuerySpec, hypergraph: Hypergraph) -> JoinTree:
         for neighbour in sorted(adjacency[current]):
             if neighbour in parent:
                 continue
-            variable = _choose_variable(spec, hypergraph, neighbour, current)
+            variable = _choose_variable(spec, hypergraph, neighbour, current, catalog)
             if variable is None:
                 continue
             parent[neighbour] = current
@@ -185,12 +201,19 @@ def _spanning_tree(spec: QuerySpec, hypergraph: Hypergraph) -> JoinTree:
 
 
 def _choose_variable(
-    spec: QuerySpec, hypergraph: Hypergraph, child: str, parent: str
+    spec: QuerySpec,
+    hypergraph: Hypergraph,
+    child: str,
+    parent: str,
+    catalog: Optional[Catalog],
 ) -> Optional[JoinVariable]:
-    """Pick the join variable connecting ``child`` and ``parent``.
+    """Pick the join variable the tree edge ``child -- parent`` routes on.
 
-    Prefer a variable backed by an explicit join condition between the two
-    aliases; fall back to any variable shared by both hyperedges.
+    The candidates are the variables backed by an explicit join condition
+    between the two aliases, in condition order, then any other variable
+    both hyperedges share (an equality the query implies), by name.  With
+    a ``catalog`` the candidate with the highest :func:`routing_ndv` wins
+    and ties keep candidate order; without one the first candidate does.
     """
     direct: List[JoinVariable] = []
     for condition in spec.join_conditions:
@@ -202,14 +225,48 @@ def _choose_variable(
                     and (condition.left_alias, condition.left_column) in variable.members
                 ):
                     direct.append(variable)
-    if direct:
-        return direct[0]
-    shared = [
-        variable
-        for variable in hypergraph.shared_variables(child, parent)
-        if variable.column_of(child) is not None and variable.column_of(parent) is not None
-    ]
-    return shared[0] if shared else None
+    candidates = direct + sorted(
+        (
+            variable
+            for variable in hypergraph.shared_variables(child, parent)
+            if variable not in direct
+            and variable.column_of(child) is not None
+            and variable.column_of(parent) is not None
+        ),
+        key=lambda variable: variable.name,
+    )
+    if not candidates:
+        return None
+    if catalog is None or len(candidates) == 1:
+        return candidates[0]
+    alias_tables = spec.alias_map()
+    # max() keeps the first of equal keys: ties keep candidate order
+    return max(
+        candidates,
+        key=lambda variable: routing_ndv(catalog, alias_tables, variable, (child, parent)),
+    )
+
+
+def routing_ndv(
+    catalog: Catalog,
+    alias_tables: Dict[str, str],
+    variable: JoinVariable,
+    aliases: Sequence[str],
+) -> int:
+    """How many attribute vertices can route ``variable`` between ``aliases``.
+
+    The minimum over the aliases of the column's exact distinct count
+    (``Relation.distinct_count``, O(1) from the encoded store); a column
+    without attribute vertices (floats, long text) routes nothing.
+    """
+    counts = []
+    for alias in aliases:
+        relation = catalog.relation(alias_tables[alias])
+        column = variable.column_of(alias)
+        if not relation.schema.column(column).materialise_as_vertex:
+            return 0
+        counts.append(relation.distinct_count(column))
+    return min(counts)
 
 
 # ----------------------------------------------------------------------
@@ -266,8 +323,12 @@ def _uncovered_conditions(spec: QuerySpec, tree: JoinTree) -> List[JoinCondition
     A condition ``a1.c1 = a2.c2`` (with join variable *v*) is enforced when
     ``a1`` and ``a2`` are connected in the subgraph of tree edges whose
     chosen variable is *v* (equality then holds transitively through the
-    shared attribute vertices).  Everything else must be re-checked at
-    result-assembly time.
+    shared attribute vertices) and ``c1`` / ``c2`` are the columns those
+    edges route on — a variable holding two columns of one alias routes on
+    only one of them.  Everything else — the cycle-closing edge of a cyclic
+    query, the non-routing keys of a multi-key edge — is checked by the
+    compiled fragment at the first collection merge whose row holds both
+    aliases.
     """
     residual: List[JoinCondition] = []
     for condition in spec.join_conditions:
@@ -277,6 +338,15 @@ def _uncovered_conditions(spec: QuerySpec, tree: JoinTree) -> List[JoinCondition
             if (condition.left_alias, condition.left_column) in edge.variable.members
             and (condition.right_alias, condition.right_column) in edge.variable.members
         ]
+        variable = variable_edges[0].variable if variable_edges else None
+        if variable is not None and (
+            variable.column_of(condition.left_alias) != condition.left_column
+            or variable.column_of(condition.right_alias) != condition.right_column
+        ):
+            # the variable holds another column of one of the aliases, and
+            # its edges route on that column, not on this condition's
+            residual.append(condition)
+            continue
         adjacency: Dict[str, Set[str]] = {}
         for edge in variable_edges:
             adjacency.setdefault(edge.child, set()).add(edge.parent)

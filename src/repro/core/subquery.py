@@ -15,7 +15,7 @@ from __future__ import annotations
 import copy
 from typing import Any, Callable, Dict, List, Set, Tuple
 
-from ..algebra.expressions import ColumnRef, Expression
+from ..algebra.expressions import ColumnRef, Expression, referenced_aliases
 from ..algebra.logical import OutputColumn, QuerySpec, SubqueryKind, SubqueryPredicate
 from ..relational.types import NULL
 from .operations import CallablePredicate
@@ -47,7 +47,8 @@ def compile_subquery_filters(
     comparison check.  Checks touching a single outer alias become
     pushed-down filters on that alias (applied during the reduction phase,
     i.e. a semi-/anti-join); checks spanning several outer aliases become
-    residual predicates applied at result assembly.
+    residual predicates, which a TAG fragment applies at the first
+    collection merge that holds all of their aliases.
 
     Returns:
         ``(filters_by_alias, residual_predicates)``.
@@ -56,14 +57,10 @@ def compile_subquery_filters(
     residuals: List[Expression] = []
     for subquery in subqueries:
         alias, predicate = _compile_one(subquery, execute)
-        referenced_aliases = {
-            qualified.split(".", 1)[0]
-            for qualified in predicate.columns()
-            if "." in qualified
-        }
-        if len(referenced_aliases) == 1:
-            filters.setdefault(next(iter(referenced_aliases)), []).append(predicate)
-        elif not referenced_aliases:
+        aliases = referenced_aliases(predicate)
+        if len(aliases) == 1:
+            filters.setdefault(next(iter(aliases)), []).append(predicate)
+        elif not aliases:
             filters.setdefault(alias, []).append(predicate)
         else:
             residuals.append(predicate)
@@ -185,14 +182,20 @@ def _compile_in(
 
     outer_expr = subquery.outer_expr
 
+    # Three-valued: a row is kept only when the predicate is TRUE.  ``x IN
+    # S`` is TRUE iff x is a non-NULL member of S.  ``x NOT IN S`` is TRUE
+    # when S is empty (whatever x is), else iff x is not NULL, S holds no
+    # NULL and x is not in S — a NULL on either side makes it UNKNOWN.
     def check(context: Dict[str, Any]) -> bool:
         value = outer_expr.evaluate(context)
-        if value is NULL:
-            return False if not negated else True
         key = tuple(context.get(column) for column in outer_correlation)
-        members = values_by_key.get(key, set())
-        found = value in members
-        return not found if negated else found
+        # a NULL correlation key matches no inner row: its subquery is empty
+        members = None if NULL in key else values_by_key.get(key)
+        if not negated:
+            return value is not NULL and members is not None and value in members
+        if not members:
+            return True
+        return value is not NULL and NULL not in members and value not in members
 
     referenced = frozenset(outer_expr.columns()) | frozenset(outer_correlation)
     predicate = CallablePredicate(

@@ -13,6 +13,9 @@ produced from the TAG plan (Section 5):
 * **collection, bottom-up** — vertices propagate partial result tables
   along marked edges; tuple vertices join the incoming table with their
   own tuple, attribute vertices union the pieces flowing through them.
+  Right after a merge, the vertex drops the rows failing the residual
+  conditions the compiler placed at that step (the conditions no tree
+  edge enforces, checked as soon as their aliases meet).
 
 After the last collection step the vertices holding the plan root's values
 assemble the output: plain rows for join queries, per-group aggregates for
@@ -74,7 +77,9 @@ class FragmentConfig:
     alias_tables: Dict[str, str]
     filters: Dict[str, List[Expression]] = field(default_factory=dict)
     required_columns: Dict[str, Optional[Set[str]]] = field(default_factory=dict)
-    residual_predicates: List[Expression] = field(default_factory=list)
+    #: schedule index of a collection step -> the residual conditions its
+    #: merged rows must pass (see :func:`repro.core.compiler.place_residuals`)
+    step_residuals: Dict[int, List[Expression]] = field(default_factory=dict)
     output_columns: List[OutputColumn] = field(default_factory=list)
     aggregates: List[AggregateSpec] = field(default_factory=list)
     group_by_columns: List[str] = field(default_factory=list)  # qualified names
@@ -157,7 +162,7 @@ class TagJoinProgram(VertexProgram):
             return
 
         received = schedule[superstep - 1]
-        accepted = self._receive(vertex, received, messages, context)
+        accepted = self._receive(vertex, superstep - 1, messages, context)
         if not accepted:
             return
         if superstep < len(schedule):
@@ -173,10 +178,11 @@ class TagJoinProgram(VertexProgram):
     def _receive(
         self,
         vertex: Vertex,
-        scheduled: ScheduledStep,
+        step_index: int,
         messages: List[Any],
         context: SuperstepContext,
     ) -> bool:
+        scheduled = self.config.schedule[step_index]
         step = scheduled.step
         target_node = self.config.plan.node(step.target)
         context.charge(len(messages))
@@ -213,6 +219,9 @@ class TagJoinProgram(VertexProgram):
                 rows = [own_row]
         else:
             rows = incoming
+        residuals = self.config.step_residuals.get(step_index)
+        if residuals:
+            rows = ops.rows_passing(rows, residuals)
         context.charge(len(rows))
         values = context.state(vertex).setdefault(_VALUE_KEY, {})
         values[step.target] = rows
@@ -269,7 +278,6 @@ class TagJoinProgram(VertexProgram):
         context: SuperstepContext,
     ) -> None:
         config = self.config
-        rows = ops.rows_passing(rows, config.residual_predicates)
         if not rows:
             return
         context.charge(len(rows))

@@ -6,9 +6,9 @@ intermediate result table — which columns, in which order — is fully
 determined at plan-compile time.  ``compile_slotted_fragment`` walks the
 collection steps once, symbolically, propagating a :class:`RowSchema`
 through the plan exactly as the vertex program will propagate row tables
-at run time, and compiles each per-step merge, every filter, the residual
-predicates, the output list, the GROUP BY key and the aggregate
-accumulators into slot-index closures.
+at run time, and compiles each per-step merge, the residual conditions
+checked right after it, every filter, the output list, the GROUP BY key
+and the aggregate accumulators into slot-index closures.
 
 The result rides along inside the cached
 :class:`~repro.core.compiler.CompiledFragment`, so a plan-cache hit hands
@@ -18,7 +18,7 @@ tuple indexing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..relational.catalog import Catalog
@@ -72,6 +72,9 @@ class CollectAction:
     #: overlapping merges; None for concat/identity/passthrough.  On a
     #: column batch it becomes column gathers + own-value broadcasts.
     plan: Optional[Tuple[Tuple[bool, int], ...]] = None
+    #: AND of the residual conditions placed at this step, over the merged
+    #: row (None: nothing to check here)
+    check: Optional[Callable[[SlottedRow], bool]] = None
 
 
 @dataclass
@@ -80,9 +83,9 @@ class SlottedFragment:
 
     own: Dict[str, OwnRowSpec]  # alias -> own-row projection
     collect: Dict[int, CollectAction]  # schedule index -> compiled receive
+    step_schemas: Dict[int, RowSchema]  # schedule index -> schema of the step's table
     root_schema: RowSchema
     filters: Dict[str, Callable[[Dict[str, Any]], bool]]  # alias -> tuple-data predicate
-    residual: Optional[Callable[[SlottedRow], bool]]
     output: Callable[[SlottedRow], Tuple[Any, ...]]
     output_columns: Tuple[str, ...]
     group_key: Callable[[SlottedRow], Tuple[Any, ...]]
@@ -131,6 +134,7 @@ def compile_slotted_fragment(config: Any, catalog: Catalog) -> SlottedFragment:
     #    compile one merge per step, exactly as rows will flow at run time
     schema_at: Dict[str, RowSchema] = {}
     collect: Dict[int, CollectAction] = {}
+    step_schemas: Dict[int, RowSchema] = {}
     for index, scheduled in enumerate(config.schedule):
         if scheduled.phase is not Phase.COLLECT:
             continue
@@ -143,28 +147,33 @@ def compile_slotted_fragment(config: Any, catalog: Catalog) -> SlottedFragment:
                 raise ValueError(f"collection step {index} starts at a valueless attribute node")
             source_schema = own[source_node.alias].schema
         if not target_node.is_relation:
-            collect[index] = CollectAction()
-            schema_at[step.target] = source_schema
-            continue
-        own_spec = own[target_node.alias]
-        prov_slot = source_schema.slot_or_none(provenance_key(target_node.alias))
-        if all(column in source_schema for column in own_spec.schema.columns):
-            # Euler re-ascent: the incoming rows already carry this alias's
-            # columns, and the provenance filter (prov_slot is necessarily
-            # set) guarantees they came from this very vertex's own row —
-            # the merge is the identity on the incoming row.
-            collect[index] = CollectAction(
-                merge=lambda left, right: left, prov_slot=prov_slot, identity=True
-            )
-            schema_at[step.target] = source_schema
-            continue
-        merged_schema, merge = merge_schemas(source_schema, own_spec.schema)
-        concat = not any(column in source_schema for column in own_spec.schema.columns)
-        gather = None if concat else merge_gather_plan(source_schema, own_spec.schema)
-        collect[index] = CollectAction(
-            merge=merge, prov_slot=prov_slot, concat=concat, plan=gather
-        )
-        schema_at[step.target] = merged_schema
+            action = CollectAction()
+            schema = source_schema
+        else:
+            own_spec = own[target_node.alias]
+            prov_slot = source_schema.slot_or_none(provenance_key(target_node.alias))
+            if all(column in source_schema for column in own_spec.schema.columns):
+                # Euler re-ascent: the incoming rows already carry this alias's
+                # columns, and the provenance filter (prov_slot is necessarily
+                # set) guarantees they came from this very vertex's own row —
+                # the merge is the identity on the incoming row.
+                action = CollectAction(
+                    merge=lambda left, right: left, prov_slot=prov_slot, identity=True
+                )
+                schema = source_schema
+            else:
+                schema, merge = merge_schemas(source_schema, own_spec.schema)
+                concat = not any(column in source_schema for column in own_spec.schema.columns)
+                gather = None if concat else merge_gather_plan(source_schema, own_spec.schema)
+                action = CollectAction(
+                    merge=merge, prov_slot=prov_slot, concat=concat, plan=gather
+                )
+        check = compile_residual(config.step_residuals.get(index, ()), schema)
+        if check is not None:
+            action = replace(action, check=check)
+        collect[index] = action
+        step_schemas[index] = schema
+        schema_at[step.target] = schema
 
     # 4. the root's table schema is what assembly sees
     root_schema = schema_at.get(config.root_node_id)
@@ -174,7 +183,6 @@ def compile_slotted_fragment(config: Any, catalog: Catalog) -> SlottedFragment:
             raise ValueError("the plan root is an attribute node no collection step reaches")
         root_schema = own[root_node.alias].schema
 
-    residual = compile_residual(config.residual_predicates, root_schema)
     output = compile_output(config.output_columns, root_schema)
     output_columns = tuple(column.alias for column in config.output_columns)
     group_key = compile_group_key(config.group_by_columns, root_schema)
@@ -185,9 +193,9 @@ def compile_slotted_fragment(config: Any, catalog: Catalog) -> SlottedFragment:
     return SlottedFragment(
         own=own,
         collect=collect,
+        step_schemas=step_schemas,
         root_schema=root_schema,
         filters=filters,
-        residual=residual,
         output=output,
         output_columns=output_columns,
         group_key=group_key,

@@ -197,7 +197,7 @@ def compile_group_key(
 def compile_residual(
     predicates: Sequence[Expression], schema: RowSchema
 ) -> Optional[Callable[[SlottedRow], bool]]:
-    """AND-compile residual predicates against the root row schema."""
+    """AND-compile residual predicates against a row schema (None: no predicates)."""
     if not predicates:
         return None
     resolve = slot_resolver(schema)

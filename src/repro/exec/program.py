@@ -13,7 +13,8 @@ forms, chosen per table from its observed size:
 
 * **tuple rows** (``List[SlottedRow]``) — how every table starts.  Merges
   are precompiled tuple concatenations gated by a slot-indexed provenance
-  check; residuals, outputs and aggregates are slot-compiled closures.
+  check; the residual checks after a merge, outputs and aggregates are
+  slot-compiled closures.
   numpy's fixed per-array cost is never recouped by a three-row table,
   and most TAG tables are that small (a leaf relation vertex's own row,
   an attribute vertex's handful of children).
@@ -23,8 +24,8 @@ forms, chosen per table from its observed size:
   collection phase).  The TAG topology is the hash bucketing of the join,
   so each merge is a per-bucket gather-join: a boolean provenance mask,
   column gathers and ``repeat``-broadcasts of the vertex's own values;
-  residuals, outputs, GROUP BY keys and aggregate arguments evaluate as
-  whole-column expressions.
+  residual checks, outputs, GROUP BY keys and aggregate arguments evaluate
+  as whole-column expressions.
 
 Both forms run the same supersteps, send the same messages and charge the
 same compute units, and rows crossing any boundary (samples, result
@@ -236,7 +237,11 @@ class TagJoinKernel(VertexProgram):
         # subtree may have been seeded by a different tuple of the same
         # relation sharing this join value; the provenance slot identifies
         # and drops them.
+        # Right after the merge, the residual conditions placed at this step
+        # drop the rows whose aliases have met but do not agree.
         build_own = None if action.merge is None else self.slotted.own[target_node.alias].build
+        check = action.check
+        batch_check = self.vectorized.checks.get(step_index)
         for vertex_id in active:
             messages = inbox[vertex_id]
             rows = combine(messages)
@@ -253,6 +258,11 @@ class TagJoinKernel(VertexProgram):
                     rows = self._merge_rows(rows, own_row, action, ordinal)
                 else:
                     rows = [own_row]
+            if check is not None and rows:
+                if type(rows) is ColumnBatch:
+                    rows = rows.mask(as_mask(batch_check(rows), rows))
+                else:
+                    rows = [row for row in rows if check(row)]
             values[vertex_id] = rows
             units += len(messages) + len(rows)
         context.charge(units)
@@ -413,9 +423,6 @@ class TagJoinKernel(VertexProgram):
     def _assemble_rows(self, rows: List[SlottedRow], context: SuperstepContext) -> None:
         config = self.config
         slotted = self.slotted
-        if slotted.residual is not None:
-            residual = slotted.residual
-            rows = [row for row in rows if residual(row)]
         if not rows:
             return
         context.charge(len(rows))
@@ -456,10 +463,6 @@ class TagJoinKernel(VertexProgram):
             return
         config = self.config
         vectorized = self.vectorized
-        if vectorized.residual is not None:
-            rows = rows.mask(as_mask(vectorized.residual(rows), rows))
-            if not rows:
-                return
         context.charge(len(rows))
 
         if config.aggregation_class is AggregationClass.NONE:

@@ -4,9 +4,9 @@ A :class:`VectorizedFragment` is the columnar twin of a
 :class:`~repro.exec.fragment.SlottedFragment` and is derived *from* one:
 the slotted compiler already fixed every intermediate table's
 :class:`~repro.exec.schema.RowSchema` and every collection step's merge
-recipe, so all that is left here is compiling the fragment-level row
-operators — residual predicates, the SELECT list, the GROUP BY key and the
-aggregates — into whole-batch closures.
+recipe, so all that is left here is compiling the row operators — the
+residual conditions checked after each collection merge, the SELECT list,
+the GROUP BY key and the aggregates — into whole-batch closures.
 
 The per-step collection behaviour needs no separate compilation: the
 program applies the same :class:`~repro.exec.fragment.CollectAction` to a
@@ -22,7 +22,7 @@ back ready-to-run batch closures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ...algebra.expressions import ColumnRef
 from ..fragment import SlottedFragment
@@ -36,8 +36,9 @@ from .operations import VectorizedAggregates, compile_batch_group_key
 class VectorizedFragment:
     """Batch-level operators of one fragment, compiled once per plan."""
 
-    #: AND of the residual predicates as one batch -> bool-mask closure
-    residual: Optional[Callable[[ColumnBatch], Any]]
+    #: schedule index -> AND of the residual conditions placed at that
+    #: collection step, as one batch -> bool-mask closure over its table
+    checks: Dict[int, Callable[[ColumnBatch], Any]]
     #: SELECT list as a batch -> output-columns closure
     outputs: Callable[[ColumnBatch], List[Any]]
     #: output slots when every output is a plain column pick (else None);
@@ -52,7 +53,10 @@ class VectorizedFragment:
 def compile_vectorized_fragment(config: Any, slotted: SlottedFragment) -> VectorizedFragment:
     """Derive the columnar execution plan from a compiled slotted fragment."""
     root_schema = slotted.root_schema
-    residual = compile_batch_predicates(config.residual_predicates, root_schema)
+    checks = {
+        index: compile_batch_predicates(predicates, slotted.step_schemas[index])
+        for index, predicates in config.step_residuals.items()
+    }
     outputs = compile_batch_outputs(config.output_columns, root_schema)
 
     output_slots: Optional[Tuple[int, ...]] = None
@@ -74,7 +78,7 @@ def compile_vectorized_fragment(config: Any, slotted: SlottedFragment) -> Vector
         else None
     )
     return VectorizedFragment(
-        residual=residual,
+        checks=checks,
         outputs=outputs,
         output_slots=output_slots,
         group_key_columns=group_key_columns,

@@ -15,11 +15,16 @@ one it was recorded from: the catalog name and content-hashed schema
 fingerprint (:meth:`~repro.relational.catalog.Catalog.schema_fingerprint`)
 must agree, otherwise the whole manifest is ignored.  Data-only drift —
 different row counts after writes — deliberately does **not** invalidate
-a manifest: compiled fragments depend only on schemas, so a server that
-took writes, restarted, and reloaded different data still warm-starts
-with zero recompilations.  A stale manifest can never poison a cache: at
-worst a changed schema costs one cold compile per shape, exactly the
-behaviour without persistence.
+a manifest.  A compiled fragment does depend on the statistics it was
+compiled under (the planner's root and each multi-key edge's routing key
+come from row counts and exact NDVs), but it is correct for any data:
+every join condition is either routed on or checked at a collection
+merge, whichever way the statistics fell.  So a server that took writes,
+restarted, and reloaded different data still warm-starts with zero
+recompilations, at worst on a plan the new statistics would not choose.
+A stale manifest can never poison a cache: at worst a changed schema
+costs one cold compile per shape, exactly the behaviour without
+persistence.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Cost-based root selection over the join-tree rootings of a query.
 
 The GYO elimination (acyclic case) or BFS spanning tree (cyclic case)
-fixes the join tree's *edge set*; what remains free — and what the paper's
+fixes the join tree's *edge set*, and the catalog's exact NDVs fix each
+edge's routing key; what remains free — and what the paper's
 cost analysis shows matters — is the *rooting*, which decides the
 collection-phase traversal.  The planner builds the tree once, re-roots it
 at every candidate alias (re-rooting preserves edge variables and residual
@@ -95,7 +96,9 @@ class CostBasedPlanner:
                 filters[alias] = combined
 
         model = self.cost_model()
-        base_tree = build_join_tree(spec)
+        # the compiler builds its tree from the same catalog, so the rooting
+        # chosen here is costed over the edges (and routing keys) it compiles
+        base_tree = build_join_tree(spec, catalog=self.catalog)
         rootings = {tree.root: tree for tree in enumerate_rootings(base_tree)}
         candidates = self._candidate_roots(spec, aliases, model, filters)
 

@@ -26,6 +26,7 @@ from ..algebra.expressions import (
     Literal,
     Not,
     Or,
+    referenced_aliases,
 )
 from ..algebra.parameters import ParameterRef
 from ..algebra.logical import (
@@ -265,7 +266,7 @@ class Binder:
 
         # otherwise: a filter; attach to its single alias or keep as residual
         bound = self._bind_scalar(scope, conjunct)
-        aliases = _referenced_aliases(bound)
+        aliases = referenced_aliases(bound)
         local_aliases = {alias for alias in aliases if scope.owns_alias(alias)}
         if len(local_aliases) == 1 and aliases == local_aliases:
             spec.add_filter(next(iter(local_aliases)), bound)
@@ -452,14 +453,6 @@ def _contains_aggregate(node: sql_ast.ExprNode) -> bool:
     if isinstance(node, sql_ast.NotNode):
         return _contains_aggregate(node.operand)
     return False
-
-
-def _referenced_aliases(expression: Expression) -> Set[str]:
-    aliases = set()
-    for qualified in expression.columns():
-        if "." in qualified:
-            aliases.add(qualified.split(".", 1)[0])
-    return aliases
 
 
 def _correlation_condition(

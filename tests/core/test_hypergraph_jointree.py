@@ -4,6 +4,7 @@
 import pytest
 
 from repro.algebra import QueryBuilder
+from repro.relational import Catalog, Column, DataType, Relation, Schema
 from repro.core import (
     JoinTreeError,
     build_hypergraph,
@@ -145,7 +146,8 @@ class TestJoinTree:
 
     def test_multi_attribute_join_residual(self):
         # R and S join on two attributes: one becomes the tree edge, the
-        # other must be re-checked at assembly
+        # other a residual condition, checked at the first collection merge
+        # whose row holds both aliases
         spec = (
             QueryBuilder("multi")
             .table("R", "r").table("S", "s")
@@ -161,3 +163,93 @@ class TestJoinTree:
         spec = QueryBuilder("x").table("R", "r").table("S", "s").build()
         with pytest.raises(JoinTreeError):
             build_join_tree(spec)
+
+
+def two_key_catalog(a_values, b_values):
+    """R and S, each with columns A and B holding the given value columns."""
+    catalog = Catalog("two_keys")
+    for name in ("R", "S"):
+        schema = Schema(
+            name,
+            [
+                Column("ID", DataType.INT, nullable=False),
+                Column("A", DataType.INT, nullable=False),
+                Column("B", DataType.INT, nullable=False),
+            ],
+            primary_key=["ID"],
+        )
+        rows = [[index, a, b] for index, (a, b) in enumerate(zip(a_values, b_values))]
+        catalog.add(Relation(schema, rows))
+    return catalog
+
+
+def two_key_spec(first, second):
+    return (
+        QueryBuilder("two_keys")
+        .table("R", "r").table("S", "s")
+        .join("r", first, "s", first)
+        .join("r", second, "s", second)
+        .build()
+    )
+
+
+class TestRoutingKey:
+    """A multi-key edge routes on its highest-NDV variable; ties keep condition order."""
+
+    # A has 2 distinct values, B has 8
+    CATALOG = two_key_catalog([index % 2 for index in range(8)], list(range(8)))
+
+    @pytest.mark.parametrize("order", [("A", "B"), ("B", "A")])
+    def test_routes_on_the_higher_ndv_variable_in_either_order(self, order):
+        tree = build_join_tree(two_key_spec(*order), catalog=self.CATALOG)
+        (edge,) = tree.edges
+        assert (edge.child_column, edge.parent_column) == ("B", "B")
+        (residual,) = tree.residual_conditions
+        assert (residual.left_column, residual.right_column) == ("A", "A")
+
+    @pytest.mark.parametrize("order", [("A", "B"), ("B", "A")])
+    def test_ties_keep_condition_order(self, order):
+        catalog = two_key_catalog(list(range(8)), list(range(8, 16)))
+        tree = build_join_tree(two_key_spec(*order), catalog=catalog)
+        (edge,) = tree.edges
+        assert edge.child_column == order[0]
+        (residual,) = tree.residual_conditions
+        assert residual.left_column == order[1]
+
+    @pytest.mark.parametrize("order", [("A", "B"), ("B", "A")])
+    def test_without_a_catalog_the_first_condition_routes(self, order):
+        (edge,) = build_join_tree(two_key_spec(*order)).edges
+        assert edge.child_column == order[0]
+
+    def test_a_column_without_attribute_vertices_never_routes(self):
+        catalog = Catalog("floats")
+        for name in ("R", "S"):
+            schema = Schema(
+                name,
+                [
+                    Column("ID", DataType.INT, nullable=False),
+                    Column("A", DataType.INT, nullable=False),
+                    Column("B", DataType.FLOAT, nullable=False),
+                ],
+                primary_key=["ID"],
+            )
+            catalog.add(Relation(schema, [[index, index % 2, index + 0.5] for index in range(8)]))
+        (edge,) = build_join_tree(two_key_spec("B", "A"), catalog=catalog).edges
+        assert edge.child_column == "A"
+
+    def test_two_columns_of_one_alias_in_one_variable(self):
+        # r.A = s.A and r.B = s.A put r.A and r.B in one variable: the edge
+        # routes on one of r's columns, the other condition stays residual
+        spec = (
+            QueryBuilder("same_variable")
+            .table("R", "r").table("S", "s")
+            .join("r", "A", "s", "A")
+            .join("r", "B", "s", "A")
+            .build()
+        )
+        tree = build_join_tree(spec, catalog=self.CATALOG)
+        (edge,) = tree.edges
+        (residual,) = tree.residual_conditions
+        routed = edge.child_column if edge.child == "r" else edge.parent_column
+        assert routed == "A"
+        assert (residual.left_alias, residual.left_column) == ("r", "B")

@@ -3,7 +3,10 @@
 Hypothesis strategies generate :class:`QueryCase` objects — SQL text plus
 parameter bindings covering joins along the dataset's FK chain, filters
 with comparisons / IN / BETWEEN / LIKE / IS NULL, residual column-column
-predicates, parameters, and GROUP BY / scalar aggregates — and
+predicates, parameters, and GROUP BY / scalar aggregates; the
+``extra_equality_cases`` variant also adds a second ``=`` over a nullable
+column between two aliases, which the TAG engines either route on or check
+at a collection merge — and
 :func:`run_case` executes each across every execution path of the
 reproduction:
 
@@ -36,6 +39,7 @@ from unittest import mock
 
 import datetime as dt
 
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from differential_dataset import build_catalog
@@ -154,8 +158,10 @@ def sql_literal(value: Any) -> str:
 # strategies
 # ----------------------------------------------------------------------
 @st.composite
-def join_trees(draw) -> List[Tuple[str, str, Optional[Tuple[str, str, str, str]]]]:
-    """A connected alias tree along FK edges.
+def join_trees(
+    draw, min_extra: int = 0
+) -> List[Tuple[str, str, Optional[Tuple[str, str, str, str]]]]:
+    """A connected alias tree along FK edges, of ``1 + min_extra`` to 4 aliases.
 
     Returns ``[(alias, table, join)]`` where ``join`` is
     ``(alias_column, other_alias, other_column, other_table)`` — None for
@@ -167,7 +173,7 @@ def join_trees(draw) -> List[Tuple[str, str, Optional[Tuple[str, str, str, str]]
     aliases: List[Tuple[str, str, Optional[Tuple[str, str, str, str]]]] = [
         ("t0", root, None)
     ]
-    extra = draw(st.integers(min_value=0, max_value=3))
+    extra = draw(st.integers(min_value=min_extra, max_value=3))
     for _ in range(extra):
         # candidate attachments: any FK edge touching any existing alias
         candidates = []
@@ -288,10 +294,44 @@ def filter_predicates(draw, alias: str, table: str) -> Tuple[str, Optional[Any]]
     return (f"{alias}.{column} {op} {sql_literal(value)}", None)
 
 
+#: the type families an extra equality may compare within
+COLUMN_FAMILIES = (INT_COLUMNS, FLOAT_COLUMNS, STRING_COLUMNS)
+
+
 @st.composite
-def query_cases(draw) -> QueryCase:
-    """A complete differential query: joins + filters + projection/aggregates."""
-    tree = draw(join_trees())
+def extra_equalities(draw, alias_tables: List[Tuple[str, str]]) -> str:
+    """A second ``=`` between two aliases: ``a.N = b.C`` with ``N`` nullable.
+
+    ``N`` is a nullable non-key column and ``C`` any column of its type
+    family on another alias — one the tree already joins ``a`` to (a
+    multi-key edge) or one it does not (a cycle-closing condition).  The
+    TAG engines route on the condition when its NDV is the edge's highest
+    and otherwise check it at a collection merge; either way NULL must
+    never equal NULL.
+    """
+    candidates = []
+    for alias_a, table_a in alias_tables:
+        for column_a in NULLABLE_COLUMNS[table_a]:
+            family = next(f for f in COLUMN_FAMILIES if column_a in f[table_a])
+            for alias_b, table_b in alias_tables:
+                if alias_b != alias_a:
+                    candidates.extend(
+                        f"{alias_a}.{column_a} = {alias_b}.{column_b}"
+                        for column_b in family[table_b]
+                    )
+    assume(candidates)
+    return draw(st.sampled_from(candidates))
+
+
+@st.composite
+def query_cases(draw, extra_equality: bool = False) -> QueryCase:
+    """A complete differential query: joins + filters + projection/aggregates.
+
+    ``extra_equality`` adds one :func:`extra_equalities` condition to a
+    tree of at least two aliases; without it the draws (and so the cases
+    a seed yields) are exactly those of the plain strategy.
+    """
+    tree = draw(join_trees(min_extra=1 if extra_equality else 0))
     alias_tables = [(alias, table) for alias, table, _ in tree]
 
     from_clause = ", ".join(f"{table} {alias}" for alias, table, _ in tree)
@@ -301,6 +341,8 @@ def query_cases(draw) -> QueryCase:
         if join is not None:
             column, other_alias, other_column, _other_table = join
             where.append(f"{alias}.{column} = {other_alias}.{other_column}")
+    if extra_equality:
+        where.append(draw(extra_equalities(alias_tables)))
 
     # per-alias filters
     filter_count = draw(st.integers(min_value=0, max_value=3))

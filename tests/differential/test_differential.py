@@ -5,6 +5,11 @@ Two layers:
 * ``test_engines_agree_quick`` runs in the tier-1 suite with a small
   example budget — a smoke check that the harness itself works and the
   engines agree on a few dozen generated queries.
+* ``test_extra_equalities_agree_quick`` / ``..._deep`` do the same for
+  queries with a second ``=`` over a nullable column between two aliases
+  (``query_cases(extra_equality=True)``): multi-key edges and
+  cycle-closing conditions, which the TAG engines route on or check at a
+  collection merge.
 * ``test_engines_agree_deep`` (``-m differential``) is the real sweep:
   500+ generated queries by default, sized via ``DIFFERENTIAL_EXAMPLES``.
   CI runs it twice — once derandomized (a fixed, reproducible example
@@ -45,4 +50,17 @@ def test_engines_agree_quick(database, case):
 @settings(max_examples=DEEP_EXAMPLES, derandomize=DEEP_DERANDOMIZE, **_COMMON)
 @given(case=query_cases())
 def test_engines_agree_deep(database, case):
+    run_case(database, case)
+
+
+@settings(max_examples=30, derandomize=True, **_COMMON)
+@given(case=query_cases(extra_equality=True))
+def test_extra_equalities_agree_quick(database, case):
+    run_case(database, case)
+
+
+@pytest.mark.differential
+@settings(max_examples=DEEP_EXAMPLES, derandomize=DEEP_DERANDOMIZE, **_COMMON)
+@given(case=query_cases(extra_equality=True))
+def test_extra_equalities_agree_deep(database, case):
     run_case(database, case)

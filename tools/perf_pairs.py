@@ -1,6 +1,6 @@
 """Interleaved parent/change pairs of one ledger workload.
 
-    python3 tools/perf_pairs.py BASE_REV WORKLOAD [-n 10] [--metric pass_s]
+    python3 tools/perf_pairs.py BASE_REV WORKLOAD [-n 10] [--metric pass_s[,peak_rss_mb,...]]
                                 [--seed 101] [--base-dir DIR]
 
 The measuring procedure a performance claim rests on: ``BASE_REV`` is
@@ -12,8 +12,11 @@ alternating — and the tool prints each side's median and quartiles, how
 many pairs the change won, and whether that amounts to a gain: the change
 must win at least nine tenths of the pairs (ties count for neither) and
 the medians must differ by more than the distance between the base's own
-quartiles.  Each side runs the ``perf/`` of its own checkout, so the two
-must carry the same benchmark for the comparison to mean anything.
+quartiles.  ``--metric`` takes a comma-separated list of lower-is-better
+metrics, all read from the same runs: each gets its own medians,
+quartiles, win count and verdict.  Each side runs the ``perf/`` of its own
+checkout, so the two must carry the same benchmark for the comparison to
+mean anything.
 
 Exit status is 0 whatever the verdict; 1 only if a run fails.
 """
@@ -32,8 +35,8 @@ from typing import Dict, List
 REPO = Path(__file__).resolve().parent.parent
 
 
-def run_once(checkout: Path, workload: str, seed: int, metric: str) -> float:
-    """One ``perf/run.py`` run in ``checkout``; the metric from its last output line."""
+def run_once(checkout: Path, workload: str, seed: int, metrics: List[str]) -> Dict[str, float]:
+    """One ``perf/run.py`` run in ``checkout``; the metrics from its last output line."""
     command = [sys.executable, "perf/run.py", "--workload", workload, "--seed", str(seed)]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
@@ -42,7 +45,7 @@ def run_once(checkout: Path, workload: str, seed: int, metric: str) -> float:
     report = json.loads(done.stdout.strip().splitlines()[-1])
     if not report["correct"] or report["failed"]:
         raise SystemExit(f"perf/run.py reported wrong answers in {checkout} (seed {seed})")
-    return report["metrics"][metric]["value"]
+    return {metric: report["metrics"][metric]["value"] for metric in metrics}
 
 
 def summarize(values: List[float]) -> Dict[str, float]:
@@ -50,38 +53,49 @@ def summarize(values: List[float]) -> Dict[str, float]:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def measure(base: Path, args: argparse.Namespace) -> None:
-    sides = {"base": base, "change": REPO}
-    values: Dict[str, List[float]] = {"base": [], "change": []}
-    wins = losses = 0
-    for pair in range(args.n):
-        seed = args.seed + pair
-        order = ("base", "change") if pair % 2 == 0 else ("change", "base")
-        for side in order:
-            values[side].append(run_once(sides[side], args.workload, seed, args.metric))
-        base_value, change_value = values["base"][-1], values["change"][-1]
-        wins += change_value < base_value
-        losses += change_value > base_value
-        print(
-            f"pair {pair + 1:2d} seed {seed}: base {base_value:.4f}  change {change_value:.4f}"
-            f"  ({(change_value / base_value - 1) * 100:+.1f}%)  first: {order[0]}",
-            flush=True,
-        )
-    summary = {side: summarize(series) for side, series in values.items()}
+def judge(metric: str, base: List[float], change: List[float]) -> None:
+    """Print one metric's medians, quartiles, win count and verdict."""
+    wins = sum(c < b for b, c in zip(base, change))
+    losses = sum(c > b for b, c in zip(base, change))
+    summary = {"base": summarize(base), "change": summarize(change)}
     for side, stats in summary.items():
         print(
-            f"{side:6s} {args.metric}: median {stats['median']:.4f}"
+            f"{side:6s} {metric}: median {stats['median']:.4f}"
             f"  quartiles {stats['q1']:.4f} .. {stats['q3']:.4f}"
         )
     gap = summary["base"]["median"] - summary["change"]["median"]
     spread = summary["base"]["q3"] - summary["base"]["q1"]
     print(
-        f"change won {wins}/{args.n} pairs, lost {losses}; median gap {gap:+.4f}"
+        f"{metric}: change won {wins}/{len(base)} pairs, lost {losses}; median gap {gap:+.4f}"
         f" ({gap / summary['base']['median'] * 100:+.1f}% of base) vs base interquartile"
         f" distance {spread:.4f}"
     )
-    gained = wins >= 0.9 * args.n and gap > spread
-    print("verdict:", "gain (lower is better)" if gained else "no gain shown")
+    gained = wins >= 0.9 * len(base) and gap > spread
+    print(f"{metric} verdict:", "gain (lower is better)" if gained else "no gain shown")
+
+
+def measure(base: Path, args: argparse.Namespace) -> None:
+    sides = {"base": base, "change": REPO}
+    metrics = args.metric
+    values: Dict[str, Dict[str, List[float]]] = {
+        side: {metric: [] for metric in metrics} for side in sides
+    }
+    for pair in range(args.n):
+        seed = args.seed + pair
+        order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+        for side in order:
+            for metric, value in run_once(sides[side], args.workload, seed, metrics).items():
+                values[side][metric].append(value)
+        shown = []
+        for metric in metrics:
+            base_value, change_value = values["base"][metric][-1], values["change"][metric][-1]
+            shown.append(
+                f"{metric} base {base_value:.4f}  change {change_value:.4f}"
+                f"  ({(change_value / base_value - 1) * 100:+.1f}%)"
+            )
+        print(f"pair {pair + 1:2d} seed {seed}: {';  '.join(shown)}  first: {order[0]}", flush=True)
+    for metric in metrics:
+        judge(metric, values["base"][metric], values["change"][metric])
 
 
 def main() -> int:
@@ -89,7 +103,12 @@ def main() -> int:
     parser.add_argument("base_rev", help="the parent commit (any git revision)")
     parser.add_argument("workload", help="a workload name from BENCHMARK.json")
     parser.add_argument("-n", type=int, default=10, help="pairs to run (default 10)")
-    parser.add_argument("--metric", default="pass_s", help="a lower-is-better metric")
+    parser.add_argument(
+        "--metric",
+        default=["pass_s"],
+        type=lambda text: [name.strip() for name in text.split(",") if name.strip()],
+        help="lower-is-better metrics, comma-separated (default pass_s)",
+    )
     parser.add_argument("--seed", type=int, default=101, help="seed of the first pair")
     parser.add_argument("--base-dir", type=Path, help="an existing checkout of BASE_REV")
     args = parser.parse_args()
