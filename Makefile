@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-stress test-differential test-chaos perf perf-quick perf-tests bench-recovery bench examples lint format-check
+.PHONY: test test-stress test-differential test-chaos perf perf-quick perf-tests bench-recovery bench examples lint format-check loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -58,3 +58,7 @@ lint:
 
 format-check:
 	ruff format --check .
+
+# lines of Python under src/, the yardstick for simplicity changes
+loc:
+	@find src -name '*.py' | xargs cat | wc -l

@@ -2,7 +2,7 @@
 
 Builds a tiny NATION / CUSTOMER / ORDERS database, wraps it in the
 :class:`repro.Database` facade (which owns the query-independent TAG
-encoding, the catalog statistics and one shared plan cache), and runs
+encoding and one shared plan cache), and runs
 plain, parameterized and EXPLAIN'd queries through a session — printing
 results alongside the paper's cost measures (supersteps, messages,
 per-vertex computation).
@@ -63,7 +63,7 @@ def main() -> None:
     print("1. relational catalog:", catalog)
 
     # the Database owns the TAG encoding (built once, query-independently,
-    # paper Section 3), the statistics and a shared plan cache
+    # paper Section 3) and a shared plan cache
     db = Database.from_catalog(catalog)
     print("2. database:", db)
 

@@ -22,8 +22,8 @@ Quickstart::
 Engines are selected by registry name (``Database(catalog, engine="rdbms")``
 or per-session ``db.connect(engine="spark")``); all of them answer the same
 queries with identical rows — ``repro.list_engines()`` enumerates the
-registry.  The facade shares one plan cache and statistics store across
-every engine and session; direct executor construction remains available
+registry.  The facade shares one plan cache across every engine and
+session; direct executor construction remains available
 as ``repro.core.TagJoinExecutor`` for callers that manage their own
 encoding lifecycle.  For out-of-process access, :mod:`repro.serve`
 provides an asyncio JSON-line query server plus ``repro.serve.client``.

@@ -1,7 +1,7 @@
 """repro.api — the unified public surface of the reproduction.
 
-``Database`` owns the per-dataset state (TAG encoding, statistics, one
-shared plan cache); ``Session`` executes SQL with optional parameters and
+``Database`` owns the per-dataset state (TAG encoding, one shared plan
+cache); ``Session`` executes SQL with optional parameters and
 renders cross-engine EXPLAIN; the engine registry maps names ("tag",
 "rdbms", "spark", ...) to executor factories so callers never hardwire an
 executor class.  See :mod:`repro.api.database` for a usage example.

@@ -1,15 +1,16 @@
 """The session-oriented public API: ``Database`` -> ``Session`` -> results.
 
 One :class:`Database` owns everything the paper builds *once per dataset*
-— the query-independent TAG encoding, the catalog statistics, one shared
+— the query-independent TAG encoding and one shared
 :class:`~repro.planner.cache.PlanCache` — and hands out lightweight
 :class:`Session` objects that execute SQL (optionally parameterized),
-prepare statements and render cross-engine EXPLAIN plans.  Because every
-executor created through the facade shares the one plan cache and
-statistics store, plan reuse is automatic across sessions and across
-parameter values:
+prepare statements and render cross-engine EXPLAIN plans.  Every planner
+prices plans from the same live statistics view of the catalog (exact
+counts its column stores keep), and every executor created through the
+facade shares the one plan cache, so plan reuse is automatic across
+sessions and across parameter values:
 
-    db = Database.from_catalog(catalog)            # encodes + collects stats
+    db = Database.from_catalog(catalog)            # wraps the catalog
     with db.connect() as session:
         hot = session.prepare(
             "SELECT COUNT(*) AS n FROM ORDERS o WHERE o.O_TOTAL > :t")
@@ -21,8 +22,9 @@ Writes — :meth:`Database.load_rows`, :meth:`~Database.delete_rows` and
 :meth:`~Database.update_rows` — each become one
 :class:`~repro.incremental.delta.Delta` (tombstoned rows plus appended
 rows) and run one pipeline: dedup the request id, validate, log one WAL
-record, then apply — tuple vertices leave and join the existing TAG
-encoding in place, statistics fold both halves exactly, executors are
+record, then apply — the relation tombstones and appends (its column
+store keeps the statistics exact, so there is nothing to fold), tuple
+vertices leave and join the existing TAG encoding in place, executors are
 patched through their one ``apply`` hook, delta-mode and aggregate
 materialized views fold the bag delta of counting delete terms and
 seminaïve insert terms over only the touched vertices (aggregate views
@@ -61,12 +63,15 @@ from ..incremental.locks import ReadWriteLock
 from ..incremental.maintenance import MaintenanceCounters
 from ..planner import PlanCache
 from ..relational.catalog import Catalog
-from ..tag.statistics import CatalogStatistics, refreshed_statistics
+from ..tag.statistics import CatalogStatistics
 from .registry import Engine, EngineContext, create_engine, resolve_engine_name
 
 
 class Database:
     """A loaded database plus every engine that can query it.
+
+    The database keeps no statistics of its own: :attr:`statistics` is a
+    view over the catalog, read live by every planner.
 
     Args:
         catalog: the relational instance all engines share.
@@ -124,7 +129,6 @@ class Database:
         # share it); it is still re-encoded if the data version moves on
         self._graph: Optional[Any] = graph
         self._graph_version: Optional[int] = catalog.version if graph is not None else None
-        self._statistics: Optional[CatalogStatistics] = None
         self._engines: Dict[str, Engine] = {}
         self._engine_versions: Dict[str, int] = {}
         #: (engine, sql) -> bound QuerySpec, recorded by Session.prepare so
@@ -187,10 +191,8 @@ class Database:
 
     @property
     def statistics(self) -> CatalogStatistics:
-        """Catalog statistics, recollected whenever the catalog version moves."""
-        with self._lock:
-            self._statistics = refreshed_statistics(self.catalog, self._statistics)
-            return self._statistics
+        """The live statistics view every planner reads (nothing cached)."""
+        return CatalogStatistics(self.catalog)
 
     def engine(self, name: Optional[str] = None) -> Engine:
         """The (cached) engine instance registered under ``name``.
@@ -212,7 +214,6 @@ class Database:
                 catalog=self.catalog,
                 tag_graph=self.tag_graph,
                 plan_cache=self.plan_cache,
-                statistics=self.statistics,
                 num_workers=self.num_workers,
                 options=self.engine_options.get(canonical, {}),
             )
@@ -510,15 +511,16 @@ class Database:
     ) -> int:
         """Bulk-append rows to a relation, maintaining dependent state in place.
 
-        This is the incremental write path: when the TAG graph, the
-        statistics and the cached executors are current, the new rows are
-        *applied as a delta* — appended to the graph encoding, folded into
-        the statistics (exact counts), indexed by each engine's ``apply``
-        hook, and propagated into registered materialized views — instead
-        of invalidating everything.  Compiled plans are retained across
-        the write because their cache keys depend only on the schema
-        version.  An empty iterable is a complete no-op: no version bump,
-        no cache activity, no engine churn.
+        This is the incremental write path: when the TAG graph and the
+        cached executors are current, the new rows are *applied as a
+        delta* — appended to the relation (whose column store keeps the
+        statistics exact), appended to the graph encoding, indexed by
+        each engine's ``apply`` hook, and propagated into registered
+        materialized views — instead of invalidating everything.
+        Compiled plans are retained across the write because their cache
+        keys depend only on the schema version.  An empty iterable is a
+        complete no-op: no version bump, no cache activity, no engine
+        churn.
 
         On a durable database (``data_dir=``) the delta is validated,
         written to the WAL and fsync'd *before* it applies, and
@@ -571,8 +573,9 @@ class Database:
         A delete is a delta with an empty plus half: rows are
         *tombstoned* (physical positions never shift), the matching tuple
         vertices leave the TAG graph with shared attribute vertices freed
-        by refcount, statistics fold the removal exactly, engines patch
-        through their ``apply`` hook, and delta-maintained views are
+        by refcount, the column store drops the rows from the exact
+        counts the statistics read, engines patch through their
+        ``apply`` hook, and delta-maintained views are
         counting-maintained by telescoped delete terms run against the
         pre-delete graph.  Compiled plans survive — cache keys depend
         only on the schema version, which a delete never moves.
@@ -696,11 +699,14 @@ class Database:
     def _apply(self, relation: Any, delta: Delta) -> None:
         """Apply ``delta`` to the relation and every derived structure.
 
-        Caller holds the write lock and ``_lock``.  Freshness is checked
+        Caller holds the write lock and ``_lock``.  The relation's own
+        tombstone and append move every count the statistics view reads,
+        so no statistics step follows; :meth:`_patch_derived` patches the
+        graph, the engines and the views.  Freshness is checked
         *before* the catalog version bumps: a resource already stale (from
         an earlier out-of-band change) is left for its usual lazy rebuild
         rather than patched on top of missing history.  A failure
-        anywhere (fault injection, a statistics underflow, an engine hook
+        anywhere (fault injection, a refcount underflow, an engine hook
         blowing up) rolls back *both* halves — appended rows truncated,
         tombstoned rows restored — and retires every derived structure,
         so memory equals the pre-write state and a retry of the same
@@ -728,16 +734,12 @@ class Database:
     def _patch_derived(
         self, relation: Any, delta: Delta, version_before: int, before: int, started: float
     ) -> None:
-        """Graph, statistics, engines and views for a delta the relation
-        already holds (the body of :meth:`_apply`)."""
+        """Graph, engines and views for a delta the relation already holds
+        (the body of :meth:`_apply`)."""
         from ..incremental.views import refresh_view
 
         catalog = self.catalog
         graph_fresh = self._graph is not None and self._graph_version == version_before
-        stats_fresh = (
-            self._statistics is not None
-            and self._statistics.catalog_version == version_before
-        )
         catalog.note_data_change()
         counters = self.maintenance
 
@@ -764,8 +766,6 @@ class Database:
         if graph_fresh:
             patch_graph(self._graph, relation.schema, delta)
             self._graph_version = catalog.version
-        if stats_fresh:
-            self._statistics.apply(catalog, delta)
 
         patched = dropped = 0
         for name, engine in list(self._engines.items()):
@@ -832,8 +832,7 @@ class Database:
 
     def note_data_change(self) -> None:
         """Record an *out-of-band* data mutation: bump the catalog version so
-        statistics and the TAG encoding refresh, and eagerly retire every
-        cached engine.
+        the TAG encoding refreshes, and eagerly retire every cached engine.
 
         This is the scorched-earth fallback for mutations that bypassed
         :meth:`load_rows` (direct writes to relation row lists), where no

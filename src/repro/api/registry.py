@@ -6,8 +6,7 @@ set of hardcoded classes.  Each entry is a factory producing an object
 satisfying the :class:`Engine` protocol (``execute`` / ``execute_sql`` /
 ``explain``) from an :class:`EngineContext` — the bundle of shared state a
 :class:`repro.api.Database` owns: the catalog, the lazily-encoded TAG
-graph, one :class:`~repro.planner.cache.PlanCache` and one
-:class:`~repro.tag.statistics.CatalogStatistics` store.
+graph and one :class:`~repro.planner.cache.PlanCache`.
 
 Built-in names (auto-registered on import):
 
@@ -37,7 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.executor import QueryResult
     from ..planner import PlanCache
     from ..tag.encoder import TagGraph
-    from ..tag.statistics import CatalogStatistics
 
 
 class EngineError(ValueError):
@@ -72,7 +70,6 @@ class EngineContext:
     catalog: Catalog
     tag_graph: Callable[[], "TagGraph"]
     plan_cache: Optional["PlanCache"] = None
-    statistics: Optional["CatalogStatistics"] = None
     num_workers: int = 1
     options: Dict[str, Any] = field(default_factory=dict)
 
@@ -187,7 +184,6 @@ def _tag_executor(executor_class: Any, context: EngineContext, **defaults: Any) 
         context.catalog,
         num_workers=context.num_workers,
         plan_cache=context.plan_cache,
-        statistics=context.statistics,
         **options,
     )
 
@@ -210,9 +206,7 @@ def _rdbms_factory(join_algorithm: str) -> EngineFactory:
 
         options = dict(context.options)
         options.setdefault("join_algorithm", join_algorithm)
-        return RelationalExecutor(
-            context.catalog, statistics=context.statistics, **options
-        )
+        return RelationalExecutor(context.catalog, **options)
 
     return factory
 

@@ -29,8 +29,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..planner import PlanCache, PlanChoice
-    from ..planner.cost import CostModelConfig
-    from ..tag.statistics import CatalogStatistics
 
 from ..algebra.expressions import Expression, col
 from ..algebra.logical import AggregationClass, OutputColumn, QuerySpec
@@ -68,6 +66,19 @@ class StaleEngineError(ExecutionError):
     a ``Database`` — are never retired; their callers own the encoding
     lifecycle, as the plan-cache invalidation tests do.)
     """
+
+
+def refuse_outer_joins(spec: QuerySpec, engine: str) -> None:
+    """Raise :class:`ExecutionError` for a block with an outer join.
+
+    No multi-way engine here evaluates one; running the condition as an
+    inner join would silently drop the NULL-padded rows.
+    """
+    if spec.outer_joins:
+        raise ExecutionError(
+            f"the {engine} engine does not evaluate outer joins; "
+            "use repro.core.twoway.OuterJoinProgram for two-way outer joins"
+        )
 
 
 @dataclass
@@ -180,8 +191,6 @@ class TagJoinExecutor:
         enable_plan_cache: bool = True,
         plan_cache: Optional["PlanCache"] = None,
         cross_check_plans: bool = False,
-        statistics: Optional["CatalogStatistics"] = None,
-        cost_config: Optional["CostModelConfig"] = None,
         name: str = "tag",
     ) -> None:
         # local import: repro.planner depends on repro.core's submodules
@@ -196,16 +205,7 @@ class TagJoinExecutor:
         self.max_supersteps = max_supersteps
         self.use_cost_based_planner = use_cost_based_planner
         self.cross_check_plans = cross_check_plans
-        self.planner = CostBasedPlanner(
-            catalog,
-            statistics=statistics,
-            num_workers=num_workers,
-            cost_config=cost_config,
-        )
-        if use_cost_based_planner:
-            # collect statistics at load time, like index building — never
-            # inside a query's timed window (they refresh on catalog changes)
-            self.planner.statistics
+        self.planner = CostBasedPlanner(catalog, num_workers=num_workers)
         if plan_cache is None and enable_plan_cache:
             plan_cache = PlanCache()
         self.plan_cache = plan_cache
@@ -249,9 +249,9 @@ class TagJoinExecutor:
     def apply(self, delta: Any, catalog_version: int) -> None:
         """Adopt a data-only write already applied to the shared state.
 
-        The database patches the TAG graph in place and folds the delta
-        into the shared statistics before calling this, so the executor's
-        own work is only re-binding: advance ``bound_catalog_version`` to
+        The database patches the TAG graph in place before calling this
+        (statistics read the catalog live), so the executor's own work is
+        only re-binding: advance ``bound_catalog_version`` to
         the new catalog version.  Compiled plans stay cached (their keys
         depend only on the schema version) and the executor is *not*
         retired — the whole point of the delta path.
@@ -445,11 +445,7 @@ class TagJoinExecutor:
     # block dispatch
     # ------------------------------------------------------------------
     def _execute_block(self, spec: QuerySpec, metrics: RunMetrics) -> QueryResult:
-        if spec.outer_joins:
-            raise ExecutionError(
-                "the multi-way TAG-join executor does not evaluate outer joins; "
-                "use repro.core.twoway.OuterJoinProgram for two-way outer joins"
-            )
+        refuse_outer_joins(spec, self.name)
         # 1. subqueries become pushed-down filters / residuals on the outer block
         extra_filters: Dict[str, List[Expression]] = {}
         extra_residuals: List[Expression] = []

@@ -208,15 +208,6 @@ class Hypergraph:
     def fractional_edge_cover_number(self) -> float:
         return sum(self.fractional_edge_cover().values())
 
-    def agm_bound(self, cardinalities: Dict[str, int]) -> float:
-        """AGM bound: product of |R_i|^{w_i} under the optimal fractional cover."""
-        weights = self.fractional_edge_cover()
-        bound = 1.0
-        for alias, weight in weights.items():
-            cardinality = max(1, cardinalities.get(alias, 1))
-            bound *= cardinality ** weight
-        return bound
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Hypergraph({len(self.edges)} edges, {len(self.variables)} variables)"
 

@@ -81,18 +81,6 @@ class JoinTree:
     def aliases(self) -> List[str]:
         return list(self.parent)
 
-    def depth_first_order(self) -> List[str]:
-        """Preorder of aliases starting from the root."""
-        order: List[str] = []
-
-        def visit(alias: str) -> None:
-            order.append(alias)
-            for child in self.children(alias):
-                visit(child)
-
-        visit(self.root)
-        return order
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         rendered = ", ".join(
             f"{edge.child}-[{edge.variable.name}]->{edge.parent}" for edge in self.edges

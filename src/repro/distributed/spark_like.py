@@ -21,7 +21,7 @@ from ..algebra.expressions import Expression, ExpressionError
 from ..algebra.logical import AggregationClass, JoinCondition, QuerySpec
 from ..bsp.metrics import RunMetrics
 from ..core import operations as ops
-from ..core.executor import QueryResult
+from ..core.executor import QueryResult, refuse_outer_joins
 from ..core.subquery import compile_subquery_filters
 from ..relational.catalog import Catalog
 from ..relational.types import NULL
@@ -93,6 +93,7 @@ class SparkLikeExecutor:
         row count and shuffle traffic are appended.
         """
         spec.validate(self.catalog)
+        refuse_outer_joins(spec, self.name)
         lines = [
             f"spark-like plan for {spec.name!r} "
             f"({self.options.num_partitions} partitions)"
@@ -185,6 +186,7 @@ class SparkLikeExecutor:
     def _execute_block(
         self, spec: QuerySpec, stats: ShuffleStats
     ) -> Tuple[List[RowDict], List[str], AggregationClass]:
+        refuse_outer_joins(spec, self.name)
         extra_filters: Dict[str, List[Expression]] = {}
         extra_residuals: List[Expression] = []
         if spec.subqueries:

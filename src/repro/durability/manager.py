@@ -336,8 +336,8 @@ class DurabilityManager:
         self.records_since_snapshot = report["wal_records_replayed"]
 
         if touched:
-            # one version bump: statistics, the TAG encoding and engines
-            # all lazily rebuild against the recovered data
+            # one version bump: the TAG encoding and engines lazily
+            # rebuild against the recovered data
             catalog.note_data_change()
 
         for name, sql in view_defs.items():

@@ -12,17 +12,14 @@ match.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..tag.statistics import CatalogStatistics
+from typing import Any, Dict, List, Optional
 
 from ..algebra.expressions import Expression
 from ..algebra.logical import QuerySpec
 from ..bsp.metrics import RunMetrics
 from ..core import operations as ops
 from ..core.cancellation import check_cancelled
-from ..core.executor import QueryResult
+from ..core.executor import QueryResult, refuse_outer_joins
 from ..core.subquery import compile_subquery_filters
 from ..relational.catalog import Catalog
 from .indexes import IndexCatalog, build_indexes
@@ -39,16 +36,13 @@ class RelationalExecutor:
         join_algorithm: str = "hash",
         build_pk_fk_indexes: bool = True,
         name: Optional[str] = None,
-        statistics: Optional["CatalogStatistics"] = None,
     ) -> None:
         self.catalog = catalog
         self.options = PlannerOptions(join_algorithm=join_algorithm)
-        self.planner = Planner(catalog, self.options, statistics=statistics)
+        self.planner = Planner(catalog, self.options)
         self.indexes: Optional[IndexCatalog] = (
             build_indexes(catalog) if build_pk_fk_indexes else None
         )
-        # statistics are load-time work, alongside index building
-        self.planner.statistics
         self.name = name or f"rdbms[{join_algorithm}]"
 
     # ------------------------------------------------------------------
@@ -60,8 +54,8 @@ class RelationalExecutor:
         tombstoned rows' entries leave (surviving positions never move)
         and each appended row enters the relevant hash buckets and
         sorted-index slots — local work, the point of the paper's index
-        maintenance comparison.  The planner's statistics refresh through
-        the shared :class:`CatalogStatistics` object.
+        maintenance comparison.  The planner's statistics read the catalog
+        live, so they need no patch.
         """
         del catalog_version  # the rdbms engine binds no version
         if self.indexes is None:
@@ -116,6 +110,7 @@ class RelationalExecutor:
         return rows, columns, spec.aggregation_class(self.catalog)
 
     def _plan_block(self, spec: QuerySpec) -> PhysicalOperator:
+        refuse_outer_joins(spec, self.name)
         extra_filters: Dict[str, List[Expression]] = {}
         extra_residuals: List[Expression] = []
         if spec.subqueries:
@@ -138,13 +133,11 @@ class RelationalExecutor:
     # ------------------------------------------------------------------
     def loading_report(self) -> Dict[str, Any]:
         """Base-table and index loading statistics (Tables 1/2, Figure 14)."""
-        statistics = self.planner.statistics
         report = {
             "data_bytes": self.catalog.total_data_size_bytes(),
             "index_bytes": self.indexes.size_bytes() if self.indexes else 0,
             "index_build_seconds": self.indexes.build_seconds if self.indexes else 0.0,
             "index_count": self.indexes.index_count() if self.indexes else 0,
-            "statistics_seconds": statistics.collection_seconds if statistics else 0.0,
         }
         report["total_bytes"] = report["data_bytes"] + report["index_bytes"]
         return report

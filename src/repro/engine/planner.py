@@ -12,14 +12,12 @@ experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..tag.statistics import CatalogStatistics
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..algebra.expressions import Expression
 from ..algebra.logical import JoinCondition, QuerySpec
 from ..relational.catalog import Catalog
+from ..tag.statistics import CatalogStatistics
 from .operators import (
     Distinct,
     Filter,
@@ -42,32 +40,15 @@ class PlannerOptions:
     """Configuration emulating the different reference systems."""
 
     join_algorithm: str = "hash"  # "hash" | "sort_merge" | "nested_loop"
-    selectivity_guess: float = 0.3  # fallback fraction of rows passing a filter
-    use_statistics: bool = True  # NDV-driven selectivity when statistics exist
 
 
 class Planner:
     """Builds a physical operator tree for a QuerySpec."""
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        options: Optional[PlannerOptions] = None,
-        statistics: Optional["CatalogStatistics"] = None,
-    ) -> None:
+    def __init__(self, catalog: Catalog, options: Optional[PlannerOptions] = None) -> None:
         self.catalog = catalog
         self.options = options or PlannerOptions()
-        self._statistics = statistics
-
-    @property
-    def statistics(self) -> Optional["CatalogStatistics"]:
-        """Catalog statistics, refreshed whenever the catalog version changes."""
-        if not self.options.use_statistics:
-            return None
-        from ..tag.statistics import refreshed_statistics
-
-        self._statistics = refreshed_statistics(self.catalog, self._statistics)
-        return self._statistics
+        self.statistics = CatalogStatistics(catalog)
 
     # ------------------------------------------------------------------
     def plan(
@@ -112,14 +93,10 @@ class Planner:
     def _estimate(
         self, spec: QuerySpec, extra_filters: Dict[str, List[Expression]], alias: str
     ) -> float:
-        """Filtered cardinality of ``alias``: NDV-driven when statistics exist."""
+        """Filtered cardinality of ``alias``, from NDV-driven selectivities."""
         table = spec.table_for(alias)
         predicates = list(spec.filters_for(alias)) + list(extra_filters.get(alias, []))
-        statistics = self.statistics
-        if statistics is not None:
-            return statistics.estimated_rows(table, predicates)
-        cardinality = float(len(self.catalog.relation(table)))
-        return cardinality * (self.options.selectivity_guess ** len(predicates))
+        return self.statistics.estimated_rows(table, predicates)
 
     def _join_order(
         self,

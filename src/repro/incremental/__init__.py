@@ -20,10 +20,11 @@ This package replaces that with delta maintenance end to end:
 * :mod:`~repro.incremental.maintenance` — the counters surfaced through
   ``Database.cache_stats()["maintenance"]`` and the server ``stats`` op.
 
-Statistics need no module here: every count
-:class:`~repro.tag.statistics.CatalogStatistics` holds — rows, NULLs,
-bytes and the NDV of every column — folds exactly in O(rows written),
-because the relation's column store refcounts live values
+Statistics need no module and no write step here:
+:class:`~repro.tag.statistics.CatalogStatistics` is a view that reads
+row counts, NULL counts and the NDV of every column straight from the
+catalog, and the relation's column store keeps each of them exact on
+every tombstone and append by refcounting live values
 (:mod:`repro.storage.columns`).
 
 Attribute access is lazy (PEP 562): :mod:`repro.api.database` imports

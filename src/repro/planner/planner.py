@@ -25,8 +25,8 @@ from ..algebra.logical import QuerySpec
 from ..core.compiler import choose_group_by_root
 from ..core.jointree import build_join_tree, enumerate_rootings
 from ..relational.catalog import Catalog
-from ..tag.statistics import CatalogStatistics, refreshed_statistics
-from .cost import CostModelConfig, MessageCostModel, PlanCost
+from ..tag.statistics import CatalogStatistics
+from .cost import MessageCostModel, PlanCost
 
 
 @dataclass
@@ -45,34 +45,23 @@ class PlanChoice:
 class CostBasedPlanner:
     """Chooses join-tree roots by estimated message volume.
 
-    Statistics are collected lazily on first use and refreshed whenever
-    the catalog version changes, so a planner can outlive catalog reloads.
+    Costs read the catalog's live statistics view, so a planner can
+    outlive any number of writes and catalog reloads.
     """
 
     def __init__(
         self,
         catalog: Catalog,
-        statistics: Optional[CatalogStatistics] = None,
         num_workers: int = 1,
-        cost_config: Optional[CostModelConfig] = None,
         max_candidates: int = 12,
     ) -> None:
         self.catalog = catalog
         self.num_workers = num_workers
-        self.cost_config = cost_config
         self.max_candidates = max(1, max_candidates)
-        self._statistics = statistics
-
-    # ------------------------------------------------------------------
-    @property
-    def statistics(self) -> CatalogStatistics:
-        self._statistics = refreshed_statistics(self.catalog, self._statistics)
-        return self._statistics
+        self.statistics = CatalogStatistics(catalog)
 
     def cost_model(self) -> MessageCostModel:
-        return MessageCostModel(
-            self.statistics, num_workers=self.num_workers, config=self.cost_config
-        )
+        return MessageCostModel(self.statistics, num_workers=self.num_workers)
 
     # ------------------------------------------------------------------
     def choose_root(

@@ -8,7 +8,7 @@ from .csvio import (
     write_relation_csv,
 )
 from .relation import Relation, Row, rows_to_multiset
-from .schema import Column, ForeignKey, Schema, SchemaError, SchemaGraph
+from .schema import Column, ForeignKey, Schema, SchemaError
 from .types import NULL, DataType, coerce, coerce_date, infer_type, value_size_bytes
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "Row",
     "Schema",
     "SchemaError",
-    "SchemaGraph",
     "coerce",
     "coerce_date",
     "infer_type",

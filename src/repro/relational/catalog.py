@@ -6,7 +6,7 @@ from typing import Dict, Iterable, Iterator, List
 
 from ..storage.encoding import CatalogEncoding
 from .relation import Relation
-from .schema import Schema, SchemaGraph
+from .schema import Schema
 
 
 class CatalogError(KeyError):
@@ -57,7 +57,7 @@ class Catalog:
         self._schema_version += 1
 
     # ------------------------------------------------------------------
-    # change tracking (consumed by plan caches and statistics stores)
+    # change tracking (consumed by plan caches and the TAG encoding)
     # ------------------------------------------------------------------
     @property
     def version(self) -> int:
@@ -153,12 +153,6 @@ class Catalog:
     # ------------------------------------------------------------------
     # metadata
     # ------------------------------------------------------------------
-    def schema_graph(self) -> SchemaGraph:
-        graph = SchemaGraph()
-        for relation in self._relations.values():
-            graph.add(relation.schema)
-        return graph
-
     def total_rows(self) -> int:
         return sum(len(relation) for relation in self._relations.values())
 

@@ -93,26 +93,6 @@ class Relation:
             relation.insert([record.get(column.name, NULL) for column in schema.columns])
         return relation
 
-    @classmethod
-    def from_columns(cls, name: str, columns: Dict[str, Sequence[Any]]) -> "Relation":
-        """Build a relation from parallel column value lists."""
-        names = list(columns)
-        lengths = {len(values) for values in columns.values()}
-        if len(lengths) > 1:
-            raise SchemaError("column value lists must have equal length")
-        schema_columns = []
-        for column_name in names:
-            values = columns[column_name]
-            sample = next((v for v in values if v is not NULL), NULL)
-            dtype = infer_type(sample) if sample is not NULL else DataType.STRING
-            schema_columns.append(Column(column_name, dtype))
-        schema = Schema(name, schema_columns)
-        relation = cls(schema)
-        count = lengths.pop() if lengths else 0
-        for i in range(count):
-            relation.insert([columns[column_name][i] for column_name in names])
-        return relation
-
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------

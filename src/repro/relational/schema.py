@@ -8,7 +8,7 @@ TAG encoder to recognise PK-FK joins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .types import DataType
@@ -162,41 +162,3 @@ class Schema:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cols = ", ".join(f"{c.name}:{c.dtype.value}" for c in self.columns)
         return f"Schema({self.name}: {cols})"
-
-
-@dataclass
-class SchemaGraph:
-    """The PK-FK reference graph over a set of schemas.
-
-    Used by the planner to pick join orders and by the workload generators
-    to validate referential integrity.  Nodes are relation names, edges are
-    (referencing, referenced) pairs labelled with the FK.
-    """
-
-    schemas: Dict[str, Schema] = field(default_factory=dict)
-
-    def add(self, schema: Schema) -> None:
-        self.schemas[schema.name] = schema
-
-    def references(self) -> List[Tuple[str, str, ForeignKey]]:
-        edges = []
-        for schema in self.schemas.values():
-            for fk in schema.foreign_keys:
-                edges.append((schema.name, fk.referenced_table, fk))
-        return edges
-
-    def is_pk_fk_join(
-        self, left_table: str, left_column: str, right_table: str, right_column: str
-    ) -> bool:
-        """Whether joining ``left.column = right.column`` is a PK-FK join.
-
-        True if either side's column is that relation's primary key and the
-        other side declares a matching foreign key (or simply joins on the
-        PK, which bounds the join output by the FK side — the property used
-        in the paper's Section 6.1.1 analysis).
-        """
-        left = self.schemas.get(left_table)
-        right = self.schemas.get(right_table)
-        if left is None or right is None:
-            return False
-        return left.is_primary_key(left_column) or right.is_primary_key(right_column)

@@ -2,10 +2,11 @@
 
 Each encoded column keeps a packed ``int32`` code array plus a validity
 bitmap, appended to in lockstep with the relation's row list.  The store
-is the source of exact NDV for *every* column — live occurrences are
-refcounted per distinct code (encoded columns) or per distinct value (raw
-int/float/bool columns), so the count is one ``len`` away after any
-insert, tombstone or restore — and of the encoded byte accounting that
+is the source of exact NDV and NULL counts for *every* column — live
+occurrences are refcounted per distinct code (encoded columns) or per
+distinct value (raw int/float/bool columns), so both counts are O(1)
+after any insert, tombstone or restore — and of the encoded byte
+accounting that
 replaces the object-size estimate in
 :func:`repro.relational.types.value_size_bytes`.
 """
@@ -166,8 +167,7 @@ class RelationEncodedStore:
                 freed += column.mark_deleted(position, value)
             else:
                 freed += codec.slot_bytes(value)
-                if value is not NULL:
-                    _release(counts, value)
+                _release(counts, value)
         self._total_bytes -= freed
         return freed
 
@@ -179,8 +179,7 @@ class RelationEncodedStore:
                 added += column.restore(position, value)
             else:
                 added += codec.slot_bytes(value)
-                if value is not NULL:
-                    counts[value] = counts.get(value, 0) + 1
+                counts[value] = counts.get(value, 0) + 1
         self._total_bytes += added
         return added
 
@@ -196,8 +195,7 @@ class RelationEncodedStore:
                 row_bytes += column.append(value)
             else:
                 row_bytes += codec.slot_bytes(value)
-                if value is not NULL:
-                    counts[value] = counts.get(value, 0) + 1
+                counts[value] = counts.get(value, 0) + 1
         self._row_count += 1
         self._total_bytes += row_bytes
         return row_bytes
@@ -208,7 +206,8 @@ class RelationEncodedStore:
             name: EncodedColumn(name, self.codec.by_name[name])
             for name in self.codec.encoded_columns
         }
-        #: raw column -> live occurrences per distinct non-NULL value
+        #: raw column -> live occurrences per distinct value, NULL included
+        #: (under its own key, so NDV leaves it out and the NULL count reads it)
         self._raw_counts: Dict[str, Dict[Any, int]] = {
             column.name: {}
             for column in self.schema.columns
@@ -230,7 +229,17 @@ class RelationEncodedStore:
     def ndv(self, name: str) -> int:
         """Exact number of distinct live non-NULL values of any column."""
         column = self.columns.get(name)
-        return column.ndv if column is not None else len(self._raw_counts[name])
+        if column is not None:
+            return column.ndv
+        counts = self._raw_counts[name]
+        return len(counts) - (NULL in counts)
+
+    def null_count(self, name: str) -> int:
+        """Exact number of live NULLs in any column."""
+        column = self.columns.get(name)
+        if column is not None:
+            return column.null_count
+        return self._raw_counts[name].get(NULL, 0)
 
 
 __all__ = ["EncodedColumn", "RelationEncodedStore"]

@@ -12,6 +12,7 @@ from repro.engine import RelationalExecutor
 from repro.relational import Catalog, Column, DataType, ForeignKey, Relation, Schema
 from repro.exec import program as kernel_program
 from repro.tag import TUPLE_INDEX_KEY, encode_catalog
+from repro.tag.statistics import CatalogStatistics
 
 #: The kernel's one remaining choice is made from table size, so suites
 #: that must cover both sides of it pin ``COLUMNAR_THRESHOLD``: the shipped
@@ -70,6 +71,28 @@ def assert_graphs_equal(patched, rebuilt):
                 assert targets, (label, source)
                 indexed += len(targets)
         assert indexed == graph.edge_count
+
+
+def live_rows_by_scan(relation):
+    """The relation's live rows, found by physical position, not by the store."""
+    return [relation[p] for p in range(relation.physical_count) if relation.is_live(p)]
+
+
+def assert_statistics_match_scan(catalog) -> None:
+    """Every count the statistics view reads equals a scan of the live rows:
+    rows per relation, and NDV and NULLs per column, raw and encoded alike."""
+    statistics = CatalogStatistics(catalog)
+    for relation in catalog:
+        live = live_rows_by_scan(relation)
+        assert statistics.cardinality(relation.name) == len(live), relation.name
+        store = relation.encoded_store
+        for position, column in enumerate(relation.schema.column_names):
+            values = [row[position] for row in live]
+            present = {value for value in values if value is not None}
+            nulls = sum(value is None for value in values)
+            assert relation.distinct_count(column) == len(present), (relation.name, column)
+            assert statistics.distinct_count(relation.name, column) == max(1, len(present))
+            assert store.null_count(column) == nulls, (relation.name, column)
 
 
 def make_mini_catalog() -> Catalog:

@@ -2,7 +2,7 @@
 
 Each round a deterministic RNG picks relations along the FK chain and
 appends freshly generated, FK-valid rows through ``Database.load_rows``
-— the incremental path that patches the TAG graph, statistics, indexes,
+— the incremental path that patches the TAG graph, indexes
 and engines in place.  After every round the harness asserts:
 
 * every execution path of the *incrementally maintained* database still

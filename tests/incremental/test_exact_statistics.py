@@ -1,11 +1,12 @@
-"""Folded statistics are exact: after any write script they equal a recollect.
+"""The counts the statistics view reads are exact after any write script.
 
-Every count the planners read — rows, bytes, NULLs and the NDV of every
-column, raw (int/float) and encoded (string/date) alike — is folded in
-O(rows written) on each ``load_rows`` / ``delete_rows`` / ``update_rows``.
-Because the relation's column store refcounts live values, the fold is not
-an estimate: the statistics object the database patched in place must
-equal ``CatalogStatistics.collect`` field for field, whatever ran before.
+Every count the planners read — rows, and the NDV and NULLs of every
+column, raw (int/float) and encoded (string/date) alike — is kept live by
+the relation's column store on each insert, tombstone and restore, in
+O(rows written).  ``CatalogStatistics`` reads them without a copy, so
+exact here means: after every step of a write script, including writes
+that fail mid-apply and roll back, the store agrees with a scan of the
+relation's live rows.
 """
 
 import datetime as dt
@@ -17,9 +18,13 @@ import pytest
 from repro.api import Database
 from repro.durability.failpoints import FaultInjected, clear, install
 from repro.tag import encode_catalog
-from repro.tag.statistics import CatalogStatistics, RelationStatistics
 from repro.workloads import generate_tpch
-from tests.conftest import assert_graphs_equal, make_mini_catalog
+from tests.conftest import (
+    assert_graphs_equal,
+    assert_statistics_match_scan,
+    live_rows_by_scan,
+    make_mini_catalog,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -28,17 +33,21 @@ def disarm_after():
     clear()
 
 
-def assert_statistics_equal_recollect(db: Database) -> None:
-    folded = db.statistics
-    fresh = CatalogStatistics.collect(db.catalog)
-    assert folded.catalog_version == fresh.catalog_version
-    # RelationStatistics/ColumnStatistics are dataclasses: == is field for field
-    for name, expected in fresh.relations.items():
-        got = folded.relations[name]
-        assert (got.rows, got.bytes) == (expected.rows, expected.bytes), name
-        for column, column_expected in expected.columns.items():
-            assert got.columns[column] == column_expected, (name, column)
-    assert folded.relations == fresh.relations
+def slot_bytes(relation) -> int:
+    """Bytes a scan of the live rows occupies, one slot per value."""
+    codecs = relation.encoded_store.codec.codecs
+    return sum(
+        codec.slot_bytes(value)
+        for row in live_rows_by_scan(relation)
+        for codec, value in zip(codecs, row)
+    )
+
+
+def dictionary_charge(relation) -> int:
+    """What the store's byte total holds beyond its live slots: the string
+    dictionary growth it was charged since it was last encoded (entries are
+    catalog-global and never freed, so a delete gives back its slot only)."""
+    return relation.encoded_store.total_bytes - slot_bytes(relation)
 
 
 def random_order(rng: random.Random, key: int, customers: int):
@@ -54,20 +63,24 @@ def random_order(rng: random.Random, key: int, customers: int):
     ]
 
 
-def test_seeded_write_script_keeps_statistics_equal_to_recollect():
+def test_seeded_write_script_keeps_counts_equal_to_a_scan():
     rng = random.Random(20260925)
     db = Database(generate_tpch(scale=0.02, seed=3), engine="tag")
     db.engine("tag")
     db.engine("rdbms")
+    orders = db.catalog.relation("ORDERS")
+    dictionary = db.catalog.encoding.dictionary
     customers = len(db.catalog.relation("CUSTOMER"))
-    stats = db.statistics
+    charged = dictionary_charge(orders)
     live = []  # rows this script inserted and has not deleted, as inserted
     next_key = 10_000_000
-    folded_in_place = rollbacks = 0
+    rollbacks = 0
     for step in range(300):
         kind = rng.choice(["insert", "insert", "batch", "update", "delete", "rollback"])
         if kind in ("update", "delete") and not live:
             kind = "insert"
+        grown_from = dictionary.size_bytes
+        reencoded = False
         if kind == "insert":
             row = random_order(rng, next_key, customers)
             next_key += 1
@@ -89,8 +102,8 @@ def test_seeded_write_script_keeps_statistics_equal_to_recollect():
             victims = [live.pop(rng.randrange(len(live))) for _ in range(min(len(live), 3))]
             assert db.delete_rows("ORDERS", victims) == len(victims)
         else:
-            # a write that fails mid-apply rolls back; statistics recollect
-            # once and folding resumes from there
+            # a write that fails mid-apply rolls back: a delete restores its
+            # tombstones, an insert truncates and re-encodes the relation
             failing_delete = bool(live) and rng.random() < 0.5
             install("delta.apply.after_apply=raise@1")
             with pytest.raises(FaultInjected):
@@ -100,16 +113,14 @@ def test_seeded_write_script_keeps_statistics_equal_to_recollect():
                     db.load_rows("ORDERS", [random_order(rng, next_key, customers)])
             clear()
             rollbacks += 1
+            reencoded = not failing_delete
             db.engine("tag")  # re-encode now, so the next write is a delta again
             db.engine("rdbms")
-        folded_in_place += db.statistics is stats
-        stats = db.statistics
-        if step % 25 == 0:
-            assert_statistics_equal_recollect(db)
-    assert_statistics_equal_recollect(db)
+        charged = 0 if reencoded else charged + dictionary.size_bytes - grown_from
+        assert_statistics_match_scan(db.catalog)
+        assert dictionary_charge(orders) == charged, step
+        assert len(orders.encoded_store) == orders.physical_count
     assert rollbacks > 10
-    # every step that was not a rollback patched the one statistics object
-    assert folded_in_place == 300 - rollbacks
     assert db.maintenance.full_rebuilds == rollbacks
     # the same script leaves the patched graph equal to a cold re-encode:
     # single-row deletes unhook hot attribute vertices by bisection
@@ -119,41 +130,45 @@ def test_seeded_write_script_keeps_statistics_equal_to_recollect():
     )
 
 
-def test_insert_fold_matches_recollect_on_bytes_too():
-    """The insert fold used to add object-size bytes to an encoded total."""
-    db = Database(make_mini_catalog(), engine="tag")
-    stats = db.statistics
-    db.load_rows("ORDERS", [[900, 10, 1.5, "A-BRAND-NEW-PRIORITY"], [901, None, None, None]])
-    assert db.statistics is stats
-    assert_statistics_equal_recollect(db)
-
-
-def test_underflow_raises_instead_of_clamping():
+def test_insert_bytes_are_slots_plus_dictionary_growth():
+    """Inserts used to add object-size bytes to an encoded total."""
     db = Database(make_mini_catalog(), engine="tag")
     orders = db.catalog.relation("ORDERS")
-    stats = RelationStatistics.of(orders)
-    too_many = [(1, 10, 1.0, "LOW")] * (len(orders) + 1)
-    with pytest.raises(ValueError, match="row count"):
-        stats.with_removals(orders, too_many)
-    # no ORDERS row carries a NULL priority, so removing one cannot balance
-    with pytest.raises(ValueError, match="null count"):
-        stats.with_removals(orders, [(100, 10, 50.0, None)])
+    dictionary = db.catalog.encoding.dictionary
+    charged, grown_from = dictionary_charge(orders), dictionary.size_bytes
+    db.load_rows("ORDERS", [[900, 10, 1.5, "A-BRAND-NEW-PRIORITY"], [901, None, None, None]])
+    assert dictionary.size_bytes - grown_from == len("A-BRAND-NEW-PRIORITY")
+    assert dictionary_charge(orders) == charged + len("A-BRAND-NEW-PRIORITY")
+    assert_statistics_match_scan(db.catalog)
 
 
-def test_fold_that_raises_rolls_the_delete_back(monkeypatch):
+def test_a_second_delete_of_one_row_is_refused_before_any_count_moves():
     db = Database(make_mini_catalog(), engine="tag")
-    before = sorted(db.catalog.relation("ORDERS"))
-    db.statistics  # collected, so the delete folds
+    orders = db.catalog.relation("ORDERS")
+    orders.delete_positions([0])
+    nulls = orders.encoded_store.null_count("O_PRIORITY")
+    ndv = orders.distinct_count("O_ORDERKEY")
+    with pytest.raises(ValueError, match="already deleted"):
+        orders.delete_positions([0])
+    assert (len(orders), orders.distinct_count("O_ORDERKEY")) == (5, ndv)
+    assert orders.encoded_store.null_count("O_PRIORITY") == nulls
+    assert_statistics_match_scan(db.catalog)
 
-    def broken(self, relation, removed_rows):
-        raise ValueError("bookkeeping bug")
 
-    monkeypatch.setattr(RelationStatistics, "with_removals", broken)
-    with pytest.raises(ValueError, match="bookkeeping bug"):
+def test_a_delete_that_raises_mid_apply_rolls_the_counts_back():
+    db = Database(make_mini_catalog(), engine="tag")
+    db.engine("tag")  # encoded, so the delete runs as a delta
+    orders = db.catalog.relation("ORDERS")
+    before = sorted(orders)
+    bytes_before = orders.data_size_bytes()
+    install("delta.apply.after_apply=raise@1")
+    with pytest.raises(FaultInjected):
         db.delete_rows("ORDERS", [[100, 10, 50.0, "HIGH"]])
-    monkeypatch.undo()
-    assert sorted(db.catalog.relation("ORDERS")) == before
+    clear()
+    assert sorted(orders) == before
+    assert orders.data_size_bytes() == bytes_before
     assert db.maintenance.full_rebuilds == 1
-    assert_statistics_equal_recollect(db)
+    assert_statistics_match_scan(db.catalog)
     assert db.delete_rows("ORDERS", [[100, 10, 50.0, "HIGH"]]) == 1
-    assert_statistics_equal_recollect(db)
+    assert db.statistics.cardinality("ORDERS") == 5
+    assert_statistics_match_scan(db.catalog)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algebra import QueryBuilder, col, lit
-from repro.algebra.expressions import Comparison, InList
+from repro.algebra.expressions import Comparison, InList, IsNull
 from repro.core import TagJoinExecutor, build_join_tree, enumerate_rootings
 from repro.planner import CostBasedPlanner, CostModelConfig, MessageCostModel
 from repro.sql import parse_and_bind
@@ -51,9 +51,27 @@ class TestCatalogStatistics:
         predicate = Comparison("=", col("o.O_PRIORITY"), lit("HIGH"))
         assert stats.estimated_rows("ORDERS", [predicate]) == pytest.approx(3.0)
 
-    def test_version_tracks_catalog(self, mini_catalog):
-        stats = CatalogStatistics.collect(mini_catalog)
-        assert stats.catalog_version == mini_catalog.version
+    def test_view_reads_the_catalog_live(self, mini_catalog_copy):
+        stats = CatalogStatistics.collect(mini_catalog_copy)
+        mini_catalog_copy.relation("ORDERS").insert([106, 10, 5.0, None])
+        assert stats.cardinality("ORDERS") == 7
+        assert stats.distinct_count("ORDERS", "O_ORDERKEY") == 7
+        assert stats.distinct_count("ORDERS", "O_PRIORITY") == 2
+
+    def test_is_null_selectivity_reads_the_live_null_count(self, mini_catalog_copy):
+        stats = CatalogStatistics.collect(mini_catalog_copy)
+        orders = mini_catalog_copy.relation("ORDERS")
+        is_null = IsNull(col("o.O_PRIORITY"))
+        assert stats.predicate_selectivity("ORDERS", is_null) == 0.0
+        orders.insert([106, 10, 5.0, None])
+        orders.insert([107, 11, None, None])
+        assert stats.predicate_selectivity("ORDERS", is_null) == pytest.approx(2 / 8)
+        # O_TOTAL is a raw float column: its NULLs are counted too
+        assert stats.predicate_selectivity("ORDERS", IsNull(col("o.O_TOTAL"))) == (
+            pytest.approx(1 / 8)
+        )
+        orders.delete_positions([7])
+        assert stats.predicate_selectivity("ORDERS", is_null) == pytest.approx(1 / 7)
 
 
 class TestMessageCostModel:
@@ -128,15 +146,13 @@ class TestCostBasedPlanner:
         spec = parse_and_bind(sql, mini_catalog)
         assert CostBasedPlanner(mini_catalog).choose_root(spec) is None
 
-    def test_statistics_refresh_on_catalog_change(self, mini_catalog):
-        planner = CostBasedPlanner(mini_catalog)
-        first = planner.statistics
-        assert planner.statistics is first  # cached while version unchanged
-        mini_catalog.note_data_change()
-        try:
-            assert planner.statistics is not first
-        finally:
-            pass  # version bumps are monotonic; later tests re-collect as needed
+    def test_planner_costs_read_the_catalog_live(self, mini_catalog_copy):
+        planner = CostBasedPlanner(mini_catalog_copy)
+        before = dict(planner.choose_root(nco_spec()).considered)
+        mini_catalog_copy.relation("ORDERS").extend([[106 + i, 10, 5.0, "LOW"] for i in range(20)])
+        assert planner.statistics.cardinality("ORDERS") == 26
+        after = dict(planner.choose_root(nco_spec()).considered)
+        assert after["c"] > before["c"]
 
     def test_max_candidates_caps_search(self, mini_catalog):
         spec = nco_spec()

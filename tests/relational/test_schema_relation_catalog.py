@@ -106,15 +106,6 @@ class TestRelation:
         assert relation.schema.column_names == ["x", "y"]
         assert relation.column_values("x") == [1, 2]
 
-    def test_from_columns(self):
-        relation = Relation.from_columns("T", {"a": [1, 2, 3], "b": ["x", "y", "z"]})
-        assert len(relation) == 3
-        assert relation.distinct_count("b") == 3
-
-    def test_from_columns_uneven_lengths(self):
-        with pytest.raises(SchemaError):
-            Relation.from_columns("T", {"a": [1, 2], "b": [1]})
-
     def test_statistics(self):
         relation = Relation(sample_schema(), [[1, "a", 1.0], [2, "a", 2.0], [3, "b", 2.0]])
         assert relation.cardinality() == 3
@@ -165,12 +156,6 @@ class TestCatalog:
         violations = mini_catalog.validate_foreign_keys()
         # ORDERS row 105 references customer 99 which does not exist
         assert any("ORDERS" in violation for violation in violations)
-
-    def test_schema_graph_pk_fk_detection(self, mini_catalog):
-        graph = mini_catalog.schema_graph()
-        assert graph.is_pk_fk_join("CUSTOMER", "C_CUSTKEY", "ORDERS", "O_CUSTKEY")
-        assert not graph.is_pk_fk_join("CUSTOMER", "C_NATIONKEY", "ORDERS", "O_CUSTKEY")
-        assert len(graph.references()) == 2
 
 
 class TestCsvIO:
