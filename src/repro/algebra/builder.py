@@ -87,11 +87,6 @@ class QueryBuilder:
         self._spec.add_filter(alias, predicate)
         return self
 
-    def where_residual(self, predicate: Expression) -> "QueryBuilder":
-        """Multi-relation predicate applied after the join."""
-        self._spec.residual_predicates.append(predicate)
-        return self
-
     # ------------------------------------------------------------------
     # subqueries
     # ------------------------------------------------------------------

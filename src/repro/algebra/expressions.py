@@ -291,11 +291,15 @@ class Like(Expression):
     pattern: str
     negated: bool = False
 
+    def __post_init__(self) -> None:
+        # translated once here, not once per evaluated row
+        object.__setattr__(self, "_regex", like_regex(self.pattern))
+
     def evaluate(self, context: RowContext) -> bool:
         value = self.operand.evaluate(context)
         if value is NULL:
             return False
-        matched = _like_match(str(value), self.pattern)
+        matched = self._regex.fullmatch(str(value)) is not None
         return not matched if self.negated else matched
 
     def columns(self) -> FrozenSet[str]:
@@ -308,7 +312,8 @@ def like_regex(pattern: str):
     The single source of truth for LIKE semantics: both the interpreted
     :class:`Like` evaluation and the slot compiler's precompiled variant
     (:mod:`repro.exec.expr`) translate through here, so the two execution
-    paths cannot diverge.
+    paths cannot diverge.  ``%`` and ``_`` match any character, a newline
+    included, as in SQL.
     """
     import re
 
@@ -320,12 +325,7 @@ def like_regex(pattern: str):
             regex_parts.append(".")
         else:
             regex_parts.append(re.escape(character))
-    return re.compile("".join(regex_parts))
-
-
-def _like_match(value: str, pattern: str) -> bool:
-    """Match SQL LIKE patterns via a translated regular expression."""
-    return like_regex(pattern).fullmatch(value) is not None
+    return re.compile("".join(regex_parts), re.DOTALL)
 
 
 # ----------------------------------------------------------------------

@@ -143,21 +143,6 @@ class WorkloadReport:
             counts[engine] = tally
         return counts
 
-    def compile_time_summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-engine compile-time totals and plan-cache hit/miss counts."""
-        summary: Dict[str, Dict[str, float]] = {}
-        for run in self.runs:
-            if not run.ok:
-                continue
-            entry = summary.setdefault(
-                run.engine,
-                {"compile_seconds": 0.0, "plan_cache_hits": 0, "plan_cache_misses": 0},
-            )
-            entry["compile_seconds"] += run.compile_seconds
-            entry["plan_cache_hits"] += run.plan_cache_hits
-            entry["plan_cache_misses"] += run.plan_cache_misses
-        return summary
-
     def agreement_failures(self, reference: str) -> List[str]:
         """Queries whose result checksum differs between engines (should be empty)."""
         failures = []

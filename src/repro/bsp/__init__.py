@@ -3,12 +3,7 @@
 from .aggregators import (
     Aggregator,
     AggregatorRegistry,
-    CollectAggregator,
-    CountAggregator,
     GroupAggregator,
-    MaxAggregator,
-    MinAggregator,
-    SumAggregator,
 )
 from .engine import BSPEngine, BSPError, RunState, SuperstepContext, VertexProgram
 from .graph import Graph, GraphError, Vertex, VertexId
@@ -25,20 +20,15 @@ __all__ = [
     "AggregatorRegistry",
     "BSPEngine",
     "BSPError",
-    "CollectAggregator",
-    "CountAggregator",
     "Graph",
     "GraphError",
     "GroupAggregator",
     "HashPartitioner",
-    "MaxAggregator",
-    "MinAggregator",
     "Partitioner",
     "RoundRobinPartitioner",
     "RunMetrics",
     "RunState",
     "SinglePartitioner",
-    "SumAggregator",
     "SuperstepContext",
     "SuperstepMetrics",
     "Vertex",

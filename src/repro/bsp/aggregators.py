@@ -3,13 +3,13 @@
 Aggregators let vertices collaborate on a global value (paper Section 2,
 "Aggregators"): every vertex knows the aggregator's id and can send values
 to it; the aggregated value is readable at the next superstep (and at the
-end of the run).  TAG-join uses them for scalar/global aggregation
-(Section 7) and for the Cartesian-product Algorithm B (Section 6.3).
+end of the run).  TAG-join uses one for scalar/global aggregation
+(Section 7): the keyed :class:`GroupAggregator`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generic, List, Optional, TypeVar
+from typing import Any, Callable, Dict, Generic, Optional, TypeVar
 
 T = TypeVar("T")
 
@@ -25,98 +25,6 @@ class Aggregator(Generic[T]):
 
     def value(self) -> T:
         raise NotImplementedError
-
-    def reset(self) -> None:
-        """Clear the accumulated state (called when a new query starts)."""
-        raise NotImplementedError
-
-
-class SumAggregator(Aggregator[float]):
-    """Sums numeric contributions (SQL SUM / COUNT global aggregation)."""
-
-    def __init__(self, name: str, initial: float = 0) -> None:
-        super().__init__(name)
-        self._initial = initial
-        self._total = initial
-
-    def accumulate(self, value: Any) -> None:
-        self._total += value
-
-    def value(self) -> float:
-        return self._total
-
-    def reset(self) -> None:
-        self._total = self._initial
-
-
-class CountAggregator(Aggregator[int]):
-    """Counts the number of contributions."""
-
-    def __init__(self, name: str) -> None:
-        super().__init__(name)
-        self._count = 0
-
-    def accumulate(self, value: Any) -> None:
-        self._count += 1
-
-    def value(self) -> int:
-        return self._count
-
-    def reset(self) -> None:
-        self._count = 0
-
-
-class MinAggregator(Aggregator[Any]):
-    def __init__(self, name: str) -> None:
-        super().__init__(name)
-        self._value: Optional[Any] = None
-
-    def accumulate(self, value: Any) -> None:
-        if value is None:
-            return
-        if self._value is None or value < self._value:
-            self._value = value
-
-    def value(self) -> Any:
-        return self._value
-
-    def reset(self) -> None:
-        self._value = None
-
-
-class MaxAggregator(Aggregator[Any]):
-    def __init__(self, name: str) -> None:
-        super().__init__(name)
-        self._value: Optional[Any] = None
-
-    def accumulate(self, value: Any) -> None:
-        if value is None:
-            return
-        if self._value is None or value > self._value:
-            self._value = value
-
-    def value(self) -> Any:
-        return self._value
-
-    def reset(self) -> None:
-        self._value = None
-
-
-class CollectAggregator(Aggregator[List[Any]]):
-    """Collects every contributed value (used to gather distributed output)."""
-
-    def __init__(self, name: str) -> None:
-        super().__init__(name)
-        self._values: List[Any] = []
-
-    def accumulate(self, value: Any) -> None:
-        self._values.append(value)
-
-    def value(self) -> List[Any]:
-        return self._values
-
-    def reset(self) -> None:
-        self._values = []
 
 
 class GroupAggregator(Aggregator[Dict[Any, Any]]):
@@ -148,9 +56,6 @@ class GroupAggregator(Aggregator[Dict[Any, Any]]):
     def value(self) -> Dict[Any, Any]:
         return self._groups
 
-    def reset(self) -> None:
-        self._groups = {}
-
 
 class AggregatorRegistry:
     """The set of aggregator vertices available to a BSP run."""
@@ -170,10 +75,6 @@ class AggregatorRegistry:
 
     def values(self) -> Dict[str, Any]:
         return {name: aggregator.value() for name, aggregator in self._aggregators.items()}
-
-    def reset_all(self) -> None:
-        for aggregator in self._aggregators.values():
-            aggregator.reset()
 
     def contributions(self) -> int:
         """Number of registered aggregators (diagnostics)."""

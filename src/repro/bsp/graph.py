@@ -1,22 +1,24 @@
 """Property-graph storage for the vertex-centric BSP engine.
 
-Vertices carry a label and a property map, and edges a label, the data
-model of the paper's Section 2/3: a vertex has an id, a label, state, and
-a list of outgoing (labelled) edges.  TAG-join only ever asks one question
-of the edges — "my out-edges labelled ``R.A``" (Algorithm 2, lines 11-13)
-— so the store keeps them once, label-first, as bare target ids
-(``label -> vertex id -> [target ids]``): a superstep resolves the label
-once and each frontier vertex costs one dict lookup.  Edges carry no
-properties.  Every mutation patches the index in place; it is never
-rebuilt.
+Vertices carry an id and a label, and edges a label, the data model of
+the paper's Section 2/3: a vertex has an id, a label, state, and a list of
+outgoing (labelled) edges.  A vertex holds no data of its own: a TAG
+tuple vertex names its row by index, and the row stays in the relation
+it comes from (:class:`~repro.tag.encoder.TagGraph`).  TAG-join only ever
+asks one question of the edges — "my out-edges labelled ``R.A``"
+(Algorithm 2, lines 11-13) — so the store keeps them once, label-first,
+as bare target ids (``label -> vertex id -> [target ids]``): a superstep
+resolves the label once and each frontier vertex costs one dict lookup.
+Edges carry no properties.  Every mutation patches the index in place;
+it is never rebuilt.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
-from typing import AbstractSet, Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+from typing import AbstractSet, Dict, Iterable, Iterator, List, Mapping, Sequence
 
 VertexId = str
 
@@ -28,14 +30,12 @@ class GraphError(KeyError):
 _NO_TARGETS: Mapping[VertexId, List[VertexId]] = MappingProxyType({})
 
 
-@dataclass
+@dataclass(slots=True)
 class Vertex:
-    """A labelled vertex with a property map.
+    """A labelled vertex: four slots, no payload.
 
-    ``properties`` holds the durable data loaded into the graph (for TAG:
-    the tuple values, or the attribute value).  Per-query scratch data
-    (marked edges, accumulated partial joins) no longer lives here: vertex
-    programs keep it in the run-scoped
+    Per-query scratch data (marked edges, accumulated partial joins) does
+    not live here either: vertex programs keep it in the run-scoped
     :class:`~repro.bsp.engine.RunState` via ``context.state(vertex)``, so
     the graph stays immutable during execution and concurrent runs never
     interfere.
@@ -43,12 +43,14 @@ class Vertex:
 
     vertex_id: VertexId
     label: str
-    properties: Dict[str, Any] = field(default_factory=dict)
     #: graph-assigned dense integer id, unique for the graph's lifetime
     #: (never reused after removal).  The TAG-join kernel uses it as the
     #: provenance value so provenance columns stay native int64
     #: instead of falling back to object dtype on the vertex-id string.
     ordinal: int = -1
+    #: a TAG tuple vertex's 1-based tuple index (physical row position + 1:
+    #: ``relation[index - 1]`` is its row); 0 for every other vertex
+    index: int = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Vertex({self.vertex_id}:{self.label})"
@@ -71,15 +73,10 @@ class Graph:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def add_vertex(
-        self,
-        vertex_id: VertexId,
-        label: str,
-        properties: Optional[Dict[str, Any]] = None,
-    ) -> Vertex:
+    def add_vertex(self, vertex_id: VertexId, label: str, index: int = 0) -> Vertex:
         if vertex_id in self._vertices:
             raise GraphError(f"vertex {vertex_id!r} already exists")
-        vertex = Vertex(vertex_id, label, dict(properties or {}), ordinal=self._next_ordinal)
+        vertex = Vertex(vertex_id, label, self._next_ordinal, index)
         self._next_ordinal += 1
         self._vertices[vertex_id] = vertex
         self._vertices_by_label.setdefault(label, {})[vertex_id] = None

@@ -1,6 +1,13 @@
-"""TAG-join: the paper's core contribution (plans, vertex programs, executor)."""
+"""TAG-join: the paper's core contribution (plans, vertex programs, executor).
 
-from .cartesian import CartesianProductA, cartesian_product_b, cartesian_product_rows
+The executor runs the kernel of :mod:`repro.exec.program` (engine ``tag``),
+the dict-row reference :class:`TagJoinProgram` (engine ``tag_dict``) and,
+for pure cycle queries, :class:`CycleQueryProgram`.  :class:`TwoWayJoinProgram`
+is the paper's Section 4 building block, run directly by tests and the
+A01 ablation.
+"""
+
+from .cartesian import cartesian_product_rows
 from .compiler import CompiledFragment, CompileError, compile_fragment
 from .cyclic import CycleQueryProgram, CycleRelation, TriangleQueryProgram
 from .executor import ExecutionError, QueryResult, StaleEngineError, TagJoinExecutor
@@ -32,14 +39,7 @@ from .tag_plan import (
     generate_steps,
     reduction_schedule,
 )
-from .twoway import (
-    AntiJoinProgram,
-    JoinPair,
-    OuterJoinKind,
-    OuterJoinProgram,
-    SemiJoinProgram,
-    TwoWayJoinProgram,
-)
+from .twoway import JoinPair, TwoWayJoinProgram
 from .vertex_program import (
     FragmentConfig,
     Phase,
@@ -49,9 +49,7 @@ from .vertex_program import (
 )
 
 __all__ = [
-    "AntiJoinProgram",
     "CallablePredicate",
-    "CartesianProductA",
     "CompileError",
     "CompiledFragment",
     "CycleQueryProgram",
@@ -64,14 +62,11 @@ __all__ = [
     "JoinTree",
     "JoinTreeError",
     "JoinVariable",
-    "OuterJoinKind",
-    "OuterJoinProgram",
     "Phase",
     "PlanEdge",
     "PlanNode",
     "QueryResult",
     "ScheduledStep",
-    "SemiJoinProgram",
     "StaleEngineError",
     "TagJoinExecutor",
     "TagJoinProgram",
@@ -84,7 +79,6 @@ __all__ = [
     "build_join_tree",
     "build_schedule",
     "build_tag_plan",
-    "cartesian_product_b",
     "cartesian_product_rows",
     "compile_fragment",
     "connected_components",

@@ -1,171 +1,16 @@
-"""Vertex-centric Cartesian products (paper Section 6.3, Algorithms A and B).
+"""Cartesian products of disconnected query components (paper Section 6.3).
 
-Cartesian products arise when a query's join graph is disconnected, and as
-the combination step of the "union of stars" decomposition (Section 6.4).
-Both algorithms rely on a *global aggregator* vertex whose id every vertex
-knows:
-
-* **Algorithm A** — every tuple of both relations ships its data to the
-  aggregator, which builds the product centrally: ``|R| + |S|``
-  communication, ``|R| * |S|`` (sequential) computation.
-* **Algorithm B** — the aggregator first gathers the ids of the R-tuple
-  vertices and hands them to the S-tuple vertices, which then send their
-  tuples directly to every R-tuple vertex; each R vertex combines the
-  received tuples with its own, leaving the product distributed:
-  ``O(|R| * |S|)`` communication and computation, but fully parallel.
-
-In this reproduction the aggregator's broadcast of the id list is realised
-by letting the S vertices read the aggregated value at the next superstep
-(the engine charges the read as per-vertex computation rather than as
-messages); the dominant ``|R| * |S|`` data traffic of Algorithm B is sent
-as real messages and accounted exactly.
+A query whose join graph is disconnected evaluates each connected
+component as its own TAG-join fragment; the executor then combines the
+component results with :func:`cartesian_product_rows`.  The paper's
+vertex-centric Algorithms A and B (gather both relations at a global
+aggregator, or scatter one relation's tuples to every vertex of the
+other) are not implemented: no engine would run them.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
-
-from ..bsp.aggregators import CollectAggregator
-from ..bsp.engine import BSPEngine, VertexProgram
-from ..bsp.graph import Graph, Vertex
-from ..bsp.metrics import RunMetrics
-from ..tag.encoder import TUPLE_DATA_KEY, TagGraph
-
-
-def _qualify(table: str, data: Dict[str, Any]) -> Dict[str, Any]:
-    return {f"{table}.{column}": value for column, value in data.items()}
-
-
-class CartesianProductA(VertexProgram):
-    """Algorithm A: gather both relations at the global aggregator."""
-
-    AGGREGATOR = "cartesian:algorithm_a"
-
-    def __init__(self, engine: BSPEngine, graph: TagGraph, left_table: str, right_table: str) -> None:
-        self.graph = graph
-        self.left_table = left_table
-        self.right_table = right_table
-        engine.register_aggregator(CollectAggregator(self.AGGREGATOR))
-
-    def initial_active_vertices(self, graph: Graph):
-        return graph.vertices_with_label(self.left_table) + graph.vertices_with_label(
-            self.right_table
-        )
-
-    def compute(self, vertex: Vertex, messages: List[Any], graph: Graph, context) -> None:
-        if context.superstep > 0:
-            return
-        tuple_data = vertex.properties.get(TUPLE_DATA_KEY)
-        if tuple_data is None:
-            return
-        context.charge()
-        # rows leave the graph here, so decode dictionary/sentinel codes now
-        context.aggregate(
-            self.AGGREGATOR, (vertex.label, dict(self.graph.decoded_tuple_data(vertex)))
-        )
-
-    def result(self, graph: Graph, aggregators) -> List[Dict[str, Any]]:
-        gathered = aggregators.get(self.AGGREGATOR).value()
-        left_rows = [data for label, data in gathered if label == self.left_table]
-        right_rows = [data for label, data in gathered if label == self.right_table]
-        product = []
-        for left in left_rows:
-            for right in right_rows:
-                row = _qualify(self.left_table, left)
-                row.update(_qualify(self.right_table, right))
-                product.append(row)
-        return product
-
-
-class _GatherIds(VertexProgram):
-    """Phase 1 of Algorithm B: collect the ids of the left relation's vertices."""
-
-    AGGREGATOR = "cartesian:left_ids"
-
-    def __init__(self, engine: BSPEngine, left_table: str) -> None:
-        self.left_table = left_table
-        engine.register_aggregator(CollectAggregator(self.AGGREGATOR))
-
-    def initial_active_vertices(self, graph: Graph):
-        return graph.vertices_with_label(self.left_table)
-
-    def compute(self, vertex: Vertex, messages: List[Any], graph: Graph, context) -> None:
-        if context.superstep > 0:
-            return
-        context.charge()
-        context.aggregate(self.AGGREGATOR, vertex.vertex_id)
-
-    def result(self, graph: Graph, aggregators) -> List[str]:
-        return list(aggregators.get(self.AGGREGATOR).value())
-
-
-class _ScatterAndCombine(VertexProgram):
-    """Phase 2 of Algorithm B: S-tuples ship their data to every R-tuple vertex."""
-
-    def __init__(
-        self, graph: TagGraph, left_table: str, right_table: str, left_ids: Sequence[str]
-    ) -> None:
-        self.graph = graph
-        self.left_table = left_table
-        self.right_table = right_table
-        self.left_ids = list(left_ids)
-        self.rows_by_left_vertex: Dict[str, List[Dict[str, Any]]] = {}
-
-    def initial_active_vertices(self, graph: Graph):
-        return graph.vertices_with_label(self.right_table)
-
-    def compute(self, vertex: Vertex, messages: List[Any], graph: Graph, context) -> None:
-        if context.superstep == 0:
-            tuple_data = vertex.properties.get(TUPLE_DATA_KEY)
-            if tuple_data is None:
-                return
-            # decoded once at the send — the messages ARE the result rows
-            decoded = dict(self.graph.decoded_tuple_data(vertex))
-            context.charge(len(self.left_ids))
-            for left_id in self.left_ids:
-                context.send(left_id, decoded)
-            return
-        # superstep 1: R-tuple vertices combine the received S-tuples with their own
-        if vertex.properties.get(TUPLE_DATA_KEY) is None:
-            return
-        own = self.graph.decoded_tuple_data(vertex)
-        combined = []
-        for right_data in messages:
-            row = _qualify(self.left_table, own)
-            row.update(_qualify(self.right_table, right_data))
-            combined.append(row)
-            context.charge()
-        self.rows_by_left_vertex[vertex.vertex_id] = combined
-
-    def result(self, graph: Graph, aggregators) -> List[Dict[str, Any]]:
-        rows: List[Dict[str, Any]] = []
-        for combined in self.rows_by_left_vertex.values():
-            rows.extend(combined)
-        return rows
-
-
-def cartesian_product_b(
-    engine: BSPEngine,
-    graph: TagGraph,
-    left_table: str,
-    right_table: str,
-    metrics: Optional[RunMetrics] = None,
-) -> List[Dict[str, Any]]:
-    """Run Algorithm B end to end (two vertex programs), returning the product.
-
-    The result is the union of the per-R-vertex partial products, i.e. the
-    "distributed output" the paper describes; metrics for both phases are
-    merged into ``metrics`` when provided.
-    """
-    gather = _GatherIds(engine, left_table)
-    left_ids = engine.run(gather)
-    if metrics is not None:
-        metrics.merge(engine.last_metrics)
-    scatter = _ScatterAndCombine(graph, left_table, right_table, left_ids)
-    rows = engine.run(scatter)
-    if metrics is not None:
-        metrics.merge(engine.last_metrics)
-    return rows
+from typing import Any, Dict, List
 
 
 def cartesian_product_rows(

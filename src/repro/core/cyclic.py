@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from ..algebra.expressions import Expression
 from ..bsp.engine import VertexProgram
 from ..bsp.graph import Graph, Vertex
-from ..tag.encoder import TUPLE_DATA_KEY, TagGraph, edge_label
+from ..tag.encoder import TagGraph, edge_label
 from . import operations as ops
 
 
@@ -169,9 +169,7 @@ class CycleQueryProgram(VertexProgram):
         context.charge(len(rows))
 
         if hop.kind == "relation":
-            tuple_data = vertex.properties.get(TUPLE_DATA_KEY)
-            if tuple_data is None:
-                return
+            tuple_data = self.graph.encoded_row(vertex)
             if not self._passes(hop.alias, tuple_data):
                 return
             own_row = ops.project_tuple(
@@ -190,8 +188,8 @@ class CycleQueryProgram(VertexProgram):
     def _wake(self, vertex: Vertex, graph: Graph, context) -> None:
         """A light R1 tuple starts its own propagation (origin = its vertex id)."""
         relation = self._first_relation
-        tuple_data = vertex.properties.get(TUPLE_DATA_KEY)
-        if tuple_data is None or not self._passes(relation.alias, tuple_data):
+        tuple_data = self.graph.encoded_row(vertex)
+        if not self._passes(relation.alias, tuple_data):
             return
         own_row = ops.project_tuple(
             relation.alias, tuple_data, self.required_columns.get(relation.alias)
@@ -266,12 +264,6 @@ class CycleQueryProgram(VertexProgram):
         return True
 
     # ------------------------------------------------------------------
-    def _relation_by_alias(self, alias: Optional[str]) -> CycleRelation:
-        for relation in self.relations:
-            if relation.alias == alias:
-                return relation
-        raise KeyError(f"unknown cycle alias {alias!r}")
-
     def _passes(self, alias: str, tuple_data: Dict[str, Any]) -> bool:
         predicates = self.filters.get(alias)
         if not predicates:

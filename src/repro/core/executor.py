@@ -76,8 +76,7 @@ def refuse_outer_joins(spec: QuerySpec, engine: str) -> None:
     """
     if spec.outer_joins:
         raise ExecutionError(
-            f"the {engine} engine does not evaluate outer joins; "
-            "use repro.core.twoway.OuterJoinProgram for two-way outer joins"
+            f"the {engine} engine does not evaluate outer joins (LEFT / RIGHT / FULL JOIN)"
         )
 
 

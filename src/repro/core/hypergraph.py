@@ -107,12 +107,6 @@ class Hypergraph:
     def shared_variables(self, left_alias: str, right_alias: str) -> Set[JoinVariable]:
         return self.variables_of(left_alias) & self.variables_of(right_alias)
 
-    def variable_named(self, name: str) -> JoinVariable:
-        for variable in self.variables:
-            if variable.name == name:
-                return variable
-        raise HypergraphError(f"unknown join variable {name!r}")
-
     # ------------------------------------------------------------------
     # acyclicity: GYO ear removal
     # ------------------------------------------------------------------

@@ -35,7 +35,7 @@ from ..algebra.logical import AggregateSpec, AggregationClass, OutputColumn
 from ..bsp.aggregators import GroupAggregator
 from ..bsp.engine import BSPEngine, SuperstepContext, VertexProgram
 from ..bsp.graph import Graph, Vertex, VertexId
-from ..tag.encoder import TUPLE_DATA_KEY, TagGraph
+from ..tag.encoder import TagGraph
 from . import operations as ops
 from .tag_plan import PlanNode, TagPlan, TraversalStep
 
@@ -335,16 +335,12 @@ class TagJoinProgram(VertexProgram):
         predicates = self.config.filters.get(alias)
         if not predicates:
             return True
-        tuple_data = vertex.properties.get(TUPLE_DATA_KEY)
-        if tuple_data is None:
-            return True
-        row = ops.row_context_for_tuple(alias, tuple_data)
+        row = ops.row_context_for_tuple(alias, self.graph.encoded_row(vertex))
         return ops.passes_filters(row, predicates)
 
     def _own_row(self, vertex: Vertex, node: PlanNode) -> Dict[str, Any]:
-        tuple_data = vertex.properties[TUPLE_DATA_KEY]
         columns = self.config.required_columns.get(node.alias)
-        row = ops.project_tuple(node.alias, tuple_data, columns)
+        row = ops.project_tuple(node.alias, self.graph.encoded_row(vertex), columns)
         row[_provenance_key(node.alias)] = vertex.vertex_id
         return row
 

@@ -240,40 +240,6 @@ def slot_resolver(schema: RowSchema) -> Resolver:
     return resolve
 
 
-def tuple_data_resolver(alias: str, columns: Sequence[str]) -> Resolver:
-    """Bind column references to keys of a tuple vertex's raw data dict.
-
-    The dict path qualifies every column of a tuple vertex into a fresh
-    ``{alias.column: value}`` context before evaluating pushed-down
-    filters; compiled filters read the vertex's stored ``tuple`` property
-    directly, skipping the per-row context construction entirely.
-    """
-    known = frozenset(columns)
-
-    def resolve(ref: ColumnRef) -> Compiled:
-        if ref.table is not None and ref.table != alias:
-            raise SlotError(f"filter for {alias!r} references {ref.qualified!r}")
-        if ref.column not in known:
-            raise SlotError(f"unknown column {ref.qualified!r} on alias {alias!r}")
-        column = ref.column
-        return lambda data: data[column]
-
-    return resolve
-
-
-def tuple_data_context(alias: str) -> ContextBuilder:
-    """Fallback context for filters: the alias-qualified view of a tuple.
-
-    Delegates to the dict path's own qualification helper so the two
-    representations share one definition of the row context format.
-    """
-    # local import: repro.core.operations pulls in the core package, which
-    # transitively imports repro.exec during its own initialisation
-    from ..core.operations import row_context_for_tuple
-
-    return lambda data: row_context_for_tuple(alias, data)
-
-
 def compile_predicates(
     predicates: Sequence[Expression],
     resolve: Resolver,

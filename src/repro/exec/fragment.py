@@ -13,7 +13,10 @@ and the aggregate accumulators into slot-index closures.
 The result rides along inside the cached
 :class:`~repro.core.compiler.CompiledFragment`, so a plan-cache hit hands
 back ready-to-run closures and the per-row work left at execution time is
-tuple indexing.
+tuple indexing.  What it names per alias are *columns*: the kernel binds
+them to the relation's rows and code arrays at run start
+(:meth:`~repro.relational.relation.Relation.encoded_reader`), never here —
+a plan outlives the arrays it would otherwise hold.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..relational.catalog import Catalog
-from .expr import compile_predicates, tuple_data_context, tuple_data_resolver
+from .expr import compile_predicates, slot_resolver
 from .operations import (
     SlottedAggregates,
     compile_group_key,
@@ -38,7 +41,8 @@ def provenance_key(alias: Optional[str]) -> str:
 
 
 class OwnRowSpec:
-    """How one relation alias projects a tuple vertex into a slotted row."""
+    """How one relation alias projects a tuple vertex into a slotted row:
+    the values of ``columns`` read off its row, then its ordinal."""
 
     __slots__ = ("alias", "columns", "schema")
 
@@ -48,8 +52,14 @@ class OwnRowSpec:
         qualified = tuple(f"{alias}.{column}" for column in columns)
         self.schema = RowSchema(qualified + (provenance_key(alias),))
 
-    def build(self, tuple_data: Dict[str, Any], ordinal: int) -> SlottedRow:
-        return tuple(map(tuple_data.__getitem__, self.columns)) + (ordinal,)
+
+@dataclass(frozen=True)
+class AliasFilter:
+    """An alias's pushed-down filters, slot-compiled over the values of
+    ``columns`` (the table columns they reference, in table order)."""
+
+    columns: Tuple[str, ...]
+    test: Callable[[SlottedRow], bool]
 
 
 @dataclass(frozen=True)
@@ -85,7 +95,7 @@ class SlottedFragment:
     collect: Dict[int, CollectAction]  # schedule index -> compiled receive
     step_schemas: Dict[int, RowSchema]  # schedule index -> schema of the step's table
     root_schema: RowSchema
-    filters: Dict[str, Callable[[Dict[str, Any]], bool]]  # alias -> tuple-data predicate
+    filters: Dict[str, AliasFilter]  # alias -> pushed-down filter
     output: Callable[[SlottedRow], Tuple[Any, ...]]
     output_columns: Tuple[str, ...]
     group_key: Callable[[SlottedRow], Tuple[Any, ...]]
@@ -117,18 +127,26 @@ def compile_slotted_fragment(config: Any, catalog: Catalog) -> SlottedFragment:
         columns = tuple(sorted(column for column in required if column in table_columns))
         own[alias] = OwnRowSpec(alias, columns)
 
-    # 2. pushed-down filters, compiled against the raw tuple-data dict
-    filters: Dict[str, Callable[[Dict[str, Any]], bool]] = {}
+    # 2. pushed-down filters, compiled against the tuple of the table
+    #    columns they reference (a qualified reference names its column
+    #    after the last dot)
+    filters: Dict[str, AliasFilter] = {}
     for alias, predicates in config.filters.items():
         table = config.alias_tables.get(alias)
-        table_columns = catalog.schema(table).column_names if table else ()
+        referenced = {
+            name.rpartition(".")[2] for predicate in predicates for name in predicate.columns()
+        }
+        columns = tuple(
+            column
+            for column in (catalog.schema(table).column_names if table else ())
+            if column in referenced
+        )
+        schema = RowSchema(tuple(f"{alias}.{column}" for column in columns))
         compiled = compile_predicates(
-            predicates,
-            tuple_data_resolver(alias, table_columns),
-            tuple_data_context(alias),
+            predicates, slot_resolver(schema), schema.context_builder()
         )
         if compiled is not None:
-            filters[alias] = compiled
+            filters[alias] = AliasFilter(columns, compiled)
 
     # 3. symbolic replay of the collection schedule: propagate schemas and
     #    compile one merge per step, exactly as rows will flow at run time

@@ -60,7 +60,7 @@ from ..core.vertex_program import (
     Phase,
     ScheduledStep,
 )
-from ..tag.encoder import TUPLE_DATA_KEY, TUPLE_INDEX_KEY, TagGraph, tuple_vertex_id
+from ..tag.encoder import TagGraph, tuple_vertex_id
 from .fragment import SlottedFragment
 from .operations import SlottedAggregates
 from .schema import SlottedRow
@@ -131,11 +131,17 @@ class TagJoinKernel(VertexProgram):
         self.output_batches: List[ColumnBatch] = []
         self.local_groups: List[SlottedRow] = []
         self._start_node = config.plan.node(config.start_node_id)
-        # per relation alias: the admission test of its tuple vertices
-        # (restrictions, then the pushed-down filter), None = all pass
-        self._admit: Dict[str, Optional[Callable[[Vertex], bool]]] = {
-            node.alias: self._admission(node.alias) for node in config.plan.relation_nodes()
-        }
+        # per relation alias, bound to the relation's rows and code arrays
+        # as they are at run start (a cached plan outlives them): the
+        # reader of its own-row columns by physical position, and the
+        # admission test of its tuple vertices (restrictions, then the
+        # pushed-down filter; None = all pass)
+        self._read_own: Dict[str, Callable[[int], SlottedRow]] = {}
+        self._admit: Dict[str, Optional[Callable[[Vertex], bool]]] = {}
+        for node in config.plan.relation_nodes():
+            relation = graph.catalog.relation(node.table)
+            self._read_own[node.alias] = relation.encoded_reader(slotted.own[node.alias].columns)
+            self._admit[node.alias] = self._admission(node.alias, relation)
         # run-scoped scratch, keyed by what the schedule names, then vertex:
         # plan edge id -> vertex id -> ids of the neighbours that marked it
         self._marked: Dict[str, Dict[VertexId, Set[VertexId]]] = {}
@@ -239,19 +245,19 @@ class TagJoinKernel(VertexProgram):
         # and drops them.
         # Right after the merge, the residual conditions placed at this step
         # drop the rows whose aliases have met but do not agree.
-        build_own = None if action.merge is None else self.slotted.own[target_node.alias].build
+        read_own = None if action.merge is None else self._read_own[target_node.alias]
         check = action.check
         batch_check = self.vectorized.checks.get(step_index)
         for vertex_id in active:
             messages = inbox[vertex_id]
             rows = combine(messages)
-            if build_own is not None:
+            if read_own is not None:
                 vertex = graph_vertex(vertex_id)
                 # provenance is the graph-assigned integer ordinal, not the
                 # string vertex id: it keeps the hidden provenance column
                 # native int64 when a table is columnarised
                 ordinal = vertex.ordinal
-                own_row = build_own(vertex.properties[TUPLE_DATA_KEY], ordinal)
+                own_row = read_own(vertex.index - 1) + (ordinal,)
                 if type(rows) is ColumnBatch:
                     rows = self._merge_batch(rows, own_row, action, ordinal)
                 elif rows:
@@ -360,9 +366,7 @@ class TagJoinKernel(VertexProgram):
         if collecting:
             values = self._values.get(step.source, {})
             source_node = self.config.plan.node(step.source)
-            build_own = None
-            if source_node.is_relation:
-                build_own = self.slotted.own[source_node.alias].build
+            read_own = self._read_own[source_node.alias] if source_node.is_relation else None
         engine = context.engine
         partition_of = engine.partition_of if engine.num_workers > 1 else None
         units = messages = message_bytes = network_messages = network_bytes = 0
@@ -383,9 +387,9 @@ class TagJoinKernel(VertexProgram):
                 # propagate this node's value: its table, or at the start
                 # relation (no table yet) the vertex's own row
                 payload = values.get(vertex_id)
-                if payload is None and build_own is not None:
+                if payload is None and read_own is not None:
                     vertex = graph.vertex(vertex_id)
-                    payload = [build_own(vertex.properties[TUPLE_DATA_KEY], vertex.ordinal)]
+                    payload = [read_own(vertex.index - 1) + (vertex.ordinal,)]
                 if not payload:
                     continue
                 # a row table weighs its first row times its length
@@ -505,24 +509,29 @@ class TagJoinKernel(VertexProgram):
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _admission(self, alias: str) -> Optional[Callable[[Vertex], bool]]:
+    def _admission(self, alias: str, relation: Any) -> Optional[Callable[[Vertex], bool]]:
         """Compile the alias's membership / exclusion sets and its
         pushed-down filter into one test on a tuple vertex (None: all pass)."""
-        predicate = self.slotted.filters.get(alias)
+        predicate = None
+        pushed = self.slotted.filters.get(alias)
+        if pushed is not None:
+            read, test = relation.encoded_reader(pushed.columns), pushed.test
+
+            def predicate(vertex: Vertex) -> bool:
+                return test(read(vertex.index - 1))
+
         members = self.alias_members.get(alias)
         excluded = self.alias_excluded.get(alias)
         if members is None and excluded is None:
-            if predicate is None:
-                return None
-            return lambda vertex: predicate(vertex.properties[TUPLE_DATA_KEY])
+            return predicate
 
         def admit(vertex: Vertex) -> bool:
-            index = vertex.properties[TUPLE_INDEX_KEY]
+            index = vertex.index
             if members is not None and index not in members:
                 return False
             if excluded is not None and index in excluded:
                 return False
-            return predicate is None or predicate(vertex.properties[TUPLE_DATA_KEY])
+            return predicate is None or predicate(vertex)
 
         return admit
 
@@ -530,8 +539,7 @@ class TagJoinKernel(VertexProgram):
         admit = self._admit[node.alias]
         if admit is not None and not admit(vertex):
             return []
-        build_own = self.slotted.own[node.alias].build
-        rows = [build_own(vertex.properties[TUPLE_DATA_KEY], vertex.ordinal)]
+        rows = [self._read_own[node.alias](vertex.index - 1) + (vertex.ordinal,)]
         if len(rows) >= self.columnar_threshold:
             return ColumnBatch.from_rows(rows)
         return rows

@@ -196,10 +196,6 @@ class ColumnBatch:
             return ColumnBatch((), 0)
         return ColumnBatch([column[keep] for column in self.arrays], kept)
 
-    def take_columns(self, slots: Sequence[int]) -> "ColumnBatch":
-        """Project to a slot subset/order (one pointer-copy per column)."""
-        return ColumnBatch([self.arrays[slot] for slot in slots], self.length)
-
     def with_appended(self, columns: Sequence["np.ndarray"]) -> "ColumnBatch":
         """The concat-merge fast path: incoming columns + broadcast own columns."""
         return ColumnBatch(self.arrays + tuple(columns), self.length)

@@ -19,10 +19,11 @@ interleaved-write suite holds it to that), while also keeping the graph's
 :class:`~repro.tag.encoder.LoadReport` accounting truthful.
 
 Appended rows go through :meth:`TagGraph.append_tuple`, the same ingest
-path the bulk encoder uses: strings are interned into the catalog-global
-dictionary (append-only — existing codes never move, so a delta can only
-*extend* the dictionary, never invalidate compiled literals) and tuple
-payloads are stored encoded.
+path the bulk encoder uses; the relation already holds them (strings
+interned into the catalog-global dictionary, which is append-only —
+existing codes never move, so a delta can only *extend* the dictionary,
+never invalidate compiled literals), and each new tuple vertex names its
+row by position.
 """
 
 from __future__ import annotations
@@ -119,12 +120,13 @@ def patch_graph(graph: TagGraph, schema: Schema, delta: Delta) -> None:
     :meth:`TagGraph.delete_relation_tuples`, which refcounts shared
     attribute vertices.  Then the plus half appends row by row through
     :meth:`TagGraph.append_tuple`, so materialisation policy, encoding and
-    LoadReport accounting are exactly the bulk encoder's.
+    LoadReport accounting are exactly the bulk encoder's.  The relation
+    already holds the delta: its appended rows are its last physical rows.
     """
     started = time.perf_counter()
     if delta.deleted_positions:
         graph.delete_relation_tuples(schema, delta.deleted_positions)
-    column_names = schema.column_names
-    for row in delta.inserted_rows:
-        graph.append_tuple(schema, dict(zip(column_names, row)))
+    end = graph.catalog.relation(schema.name).physical_count
+    for index in range(end - len(delta.inserted_rows) + 1, end + 1):
+        graph.append_tuple(schema, index)
     graph.load_report.seconds += time.perf_counter() - started

@@ -1,6 +1,6 @@
 """Relational substrate: types, schemas, relations, catalogs and CSV I/O."""
 
-from .catalog import Catalog, CatalogError, catalog_from_relations
+from .catalog import Catalog, CatalogError
 from .csvio import (
     read_catalog_csv,
     read_relation_csv,
@@ -14,7 +14,6 @@ from .types import NULL, DataType, coerce, coerce_date, infer_type, value_size_b
 __all__ = [
     "Catalog",
     "CatalogError",
-    "catalog_from_relations",
     "Column",
     "DataType",
     "ForeignKey",

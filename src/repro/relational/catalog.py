@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List
+from typing import Dict, Iterator, List
 
 from ..storage.encoding import CatalogEncoding
 from .relation import Relation
@@ -205,10 +205,3 @@ class Catalog:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Catalog({self.name}, {len(self._relations)} relations, {self.total_rows()} rows)"
-
-
-def catalog_from_relations(relations: Iterable[Relation], name: str = "db") -> Catalog:
-    catalog = Catalog(name)
-    for relation in relations:
-        catalog.add(relation)
-    return catalog

@@ -1,8 +1,14 @@
-"""CSV import/export for relations and catalogs.
+r"""CSV import/export for relations and catalogs.
 
 The TPC tools emit ``|``-separated flat files; the loaders here accept any
 delimiter and coerce values through the schema, mirroring the "bulk data
 load" step measured in Tables 1 and 2 of the paper.
+
+NULL is written as ``\N`` and an empty string as an empty cell, so the two
+stay distinct through a round trip.  On reading, ``\N`` is NULL and an
+empty cell is ``''`` in a string column and NULL in any other.  A string
+made of one or more backslashes and a final ``N`` (``\N`` itself, say) is
+written with one more leading backslash, which reading takes off again.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from typing import Dict, Iterable, Optional
 from .catalog import Catalog
 from .relation import Relation
 from .schema import Schema
-from .types import NULL
+from .types import NULL, DataType
 
 
 def write_relation_csv(relation: Relation, path: str, delimiter: str = ",") -> None:
@@ -23,7 +29,7 @@ def write_relation_csv(relation: Relation, path: str, delimiter: str = ",") -> N
         writer = csv.writer(handle, delimiter=delimiter)
         writer.writerow(relation.schema.column_names)
         for row in relation:
-            writer.writerow(["" if value is NULL else _format(value) for value in row])
+            writer.writerow([_format(value) for value in row])
 
 
 def read_relation_csv(
@@ -36,11 +42,13 @@ def read_relation_csv(
         rows = iter(reader)
         if has_header:
             next(rows, None)
+        strings = [column.dtype in (DataType.STRING, DataType.TEXT) for column in schema.columns]
         for raw in rows:
             if not raw:
                 continue
-            values = [NULL if cell == "" else cell for cell in raw]
-            relation.insert(values)
+            values = [_parse(cell, string) for cell, string in zip(raw, strings)]
+            # cells past the schema's arity stay, so insert rejects the row
+            relation.insert(values + raw[len(strings):])
     return relation
 
 
@@ -69,5 +77,20 @@ def read_catalog_csv(
     return catalog
 
 
+def _looks_like_null(text: str) -> bool:
+    """Whether ``text`` is backslashes then ``N`` — the NULL cell or an escape of one."""
+    return len(text) > 1 and text[-1] == "N" and not text[:-1].strip("\\")
+
+
 def _format(value) -> str:
+    if value is NULL:
+        return "\\N"
+    if isinstance(value, str):
+        return "\\" + value if _looks_like_null(value) else value
     return value.isoformat() if hasattr(value, "isoformat") else str(value)
+
+
+def _parse(cell: str, string: bool):
+    if cell == "\\N" or (cell == "" and not string):
+        return NULL
+    return cell[1:] if _looks_like_null(cell) else cell

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from bisect import insort
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..storage.columns import RelationEncodedStore
@@ -275,11 +276,6 @@ class Relation:
         """Physical positions of every live row satisfying ``predicate``."""
         return [position for position, row in self.live_items() if predicate(row)]
 
-    def rows_since(self, physical_position: int) -> List[Row]:
-        """The rows appended at/after a physical position (all live: appends
-        land past every tombstone, so a fresh suffix never contains one)."""
-        return list(self._rows[physical_position:])
-
     def match_positions(self, rows: Iterable[Sequence[Any]]) -> List[int]:
         """First-match physical positions for the given row values (bag
         semantics: each requested occurrence consumes one live row).
@@ -355,6 +351,41 @@ class Relation:
         """Physical addressing: tombstoned slots remain reachable here (the
         RDBMS index scan resolves positions it stored before any delete)."""
         return self._rows[index]
+
+    def encoded_reader(self, columns: Sequence[str]) -> Callable[[int], Row]:
+        """``physical position -> the values of columns there``, strings and
+        dates as their int32 codes and every other value as stored.
+
+        Reads the row list and the store's code arrays as they are at the
+        call: :meth:`truncate` and :meth:`delete_where` swap in fresh code
+        arrays, so take a reader per use and never keep one.  Tombstoned
+        positions still read their row.
+        """
+        rows = self._rows
+        encoded = self._encoded.columns if self._encoded is not None else {}
+        arrays = [encoded[column].codes for column in columns if column in encoded]
+        # gather from the row extended by the codes (slots arity, arity + 1, ...)
+        picks, extra = [], self.schema.arity
+        for column in columns:
+            if column in encoded:
+                picks.append(extra)
+                extra += 1
+            else:
+                picks.append(self.schema.position(column))
+        if len(picks) > 1:
+            pick = itemgetter(*picks)
+        else:  # a slice keeps a gather of one column (or of none) a tuple
+            pick = itemgetter(slice(picks[0], picks[0] + 1) if picks else slice(0))
+        if not arrays:
+            return lambda position: pick(rows[position])
+        if len(arrays) == 1:
+            codes = arrays[0]
+            return lambda position: pick(rows[position] + (codes[position],))
+
+        def read(position: int) -> Row:
+            return pick(rows[position] + tuple([codes[position] for codes in arrays]))
+
+        return read
 
     def column_values(self, column_name: str) -> List[Any]:
         position = self.schema.position(column_name)

@@ -141,13 +141,6 @@ class Schema:
         """Whether ``column_name`` is the (single-attribute) primary key."""
         return self.primary_key == (column_name,)
 
-    def foreign_key_for(self, column_name: str) -> Optional[ForeignKey]:
-        """Return the FK constraint whose first column is ``column_name``."""
-        for fk in self.foreign_keys:
-            if fk.columns[0] == column_name:
-                return fk
-        return None
-
     # ------------------------------------------------------------------
     # derivation
     # ------------------------------------------------------------------

@@ -19,11 +19,6 @@ from typing import Any, Dict, Hashable, Optional, Sequence
 from ..relational.types import NULL
 from .encoding import RelationCodec
 
-try:  # numpy is optional at this layer; code arrays degrade to memoryviews
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less environments only
-    _np = None
-
 
 def _release(counts: Dict[Hashable, int], key: Hashable) -> None:
     """Drop one live occurrence of ``key``; the entry leaves with the last."""
@@ -46,25 +41,27 @@ class EncodedColumn:
     refcounted, not set-membership.
     """
 
-    __slots__ = ("name", "codec", "_codes", "_validity", "_distinct", "_null_count")
+    __slots__ = ("name", "codec", "codes", "_validity", "_distinct", "_null_count")
 
     def __init__(self, name: str, codec: Any) -> None:
         self.name = name
         self.codec = codec
-        self._codes = array("i")
+        #: one int32 code per physical row slot, dead slots included
+        #: (read-only for callers; a rebuild replaces the array)
+        self.codes = array("i")
         self._validity = bytearray()
         #: live occurrences per distinct code (exact NDV under deletion)
         self._distinct: Dict[int, int] = {}
         self._null_count = 0
 
     def __len__(self) -> int:
-        return len(self._codes)
+        return len(self.codes)
 
     def append(self, value: Any) -> int:
         """Encode and append one coerced value; returns its byte footprint."""
         encoded, nbytes = self.codec.encode_with_bytes(value)
-        index = len(self._codes)
-        self._codes.append(encoded)
+        index = len(self.codes)
+        self.codes.append(encoded)
         byte_index, bit = divmod(index, 8)
         if byte_index >= len(self._validity):
             self._validity.append(0)
@@ -88,7 +85,7 @@ class EncodedColumn:
             self._null_count -= 1
         else:
             self._validity[byte_index] &= ~(1 << bit)
-            _release(self._distinct, self._codes[index])
+            _release(self._distinct, self.codes[index])
         return self.codec.slot_bytes(value)
 
     def restore(self, index: int, value: Any) -> int:
@@ -98,7 +95,7 @@ class EncodedColumn:
             self._null_count += 1
         else:
             self._validity[byte_index] |= 1 << bit
-            code = self._codes[index]
+            code = self.codes[index]
             self._distinct[code] = self._distinct.get(code, 0) + 1
         return self.codec.slot_bytes(value)
 
@@ -114,15 +111,6 @@ class EncodedColumn:
     @property
     def validity_bitmap(self) -> bytes:
         return bytes(self._validity)
-
-    def code_at(self, index: int) -> int:
-        return self._codes[index]
-
-    def codes_array(self):
-        """The codes as a zero-copy ``int32`` numpy view (or memoryview)."""
-        if _np is not None:
-            return _np.frombuffer(self._codes, dtype=_np.int32, count=len(self._codes))
-        return memoryview(self._codes)
 
 
 class RelationEncodedStore:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import operator as _operator
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..relational.types import NULL, DataType, value_size_bytes
 from .dictionary import MISSING_CODE, NULL_CODE, StringDictionary
@@ -185,13 +185,6 @@ class RelationCodec:
     def codec_for(self, column: str) -> Optional[ColumnCodec]:
         return self.by_name.get(column)
 
-    def decoder_for(self, column: str) -> Optional[Callable[[Any], Any]]:
-        """Boundary decoder for an *encoded* column, None for raw ones."""
-        codec = self.by_name.get(column)
-        if codec is None or not codec.is_encoded:
-            return None
-        return codec.decode
-
     def decode_values(self, values: Dict[str, Any]) -> Dict[str, Any]:
         if not self.encoded_columns:
             return dict(values)
@@ -200,9 +193,6 @@ class RelationCodec:
             if name in decoded:
                 decoded[name] = self.by_name[name].decode(decoded[name])
         return decoded
-
-    def encode_row(self, row: Sequence[Any]) -> Tuple[Any, ...]:
-        return tuple(codec.encode(value) for codec, value in zip(self.codecs, row))
 
     def decode_row(self, row: Sequence[Any]) -> Tuple[Any, ...]:
         return tuple(codec.decode(value) for codec, value in zip(self.codecs, row))

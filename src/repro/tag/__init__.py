@@ -1,9 +1,6 @@
 """TAG encoding: Tuple-Attribute Graph representation of relational data."""
 
 from .encoder import (
-    ATTRIBUTE_VALUE_KEY,
-    TUPLE_DATA_KEY,
-    TUPLE_INDEX_KEY,
     LoadReport,
     TagEncoder,
     TagGraph,
@@ -22,10 +19,7 @@ from .statistics import (
 )
 
 __all__ = [
-    "ATTRIBUTE_VALUE_KEY",
     "LoadReport",
-    "TUPLE_DATA_KEY",
-    "TUPLE_INDEX_KEY",
     "TagEncoder",
     "TagGraph",
     "TagStatistics",

@@ -3,7 +3,8 @@
 The encoding follows paper Section 3 exactly:
 
 1. every tuple ``t`` of relation ``R`` becomes a *tuple vertex* labelled
-   ``R`` (duplicates get fresh vertices) storing ``t`` in its properties;
+   ``R`` (duplicates get fresh vertices) that stores ``t`` by reference:
+   its 1-based index, ``R[index - 1]`` being ``t``;
 2. every distinct attribute value in the active domain becomes a single
    *attribute vertex* labelled with its domain/type, shared across all
    relations and attribute names that use the value;
@@ -12,18 +13,19 @@ The encoding follows paper Section 3 exactly:
    attribute vertex (undirected, i.e. materialised as two directed edges).
 
 Floats and long text are not materialised as attribute vertices (they are
-kept only inside the tuple vertex), matching the loading policy of
-Section 8.2.  The resulting graph is bipartite and query independent.
+kept only inside the tuple), matching the loading policy of Section 8.2.
+The resulting graph is bipartite and query independent.
 
-When the source catalog carries a
-:class:`~repro.storage.encoding.CatalogEncoding`, tuple payloads are stored
-*encoded*: strings as int32 dictionary codes, dates as epoch days, NULLs as
-in-band sentinels.  Attribute vertices for encoded domains are keyed by the
-code/epoch day (``attr:str:{code}``, ``attr:date:{days}``) — because the
-dictionary is catalog-global, code equality coincides with value equality
-across relations, so the paper's value-sharing property is preserved.  The
-decoded value is kept on the attribute vertex for the result boundary, and
-:meth:`TagGraph.decoded_tuple_data` decodes a tuple payload on demand.
+The catalog is the only home of a row: the relation's row list holds its
+decoded values and its :class:`~repro.storage.columns.RelationEncodedStore`
+the int32 codes of its strings and dates, and a tuple vertex reads both by
+position (:meth:`TagGraph.encoded_row`; the TAG-join kernel binds
+per-alias readers over them at run start).  Attribute vertices for encoded
+domains are keyed by the code/epoch day (``attr:str:{code}``,
+``attr:date:{days}``) — because the dictionary is catalog-global, code
+equality coincides with value equality across relations, so the paper's
+value-sharing property is preserved.  The decoded value of each attribute
+vertex is kept in the graph's attribute map for the result boundary.
 """
 
 from __future__ import annotations
@@ -38,25 +40,8 @@ from ..relational.catalog import Catalog
 from ..relational.relation import Relation
 from ..relational.schema import Schema
 from ..relational.types import NULL, value_size_bytes
-from ..storage.encoding import (
-    CODE,
-    EPOCH_DAY,
-    CatalogEncoding,
-    ColumnCodec,
-    RelationCodec,
-    date_to_epoch_day,
-)
+from ..storage.encoding import CODE, ColumnCodec, date_to_epoch_day
 
-#: Property key under which a tuple vertex stores its tuple (a dict
-#: ``column name -> value``; values are encoded when the graph has an
-#: encoding — use :meth:`TagGraph.decoded_tuple_data` at the boundary).
-TUPLE_DATA_KEY = "tuple"
-#: Property key under which a tuple vertex stores its 1-based tuple index
-#: (the ``7`` of ``R_7``: physical row position + 1), so view refresh's
-#: member and exclusion sets never parse it back out of the vertex id.
-TUPLE_INDEX_KEY = "index"
-#: Property key under which an attribute vertex stores its (decoded) value.
-ATTRIBUTE_VALUE_KEY = "value"
 #: Label prefix of attribute vertices, completed with the value's domain.
 ATTRIBUTE_LABEL_PREFIX = "attr"
 
@@ -100,11 +85,11 @@ def attribute_label(value: Any) -> str:
 class LoadReport:
     """Loading statistics — the quantities behind Tables 1/2 and Figure 14.
 
-    With an encoding attached, ``tuple_bytes`` counts *encoded* sizes:
-    4 bytes per string/date slot plus the amortised dictionary growth the
-    slot caused (a string's bytes are paid once, on its catalog-global
-    first interning).  Attribute vertices store the decoded value, so
-    ``attribute_bytes`` keeps the legacy per-value accounting.
+    ``tuple_bytes`` counts *encoded* slot sizes: 4 bytes per string/date
+    slot and the value's width otherwise.  The dictionary's own bytes are
+    the catalog's (its relations interned every string before the graph
+    sees a row), not charged per tuple.  Attribute vertices keep the
+    decoded value, so ``attribute_bytes`` keeps the per-value accounting.
     """
 
     seconds: float = 0.0
@@ -131,31 +116,30 @@ class LoadReport:
 
 
 class TagGraph(Graph):
-    """A TAG graph with relational-aware lookup helpers.
+    """A TAG graph over a :class:`Catalog`, with relational-aware lookups.
 
-    All tuple appends — bulk encode, single-row maintenance inserts and
-    batched deltas — funnel through :meth:`append_tuple`, so encoding and
-    :class:`LoadReport` accounting cannot diverge between the paths.
+    All tuple appends — bulk encode and batched deltas — funnel through
+    :meth:`append_tuple`, so encoding and :class:`LoadReport` accounting
+    cannot diverge between the paths.
     """
 
-    def __init__(self, name: str = "tag", encoding: Optional[CatalogEncoding] = None) -> None:
+    def __init__(self, catalog: Catalog, name: str = "tag") -> None:
         super().__init__(name)
-        self._attribute_ids: Dict[VertexId, VertexId] = {}
-        self._tuple_counters: Dict[str, int] = {}
+        #: the rows' one home: tuple vertices name them by position
+        self.catalog = catalog
+        # attribute vertex id -> its decoded value
+        self._attribute_ids: Dict[VertexId, Any] = {}
         self.load_report = LoadReport()
-        self.encoding = encoding
-        # relation name -> RelationCodec (empty when encoding is None)
-        self._codecs: Dict[str, RelationCodec] = {}
         # relation name -> per-column (name, dtype, materialise, codec) plan
-        self._column_plans: Dict[str, Tuple[Tuple[str, Any, bool, Optional[ColumnCodec]], ...]] = {}
+        self._column_plans: Dict[str, Tuple[Tuple[str, Any, bool, ColumnCodec], ...]] = {}
         # attribute vertex -> number of incident tuple edges.  An attribute
         # vertex is shared by every tuple carrying its value; the refcount
         # is what lets a delete free the vertex exactly when the *last*
         # referencing tuple dies — never before (a premature free would
         # break the surviving tuples' joins), never after (an orphan leaks)
         self._attribute_refcounts: Dict[VertexId, int] = {}
-        # per-vertex byte accounting so deletes can fold LoadReport exactly
-        self._tuple_bytes: Dict[VertexId, int] = {}
+        # per-attribute byte accounting so deletes can fold LoadReport
+        # exactly (a tuple's bytes are read back off its row)
         self._attribute_sizes: Dict[VertexId, int] = {}
 
     # ------------------------------------------------------------------
@@ -174,22 +158,11 @@ class TagGraph(Graph):
             flags: Sequence[bool] = [column.materialise_as_vertex for column in schema.columns]
         else:
             flags = list(materialise_flags)
-        codec = None
-        if self.encoding is not None:
-            codec = self.encoding.codec_for(schema)
-            self._codecs[schema.name] = codec
+        codec = self.catalog.encoding.codec_for(schema)
         self._column_plans[schema.name] = tuple(
-            (
-                column.name,
-                column.dtype,
-                flag,
-                codec.by_name[column.name] if codec is not None else None,
-            )
-            for column, flag in zip(schema.columns, flags)
+            (column.name, column.dtype, flag, column_codec)
+            for column, flag, column_codec in zip(schema.columns, flags, codec.codecs)
         )
-
-    def relation_codec(self, relation_name: str) -> Optional[RelationCodec]:
-        return self._codecs.get(relation_name)
 
     # ------------------------------------------------------------------
     # lookups used by the TAG-join vertex programs
@@ -201,16 +174,15 @@ class TagGraph(Graph):
         """The vertex id a (decoded) value would live under, or None when
         the value provably has no vertex (string absent from the
         dictionary)."""
-        if self.encoding is not None:
-            if isinstance(value, str):
-                code = self.encoding.dictionary.code_of(value)
-                if code < 0:
-                    return None
-                return f"attr:str:{code}"
-            if hasattr(value, "isoformat"):
-                if isinstance(value, _dt.datetime):
-                    value = value.date()
-                return f"attr:date:{date_to_epoch_day(value)}"
+        if isinstance(value, str):
+            code = self.catalog.encoding.dictionary.code_of(value)
+            if code < 0:
+                return None
+            return f"attr:str:{code}"
+        if hasattr(value, "isoformat"):
+            if isinstance(value, _dt.datetime):
+                value = value.date()
+            return f"attr:date:{date_to_epoch_day(value)}"
         return attribute_vertex_id(value)
 
     def attribute_vertex_for(self, value: Any) -> Optional[VertexId]:
@@ -220,29 +192,21 @@ class TagGraph(Graph):
         return vertex_id if self.has_vertex(vertex_id) else None
 
     def is_tuple_vertex(self, vertex: Vertex) -> bool:
-        return TUPLE_DATA_KEY in vertex.properties
+        return vertex.index > 0
 
-    def is_attribute_vertex(self, vertex: Vertex) -> bool:
-        return ATTRIBUTE_VALUE_KEY in vertex.properties
+    def encoded_row(self, vertex: Vertex) -> Dict[str, Any]:
+        """A tuple vertex's row ``relation[index - 1]`` as ``column -> value``,
+        strings and dates as their codes (the form filters are compiled to).
 
-    def tuple_data(self, vertex: Vertex) -> Dict[str, Any]:
-        return vertex.properties[TUPLE_DATA_KEY]
-
-    def decoded_tuple_data(self, vertex: Vertex) -> Dict[str, Any]:
-        """The tuple payload with codes/epoch days decoded back to values.
-
-        The boundary decode for consumers that hand rows to the user
-        (direct two-way programs, debugging); the compiled fragment path
-        decodes through its own per-output decoders instead.
+        Tombstoned positions still read their row: a view's delete terms
+        run against the graph before the delete is patched in.
         """
-        data = vertex.properties[TUPLE_DATA_KEY]
-        codec = self._codecs.get(vertex.label)
-        if codec is None or not codec.has_encoded:
-            return data
-        return codec.decode_values(data)
+        relation = self.catalog.relation(vertex.label)
+        columns = relation.schema.column_names
+        return dict(zip(columns, relation.encoded_reader(columns)(vertex.index - 1)))
 
     def attribute_value(self, vertex: Vertex) -> Any:
-        return vertex.properties[ATTRIBUTE_VALUE_KEY]
+        return self._attribute_ids[vertex.vertex_id]
 
     def attribute_adjacency(self, label: str) -> Dict[VertexId, Sequence[VertexId]]:
         """``attribute vertex id -> [tuple vertex ids]`` of the ``label``-edges.
@@ -262,66 +226,44 @@ class TagGraph(Graph):
         return list(self._attribute_ids)
 
     # ------------------------------------------------------------------
-    # ingest (bulk encode, maintenance inserts and deltas all land here;
-    # paper Section 3: attribute vertices are cheaper to maintain than
-    # RDBMS indexes — only local edge changes)
+    # ingest (bulk encode and deltas both land here; paper Section 3:
+    # attribute vertices are cheaper to maintain than RDBMS indexes —
+    # only local edge changes)
     # ------------------------------------------------------------------
-    def append_tuple(
-        self, schema: Schema, values: Dict[str, Any], index: Optional[int] = None
-    ) -> VertexId:
-        """Append one (decoded, schema-coerced) tuple: encode the payload,
-        create/connect attribute vertices and do all LoadReport accounting.
+    def append_tuple(self, schema: Schema, index: int) -> VertexId:
+        """Add the tuple vertex of the catalog row ``relation[index - 1]``:
+        create/connect its attribute vertices and do all LoadReport
+        accounting.
 
-        ``index`` pins the tuple's 1-based vertex index explicitly; the
-        encoder passes ``physical position + 1`` so vertex indexes stay
-        aligned with the relation's physical row positions even when the
-        relation carries tombstones (deleted positions simply have no
-        vertex).  Without it the next counter value is used — identical,
-        as appends only ever land past every existing position.
+        ``index`` is the row's physical position + 1, so vertex indexes
+        stay aligned with the relation's physical row positions even when
+        the relation carries tombstones (deleted positions simply have no
+        vertex).
         """
         plan = self._column_plans.get(schema.name)
         if plan is None:
             self.register_schema(schema)
             plan = self._column_plans[schema.name]
+        row = self.catalog.relation(schema.name)[index - 1]
         report = self.load_report
-        if index is None:
-            index = self._tuple_counters.get(schema.name, 0) + 1
-        self._tuple_counters[schema.name] = max(
-            self._tuple_counters.get(schema.name, 0), index
-        )
         vertex_id = tuple_vertex_id(schema.name, index)
         edges_before = self.edge_count
 
-        data: Dict[str, Any] = dict(values)
-        tuple_bytes = 0
-        connects: List[Tuple[str, Any, Any, Any, Optional[ColumnCodec]]] = []
-        for column_name, dtype, materialise, codec in plan:
-            if column_name not in values:
-                continue
-            value = values[column_name]
-            if codec is not None:
-                encoded, nbytes = codec.encode_with_bytes(value)
-            else:
-                encoded, nbytes = value, value_size_bytes(value, dtype)
-            data[column_name] = encoded
-            tuple_bytes += nbytes
-            if value is not NULL and materialise:
-                connects.append((column_name, dtype, value, encoded, codec))
-
-        self.add_vertex(vertex_id, schema.name, {TUPLE_DATA_KEY: data, TUPLE_INDEX_KEY: index})
-        report.tuple_bytes += tuple_bytes
+        self.add_vertex(vertex_id, schema.name, index)
         report.tuple_vertices += 1
-        self._tuple_bytes[vertex_id] = tuple_bytes
-        for column_name, dtype, value, encoded, codec in connects:
-            if codec is not None and codec.kind in (CODE, EPOCH_DAY):
+        for (column_name, dtype, materialise, codec), value in zip(plan, row):
+            report.tuple_bytes += codec.slot_bytes(value)
+            if value is NULL or not materialise:
+                continue
+            if codec.is_encoded:
                 prefix = "str" if codec.kind == CODE else "date"
-                attr_id: VertexId = f"attr:{prefix}:{encoded}"
+                attr_id: VertexId = f"attr:{prefix}:{codec.encode(value)}"
             else:
                 attr_id = attribute_vertex_id(value)
             if not self.has_vertex(attr_id):
                 attr_bytes = value_size_bytes(value, dtype)
-                self.add_vertex(attr_id, attribute_label(value), {ATTRIBUTE_VALUE_KEY: value})
-                self._attribute_ids[attr_id] = attr_id
+                self.add_vertex(attr_id, attribute_label(value))
+                self._attribute_ids[attr_id] = value
                 self._attribute_sizes[attr_id] = attr_bytes
                 report.attribute_vertices += 1
                 report.attribute_bytes += attr_bytes
@@ -398,7 +340,11 @@ class TagGraph(Graph):
         self.remove_vertices(list(dead) + dead_attributes)
         for vertex in vertices:
             report.tuple_vertices -= 1
-            report.tuple_bytes -= self._tuple_bytes.pop(vertex.vertex_id, 0)
+            row = self.catalog.relation(vertex.label)[vertex.index - 1]
+            for (_name, _dtype, _materialise, codec), value in zip(
+                self._column_plans[vertex.label], row
+            ):
+                report.tuple_bytes -= codec.slot_bytes(value)
             if vertex.label in report.per_relation:
                 report.per_relation[vertex.label] -= 1
         report.edge_bytes -= (edges_before - self.edge_count) * 16
@@ -416,13 +362,6 @@ class TagGraph(Graph):
         self.delete_tuples(deleted)
         return deleted
 
-    def note_tuple_floor(self, relation_name: str, count: int) -> None:
-        """Raise the relation's tuple counter to at least ``count`` so the
-        next counter-assigned append cannot reuse a deleted position's
-        index (the encoder calls this with the physical row count)."""
-        if count > self._tuple_counters.get(relation_name, 0):
-            self._tuple_counters[relation_name] = count
-
 
 class TagEncoder:
     """Builds a :class:`TagGraph` from a relational :class:`Catalog`."""
@@ -438,10 +377,7 @@ class TagEncoder:
 
     def encode(self, catalog: Catalog, name: Optional[str] = None) -> TagGraph:
         """Encode every relation of ``catalog`` into one TAG graph."""
-        graph = TagGraph(
-            name or f"tag({catalog.name})",
-            encoding=getattr(catalog, "encoding", None),
-        )
+        graph = TagGraph(catalog, name or f"tag({catalog.name})")
         started = time.perf_counter()
         for relation in catalog:
             self._encode_relation(graph, relation)
@@ -464,13 +400,11 @@ class TagEncoder:
                 for column in schema.columns
             ],
         )
-        column_names = schema.column_names
         # encode by *physical* position (+1) so tuple vertex indexes match
         # the relation's stable row coordinates; tombstoned positions get
-        # no vertex, and the counter floor keeps future appends past them
-        for position, row in relation.live_items():
-            graph.append_tuple(schema, dict(zip(column_names, row)), index=position + 1)
-        graph.note_tuple_floor(schema.name, relation.physical_count)
+        # no vertex
+        for position, _row in relation.live_items():
+            graph.append_tuple(schema, position + 1)
 
 
 def encode_catalog(catalog: Catalog, **kwargs) -> TagGraph:

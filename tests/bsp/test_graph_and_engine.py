@@ -6,17 +6,12 @@ from conftest import graph_properties
 from repro.bsp import (
     BSPEngine,
     BSPError,
-    CollectAggregator,
-    CountAggregator,
     Graph,
     GraphError,
     GroupAggregator,
     HashPartitioner,
-    MaxAggregator,
-    MinAggregator,
     RoundRobinPartitioner,
     SinglePartitioner,
-    SumAggregator,
     VertexProgram,
     payload_size_bytes,
 )
@@ -310,26 +305,7 @@ class TestPartitioners:
 
 
 class TestAggregators:
-    def test_sum_count_min_max(self):
-        total, count = SumAggregator("s"), CountAggregator("c")
-        low, high = MinAggregator("min"), MaxAggregator("max")
-        for value in [3, 1, 2]:
-            total.accumulate(value)
-            count.accumulate(value)
-            low.accumulate(value)
-            high.accumulate(value)
-        assert total.value() == 6
-        assert count.value() == 3
-        assert low.value() == 1
-        assert high.value() == 3
-        total.reset()
-        assert total.value() == 0
-
     def test_collect_and_group(self):
-        collect = CollectAggregator("rows")
-        collect.accumulate("a")
-        collect.accumulate("b")
-        assert collect.value() == ["a", "b"]
         group = GroupAggregator("g")
         group.accumulate(("x", 2))
         group.accumulate(("x", 3))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import sys
 
 import pytest
@@ -11,7 +10,7 @@ from repro.core import TagJoinExecutor
 from repro.engine import RelationalExecutor
 from repro.relational import Catalog, Column, DataType, ForeignKey, Relation, Schema
 from repro.exec import program as kernel_program
-from repro.tag import TUPLE_INDEX_KEY, encode_catalog
+from repro.tag import encode_catalog
 from repro.tag.statistics import CatalogStatistics
 
 #: The kernel's one remaining choice is made from table size, so suites
@@ -30,23 +29,33 @@ def kernel_regime(request, monkeypatch) -> str:
 
 
 def graph_properties(graph):
-    """A deep copy of every vertex's durable properties.
+    """A snapshot of every vertex record and of the adjacency index.
 
     Per-run scratch lives in the run's ``RunState``; taken before and after
     an execution, equal snapshots show the run wrote nothing onto the
     shared graph.
     """
-    return {vertex.vertex_id: copy.deepcopy(vertex.properties) for vertex in graph.vertices()}
+    vertices = {
+        vertex.vertex_id: (vertex.label, vertex.ordinal, vertex.index)
+        for vertex in graph.vertices()
+    }
+    adjacency = {
+        label: {source: list(targets) for source, targets in graph.adjacency(label).items()}
+        for label in graph.edge_labels()
+    }
+    return vertices, adjacency
 
 
 def assert_graphs_equal(patched, rebuilt):
     """A patched graph is indistinguishable from a cold re-encode.
 
-    Same vertices and labels — and the same label-first adjacency index,
-    the graph's one edge store: the labels present (a label whose last
-    edge went is dropped, never left as an empty entry), the sources under
-    each, the targets of each source.  Within one graph no list is empty
-    and the lists add up to the edge count.
+    Same vertices and labels, each tuple vertex with the same index and
+    reading the same row, ``relation[index - 1]`` — and the same
+    label-first adjacency index, the graph's one edge store: the labels
+    present (a label whose last edge went is dropped, never left as an
+    empty entry), the sources under each, the targets of each source.
+    Within one graph no list is empty and the lists add up to the edge
+    count.
     """
     patched_ids = sorted(patched.vertex_ids())
     assert patched_ids == sorted(rebuilt.vertex_ids())
@@ -54,9 +63,13 @@ def assert_graphs_equal(patched, rebuilt):
     assert patched.count_by_label() == rebuilt.count_by_label()
     for vertex_id in patched_ids:
         # tuple vertices carry their index; attribute vertices carry none
-        assert patched.vertex(vertex_id).properties.get(TUPLE_INDEX_KEY) == rebuilt.vertex(
-            vertex_id
-        ).properties.get(TUPLE_INDEX_KEY), vertex_id
+        vertex = patched.vertex(vertex_id)
+        assert vertex.index == rebuilt.vertex(vertex_id).index, vertex_id
+        if vertex.index:
+            relation = patched.catalog.relation(vertex.label)
+            codec = relation.encoded_store.codec
+            encoded = patched.encoded_row(vertex).values()
+            assert codec.decode_row(tuple(encoded)) == relation[vertex.index - 1], vertex_id
     assert sorted(patched.edge_labels()) == sorted(rebuilt.edge_labels())
     for label in patched.edge_labels():
         adjacency = patched.adjacency(label)

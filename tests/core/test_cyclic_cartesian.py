@@ -4,8 +4,8 @@
 import pytest
 
 from repro.bsp import BSPEngine
-from repro.core import CartesianProductA, CycleQueryProgram, CycleRelation, TriangleQueryProgram
-from repro.core.cartesian import cartesian_product_b, cartesian_product_rows
+from repro.core import CycleQueryProgram, CycleRelation, TriangleQueryProgram
+from repro.core.cartesian import cartesian_product_rows
 from repro.relational import Catalog
 from repro.relational.relation import rows_to_multiset
 from repro.tag import encode_catalog
@@ -110,36 +110,6 @@ class TestLongerCycles:
 
 
 class TestCartesianProducts:
-    def make_catalog(self):
-        catalog = Catalog("cp")
-        catalog.add(binary_relation("R", [(1, 2), (3, 4)], ("A", "B")))
-        catalog.add(binary_relation("S", [(5, 6), (7, 8), (9, 10)], ("C", "D")))
-        return catalog
-
-    def test_algorithm_a(self):
-        catalog = self.make_catalog()
-        graph = encode_catalog(catalog)
-        engine = BSPEngine(graph)
-        rows = engine.run(CartesianProductA(engine, graph, "R", "S"))
-        assert len(rows) == 6
-        # communication is |R| + |S| messages to the aggregator
-        assert engine.last_metrics.total_messages == 5
-
-    def test_algorithm_b(self):
-        catalog = self.make_catalog()
-        graph = encode_catalog(catalog)
-        engine = BSPEngine(graph)
-        from repro.bsp import RunMetrics
-
-        metrics = RunMetrics("cartesian_b")
-        rows = cartesian_product_b(engine, graph, "R", "S", metrics)
-        assert len(rows) == 6
-        assert rows_to_multiset((row["R.A"], row["S.C"]) for row in rows) == rows_to_multiset(
-            [(1, 5), (1, 7), (1, 9), (3, 5), (3, 7), (3, 9)]
-        )
-        # algorithm B's dominant cost: |R| * |S| data messages (plus id gathering)
-        assert metrics.total_messages >= 6
-
     def test_row_level_product(self):
         left = [{"a": 1}, {"a": 2}]
         right = [{"b": 3}]

@@ -3,14 +3,7 @@
 import pytest
 
 from repro.bsp import BSPEngine
-from repro.core import (
-    AntiJoinProgram,
-    JoinPair,
-    OuterJoinKind,
-    OuterJoinProgram,
-    SemiJoinProgram,
-    TwoWayJoinProgram,
-)
+from repro.core import JoinPair, TwoWayJoinProgram
 from repro.relational import Catalog, Column, DataType, Relation, Schema
 from repro.relational.relation import rows_to_multiset
 from repro.tag import encode_catalog
@@ -121,66 +114,3 @@ class TestMultiAttributeJoin:
         graph = encode_catalog(catalog)
         with pytest.raises(ValueError):
             TwoWayJoinProgram(graph, "R", "S", [])
-
-
-class TestSemiAntiJoin:
-    def test_semi_join(self):
-        catalog = make_catalog(FIGURE2_R, FIGURE2_S)
-        graph = encode_catalog(catalog)
-        rows = BSPEngine(graph).run(SemiJoinProgram(graph, "R", "S", "B", "B"))
-        assert sorted(row["A"] for row in rows) == [1, 2, 3]
-
-    def test_anti_join(self):
-        catalog = make_catalog(FIGURE2_R, FIGURE2_S)
-        graph = encode_catalog(catalog)
-        rows = BSPEngine(graph).run(AntiJoinProgram(graph, "R", "S", "B", "B"))
-        assert sorted(row["A"] for row in rows) == [4]
-
-    def test_semi_join_is_subset_of_r(self):
-        catalog = make_catalog(FIGURE2_R, FIGURE2_S)
-        graph = encode_catalog(catalog)
-        semi = BSPEngine(graph).run(SemiJoinProgram(graph, "R", "S", "B", "B"))
-        anti = BSPEngine(graph).run(AntiJoinProgram(graph, "R", "S", "B", "B"))
-        assert len(semi) + len(anti) == len(FIGURE2_R)
-
-
-class TestOuterJoins:
-    def test_left_outer_join_pads_missing_right(self):
-        catalog = make_catalog(FIGURE2_R, FIGURE2_S)
-        graph = encode_catalog(catalog)
-        rows = BSPEngine(graph).run(
-            OuterJoinProgram(graph, "R", "S", "B", "B", OuterJoinKind.LEFT)
-        )
-        # 9 matching rows + 1 dangling R-tuple (B=20)
-        assert len(rows) == 10
-        dangling = [row for row in rows if row["S.C"] is None]
-        assert len(dangling) == 1 and dangling[0]["R.A"] == 4
-
-    def test_right_outer_join(self):
-        catalog = make_catalog(FIGURE2_R, FIGURE2_S)
-        graph = encode_catalog(catalog)
-        rows = BSPEngine(graph).run(
-            OuterJoinProgram(graph, "R", "S", "B", "B", OuterJoinKind.RIGHT)
-        )
-        assert len(rows) == 10
-        dangling = [row for row in rows if row["R.A"] is None]
-        assert len(dangling) == 1 and dangling[0]["S.C"] == 103
-
-    def test_full_outer_join(self):
-        catalog = make_catalog(FIGURE2_R, FIGURE2_S)
-        graph = encode_catalog(catalog)
-        rows = BSPEngine(graph).run(
-            OuterJoinProgram(graph, "R", "S", "B", "B", OuterJoinKind.FULL)
-        )
-        assert len(rows) == 11
-
-    def test_null_join_keys_preserved_on_outer_side(self):
-        r_rows = [[1, None], [2, 10]]
-        s_rows = [[10, 100]]
-        catalog = make_catalog(r_rows, s_rows)
-        graph = encode_catalog(catalog)
-        rows = BSPEngine(graph).run(
-            OuterJoinProgram(graph, "R", "S", "B", "B", OuterJoinKind.LEFT)
-        )
-        assert len(rows) == 2
-        assert any(row["R.A"] == 1 and row["S.C"] is None for row in rows)

@@ -13,7 +13,7 @@ from repro.core import TagJoinExecutor
 from repro.exec.program import TagJoinKernel
 from repro.incremental.views import run_view_fragment
 from repro.sql import parse_and_bind
-from repro.tag import TUPLE_INDEX_KEY, encode_catalog
+from repro.tag import encode_catalog
 
 from conftest import make_mini_catalog
 
@@ -50,9 +50,9 @@ def start_alias(graph, compiled):
 
 def test_tuple_vertices_carry_their_index(fragment):
     graph, _compiled = fragment
-    assert graph.vertex("ORDERS_3").properties[TUPLE_INDEX_KEY] == 3
-    assert graph.vertex("CUSTOMER_5").properties[TUPLE_INDEX_KEY] == 5
-    assert TUPLE_INDEX_KEY not in graph.vertex(graph.attribute_vertex_for(10)).properties
+    assert graph.vertex("ORDERS_3").index == 3
+    assert graph.vertex("CUSTOMER_5").index == 5
+    assert graph.vertex(graph.attribute_vertex_for(10)).index == 0
 
 
 @pytest.mark.parametrize("alias,index_of,column", [("c", CUSTOMER_INDEX, 0), ("o", ORDER_INDEX, 1)])

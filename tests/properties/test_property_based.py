@@ -165,24 +165,6 @@ def test_tag_encoding_size_linear_and_bipartite(rows):
 
 
 @SLOW
-@given(r_rows=pairs, s_rows=pairs)
-def test_semi_join_reduction_invariant(r_rows, s_rows):
-    """Semi-join + anti-join partition R (paper Section 7)."""
-    from repro.core import AntiJoinProgram, SemiJoinProgram
-
-    catalog = Catalog("prop")
-    catalog.add(_binary("R", r_rows, ("A", "B")))
-    catalog.add(_binary("S", s_rows, ("B", "C")))
-    graph = encode_catalog(catalog)
-    semi = BSPEngine(graph).run(SemiJoinProgram(graph, "R", "S", "B", "B"))
-    anti = BSPEngine(graph).run(AntiJoinProgram(graph, "R", "S", "B", "B"))
-    assert len(semi) + len(anti) == len(r_rows)
-    semi_b = {row["B"] for row in semi}
-    s_b = {b for b, _ in s_rows}
-    assert semi_b <= s_b
-
-
-@SLOW
 @given(r_rows=pairs, s_rows=pairs, t_rows=pairs)
 def test_cost_based_plans_agree_on_random_acyclic_specs(r_rows, s_rows, t_rows):
     """Cost-based rooting returns exactly the heuristic/baseline rows (chain joins)."""

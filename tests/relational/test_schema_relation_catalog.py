@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.relational import (
+    Catalog,
     CatalogError,
     Column,
     DataType,
@@ -165,6 +166,21 @@ class TestCsvIO:
         write_relation_csv(relation, path)
         loaded = read_relation_csv(sample_schema(), path)
         assert loaded.same_bag(relation)
+
+    def test_empty_string_null_and_escape_survive_a_catalog_roundtrip(self, tmp_path):
+        rows = [
+            [1, "", 1.0],
+            [2, None, None],
+            [3, "\\N", 2.0],
+            [4, "\\\\N", 3.0],
+            [5, "N", 4.0],
+            [6, "a\\", 5.0],
+        ]
+        catalog = Catalog("csv")
+        catalog.add(Relation(sample_schema(), rows))
+        write_catalog_csv(catalog, str(tmp_path))
+        loaded = read_catalog_csv([sample_schema()], str(tmp_path)).relation("R")
+        assert [list(row) for row in loaded] == rows
 
     def test_catalog_roundtrip(self, tmp_path, mini_catalog):
         paths = write_catalog_csv(mini_catalog, str(tmp_path))

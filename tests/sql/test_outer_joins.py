@@ -1,7 +1,6 @@
 """Outer joins are refused, never run as inner joins.
 
-No multi-way engine here evaluates an outer join (the two-way
-``OuterJoinProgram`` is a separate, direct API).  ``rdbms`` and ``spark``
+No engine here evaluates an outer join.  ``rdbms`` and ``spark``
 used to drop the join type and answer ``A LEFT JOIN B`` as the inner join,
 losing the NULL-padded row; every engine now raises ``ExecutionError``
 the way ``tag`` always did.

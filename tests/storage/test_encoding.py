@@ -115,7 +115,7 @@ class TestEncodedColumn:
         bitmap = column.validity_bitmap
         bits = [(bitmap[i // 8] >> (i % 8)) & 1 for i in range(5)]
         assert bits == [1, 0, 1, 1, 1]
-        assert column.code_at(1) == NULL_CODE
+        assert column.codes[1] == NULL_CODE
 
 
 class TestCatalogEncoding:
