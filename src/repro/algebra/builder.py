@@ -76,9 +76,6 @@ class QueryBuilder:
             self._spec.outer_joins.append(OuterJoinSpec(condition, join_type))
         return self
 
-    def natural_join(self, left_alias: str, right_alias: str, column: str) -> "QueryBuilder":
-        return self.join(left_alias, column, right_alias, column)
-
     # ------------------------------------------------------------------
     # WHERE clause
     # ------------------------------------------------------------------

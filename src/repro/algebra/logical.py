@@ -237,10 +237,6 @@ class QuerySpec:
                 return outer.join_type
         return JoinType.INNER
 
-    @property
-    def has_aggregation(self) -> bool:
-        return bool(self.aggregates)
-
     def result_columns(self) -> List[str]:
         """The result's column names, identical across every engine.
 

@@ -660,7 +660,8 @@ class Database:
         a durable database logs it as one fsync'd WAL record (a record
         that cannot replay is never logged); :meth:`_apply` patches every
         derived structure or rolls the whole delta back; and only then is
-        the id noted as applied and a snapshot considered.  An
+        the id noted as applied and a snapshot considered (one that fails
+        is retried by the next write, never failing this one).  An
         acknowledged write is therefore always recoverable, and an
         unacknowledged one either never hit the WAL (the retry applies it
         once) or hit it without the ack (recovery replays it and the
@@ -855,7 +856,7 @@ class Database:
             if self._durability is not None:
                 # out-of-band mutations bypassed the WAL; the only way to
                 # make them durable is to capture the rows wholesale now
-                self._durability.snapshot(self)
+                self._durability.snapshot(self, rewrite_all=True)
 
     # ------------------------------------------------------------------
     # materialized views

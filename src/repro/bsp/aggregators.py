@@ -75,7 +75,3 @@ class AggregatorRegistry:
 
     def values(self) -> Dict[str, Any]:
         return {name: aggregator.value() for name, aggregator in self._aggregators.items()}
-
-    def contributions(self) -> int:
-        """Number of registered aggregators (diagnostics)."""
-        return len(self._aggregators)

@@ -142,7 +142,6 @@ class SuperstepContext:
         self._network_messages = 0
         self._network_bytes = 0
         self._compute_units = 0
-        self._halt_requested = False
         self._current_vertex: Optional[Vertex] = None
 
     # ------------------------------------------------------------------
@@ -223,20 +222,12 @@ class SuperstepContext:
                 self._network_messages += 1
                 self._network_bytes += size
 
-    def aggregated_value(self, name: str) -> Any:
-        """Read the value an aggregator held at the start of this superstep."""
-        return self.engine.aggregators.get(name).value()
-
     # ------------------------------------------------------------------
     # cost accounting & control
     # ------------------------------------------------------------------
     def charge(self, units: int = 1) -> None:
         """Charge ``units`` of per-vertex computation (edge scans, joins...)."""
         self._compute_units += units
-
-    def halt(self) -> None:
-        """Request global termination after this superstep (master hook only)."""
-        self._halt_requested = True
 
 
 class VertexProgram:
@@ -390,10 +381,6 @@ class BSPEngine:
             step_metrics = run_metrics.new_superstep(superstep)
 
             program.before_superstep(superstep, self.graph, context)
-            if context._halt_requested:
-                self._flush_aggregators(context)
-                self._record(step_metrics, context, active_count=0)
-                break
 
             step_metrics.active_vertices = len(active)
             program.compute_superstep(active, inbox, self.graph, context)
@@ -413,8 +400,6 @@ class BSPEngine:
                 raise BSPError(f"message sent to unknown vertex {ghost!r}")
             active = set(inbox)
             superstep += 1
-            if context._halt_requested:
-                break
         else:
             raise BSPError(
                 f"vertex program {type(program).__name__} exceeded "

@@ -144,10 +144,6 @@ class RunMetrics:
     def total_compute(self) -> int:
         return sum(step.compute_units for step in self.supersteps)
 
-    @property
-    def max_active_vertices(self) -> int:
-        return max((step.active_vertices for step in self.supersteps), default=0)
-
     def merge(self, other: "RunMetrics") -> None:
         """Fold another run's counters into this one (multi-phase queries)."""
         offset = len(self.supersteps)

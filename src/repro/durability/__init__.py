@@ -2,8 +2,9 @@
 
 The subsystem behind ``Database(data_dir=...)``: an append-only
 checksummed write-ahead log of ``load_rows`` deltas (:mod:`.wal`),
-periodic atomic catalog snapshots (:mod:`.snapshot`), the manager that
-ties them to a database with exactly-once write semantics
+periodic atomic checkpoints — a manifest plus per-relation segments,
+rewritten only where a relation changed (:mod:`.snapshot`) — the manager
+that ties them to a database with exactly-once write semantics
 (:mod:`.manager`), and the named-failpoint fault injector the chaos
 suite drives (:mod:`.failpoints`).
 """
@@ -35,9 +36,13 @@ from .snapshot import (
     list_snapshots,
     load_latest_snapshot,
     prune_snapshots,
+    read_manifest,
+    read_segment,
     read_snapshot,
+    segment_filename,
     snapshot_filename,
-    write_snapshot,
+    write_manifest,
+    write_segment,
 )
 from .wal import MAX_RECORD_BYTES, WalCorruption, WriteAheadLog
 
@@ -66,8 +71,12 @@ __all__ = [
     "load_latest_snapshot",
     "maybe_fire",
     "prune_snapshots",
+    "read_manifest",
+    "read_segment",
     "read_snapshot",
     "seeded_crash_schedule",
+    "segment_filename",
     "snapshot_filename",
-    "write_snapshot",
+    "write_manifest",
+    "write_segment",
 ]

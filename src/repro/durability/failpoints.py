@@ -2,8 +2,8 @@
 
 Chaos testing needs the failure to happen at a *named place* inside the
 write path — after the WAL record hit the OS but before the fsync, after
-the snapshot temp file was written but before the atomic rename, halfway
-through a delta application — because those are exactly the windows where
+a checkpoint's segments are in place but before its manifest names them,
+halfway through a delta application — because those are exactly the windows where
 a naive implementation loses acknowledged writes or double-applies them.
 Sprinkling ``maybe_fire("wal.append.after_write")`` calls through the
 durability, incremental, BSP and serving layers gives the chaos harness a
@@ -48,9 +48,12 @@ FAILPOINTS = (
     "wal.append.before_write",
     "wal.append.after_write",
     "wal.append.after_fsync",
-    # snapshotting: before anything is written, after the temp file is
-    # complete (but not yet visible), and after the atomic rename
+    # checkpointing: before anything is written, after the dirty segments
+    # are renamed into place (but no manifest names them yet), after the
+    # manifest's temp file is complete (but not yet visible), and after
+    # the manifest's atomic rename (the commit point)
     "snapshot.before_write",
+    "snapshot.after_segments",
     "snapshot.after_tmp_write",
     "snapshot.after_rename",
     # WAL compaction (prefix drop after a successful snapshot)

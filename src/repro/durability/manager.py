@@ -5,7 +5,10 @@ One :class:`DurabilityManager` owns the on-disk state under a database's
 
     data_dir/
         wal.log                  append-only delta log (wal.py framing)
-        snapshot-<lsn>.json      periodic full-state snapshots (snapshot.py)
+        snapshot-<lsn>.json      checkpoint manifests: WAL LSN, request ids,
+                                 views, each segment's sha256 (snapshot.py)
+        segment-<sha256>.json    one relation's live rows, or the string
+                                 dictionary, named by the digest of its bytes
         plan_manifest.json       warm-start plan manifest (planner.persist)
 
 and enforces the two orderings every crash-safety argument here rests on:
@@ -26,6 +29,11 @@ and enforces the two orderings every crash-safety argument here rests on:
   "snapshot renamed" and "WAL compacted" is safe: replaying covered
   records is prevented by the LSN filter, not by the compaction.
 
+A checkpoint costs O(dirty), not O(catalog): it serialises only the
+segments whose relation changed since that segment was last written (or
+the dictionary, once it has grown), and the new manifest names the
+unchanged segments the previous one already did.
+
 Recovery (:meth:`DurabilityManager.recover`) proceeds dictionary → rows →
 WAL replay → one catalog version bump → view re-materialization, and the
 result is asserted (in tests, at every chaos-matrix crash point) equal to
@@ -37,7 +45,7 @@ from __future__ import annotations
 import os
 import time
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..core.wire import decode_row, iter_encoded_rows
 from ..incremental.delta import Delta, resolve_delta
@@ -47,7 +55,8 @@ from .snapshot import (
     SnapshotError,
     load_latest_snapshot,
     prune_snapshots,
-    write_snapshot,
+    write_manifest,
+    write_segment,
 )
 from .wal import WriteAheadLog
 
@@ -113,10 +122,15 @@ class DurabilityManager:
         #: request_id -> rows appended, bounded LRU (the idempotency window)
         self.applied_request_ids: "OrderedDict[str, int]" = OrderedDict()
         self.records_since_snapshot = 0
+        #: segment key (relation name, or ``None`` for the dictionary) ->
+        #: (stamp when its segment was last written, that segment's digest);
+        #: empty until the first checkpoint after open, which writes all
+        self._segments: Dict[Optional[str], Tuple[Tuple[Any, ...], str]] = {}
         self.counters: Dict[str, int] = {
             "wal_appends": 0,
             "wal_records_replayed": 0,
             "snapshots_written": 0,
+            "snapshot_failures": 0,
             "snapshots_loaded": 0,
             "dedup_hits": 0,
             "replay_dedup_skips": 0,
@@ -197,34 +211,73 @@ class DurabilityManager:
     # ------------------------------------------------------------------
     # snapshots
     # ------------------------------------------------------------------
-    def build_state(self, database: Any) -> Dict[str, Any]:
-        """Serialize the database's durable state (caller holds write lock)."""
+    def _segment(
+        self,
+        key: Optional[str],
+        stamp: Tuple[Any, ...],
+        payload: Callable[[], Any],
+        written: Dict[Optional[str], Tuple[Tuple[Any, ...], str]],
+    ) -> str:
+        """The digest of ``key``'s segment, written now unless ``stamp``
+        equals the stamp it was last written at."""
+        held = self._segments.get(key)
+        if held is not None and held[0] == stamp:
+            return held[1]
+        digest = write_segment(self.data_dir, payload())
+        written[key] = (stamp, digest)
+        return digest
+
+    def snapshot(self, database: Any, rewrite_all: bool = False) -> Dict[str, Any]:
+        """Checkpoint now (caller holds the write lock), then compact the
+        WAL prefix it covers and prune what no kept manifest names.
+
+        Writes the segment of every relation whose stamp — the relation
+        object, its mutation counter and its physical row count — moved
+        since its segment was last written, the dictionary's once it has
+        grown, then the manifest.  ``rewrite_all`` writes every segment:
+        an out-of-band change may have edited rows without moving a stamp.
+        """
+        started = time.perf_counter()
+        if rewrite_all:
+            self._segments.clear()
+        maybe_fire("snapshot.before_write")
         catalog = database.catalog
+        written: Dict[Optional[str], Tuple[Tuple[Any, ...], str]] = {}
         relations = {
-            relation.name: iter_encoded_rows(relation.rows)
+            relation.name: self._segment(
+                relation.name,
+                (relation, relation.mutation_count, relation.physical_count),
+                lambda relation=relation: iter_encoded_rows(relation.rows),
+                written,
+            )
             for relation in catalog.relations()
         }
-        views = [
-            {"name": view.name, "sql": view.sql}
-            for view in database._views.values()
-        ]
-        return {
-            "format_version": SNAPSHOT_FORMAT_VERSION,
-            "catalog": catalog.name,
-            "schema_fingerprint": catalog.schema_fingerprint(),
-            "wal_lsn": self.wal.last_lsn,
-            "relations": relations,
-            "dictionary": catalog.encoding.dictionary.values_snapshot(),
-            "views": views,
-            "applied_request_ids": dict(self.applied_request_ids),
-        }
-
-    def snapshot(self, database: Any) -> Dict[str, Any]:
-        """Write a snapshot now, then compact the WAL prefix it covers."""
-        started = time.perf_counter()
-        state = self.build_state(database)
-        path = write_snapshot(self.data_dir, state)
-        covered = int(state["wal_lsn"])
+        dictionary = catalog.encoding.dictionary
+        dictionary_digest = self._segment(
+            None, (dictionary, len(dictionary)), dictionary.values_snapshot, written
+        )
+        maybe_fire("snapshot.after_segments")
+        covered = self.wal.last_lsn
+        path = write_manifest(
+            self.data_dir,
+            {
+                "format_version": SNAPSHOT_FORMAT_VERSION,
+                "catalog": catalog.name,
+                "schema_fingerprint": catalog.schema_fingerprint(),
+                "wal_lsn": covered,
+                "relations": relations,
+                "dictionary": dictionary_digest,
+                "views": [
+                    {"name": view.name, "sql": view.sql}
+                    for view in database._views.values()
+                ],
+                "applied_request_ids": [
+                    [request_id, count]
+                    for request_id, count in self.applied_request_ids.items()
+                ],
+            },
+        )
+        self._segments.update(written)
         self.snapshot_lsn = covered
         kept = self.wal.compact(covered)
         prune_snapshots(self.data_dir, keep=self.snapshots_kept)
@@ -234,13 +287,25 @@ class DurabilityManager:
             "path": path,
             "wal_lsn": covered,
             "wal_records_kept": kept,
+            "segments_dirty": len(written),
             "seconds": time.perf_counter() - started,
         }
 
     def maybe_snapshot(self, database: Any) -> Optional[Dict[str, Any]]:
-        if self.records_since_snapshot >= self.snapshot_every:
+        """The automatic checkpoint every ``snapshot_every`` records.
+
+        The write that triggers it is already logged and applied, so a
+        failed checkpoint must not fail that write: it is counted in
+        ``snapshot_failures`` and, with ``records_since_snapshot`` left
+        as it was, retried by the next write.
+        """
+        if self.records_since_snapshot < self.snapshot_every:
+            return None
+        try:
             return self.snapshot(database)
-        return None
+        except Exception:
+            self.counters["snapshot_failures"] += 1
+            return None
 
     # ------------------------------------------------------------------
     # recovery
@@ -297,7 +362,7 @@ class DurabilityManager:
                 relation.extend(decode_row(row) for row in encoded_rows)
             for entry in state.get("views", []):
                 view_defs[entry["name"]] = entry["sql"]
-            for request_id, count in state.get("applied_request_ids", {}).items():
+            for request_id, count in state.get("applied_request_ids", []):
                 self.note_applied(request_id, int(count))
             self.snapshot_lsn = int(state.get("wal_lsn", 0))
             report["snapshot_lsn"] = self.snapshot_lsn

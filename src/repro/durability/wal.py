@@ -236,17 +236,20 @@ class WriteAheadLog:
             os.fsync(self._handle.fileno())
         self._handle.close()
         tmp_path = self.path + ".compact"
-        with open(tmp_path, "wb") as handle:
-            for record in keep:
-                handle.write(_encode_record(record))
-            handle.flush()
-            os.fsync(handle.fileno())
-        maybe_fire("wal.compact.before_swap")
-        os.replace(tmp_path, self.path)
-        _fsync_dir(os.path.dirname(self.path) or ".")
-        self.records_scanned = keep
-        self._handle = open(self.path, "ab")
-        self._bytes = self._handle.tell()
+        try:
+            with open(tmp_path, "wb") as handle:
+                for record in keep:
+                    handle.write(_encode_record(record))
+                handle.flush()
+                os.fsync(handle.fileno())
+            maybe_fire("wal.compact.before_swap")
+            os.replace(tmp_path, self.path)
+            self.records_scanned = keep
+            _fsync_dir(os.path.dirname(self.path) or ".")
+        finally:
+            # a failed compaction leaves the old log whole: keep appending to it
+            self._handle = open(self.path, "ab")
+            self._bytes = self._handle.tell()
         return len(keep)
 
     # ------------------------------------------------------------------

@@ -137,9 +137,6 @@ class Relation:
         if self._encoded is not None:
             self._encoded.append_row(coerced)
 
-    def insert_dict(self, record: Dict[str, Any]) -> None:
-        self.insert([record.get(column.name, NULL) for column in self.schema.columns])
-
     def extend(self, rows: Iterable[Sequence[Any]], validated: bool = False) -> None:
         """Insert many tuples; ``validated=True`` skips re-coercion.
 
@@ -253,13 +250,15 @@ class Relation:
         return 0 <= position < len(self._rows) and position not in self._deleted
 
     @property
-    def has_deletes(self) -> bool:
-        return bool(self._deleted)
-
-    @property
     def physical_count(self) -> int:
         """Number of physical row slots (live rows + tombstones)."""
         return len(self._rows)
+
+    @property
+    def mutation_count(self) -> int:
+        """Mutations through this API so far; with :attr:`physical_count`,
+        the stamp checkpoints compare to tell a relation changed."""
+        return self._mutations
 
     def live_items(self) -> Iterator[Tuple[int, Row]]:
         """Yield ``(physical_position, row)`` for every live row, in order."""

@@ -41,19 +41,6 @@ class DataType(enum.Enum):
         """
         return self not in (DataType.FLOAT, DataType.TEXT)
 
-    @property
-    def python_type(self) -> type:
-        return _PYTHON_TYPES[self]
-
-
-_PYTHON_TYPES = {
-    DataType.INT: int,
-    DataType.FLOAT: float,
-    DataType.STRING: str,
-    DataType.DATE: _dt.date,
-    DataType.BOOL: bool,
-    DataType.TEXT: str,
-}
 
 #: Sentinel used for SQL NULL.  ``None`` is used directly; this alias makes
 #: intent explicit at call sites.

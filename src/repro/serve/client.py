@@ -83,10 +83,6 @@ class RetryPolicy:
         return bounded * (1.0 + self.jitter * random.random())
 
 
-class ProtocolViolation(RuntimeError):
-    """The server emitted a frame that fails schema validation."""
-
-
 class ServeClient:
     """One connection to a :class:`~repro.serve.server.QueryServer`."""
 

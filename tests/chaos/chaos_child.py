@@ -12,8 +12,8 @@ a deterministic write workload.  Three modes:
     followed by deterministic deletes/updates of their own rows
     (``delete-<i>`` / ``update-<i>``) so the ``delta.apply.*``
     failpoints fire on every write shape of the workload path.  Interleaves tag-engine
-    queries (BSP supersteps → ``bsp.superstep``), periodic checkpoints
-    (``snapshot.*`` / ``wal.compact.before_swap``) and a short served
+    queries (BSP supersteps → ``bsp.superstep``), a checkpoint after every
+    other batch (``snapshot.*`` / ``wal.compact.before_swap``) and a short served
     phase over TCP (``serve.dispatch``).  Crash-mode failpoints are
     armed by the parent via the ``REPRO_FAILPOINTS`` environment variable.
 
@@ -204,7 +204,9 @@ def run_workload(data_dir: str, seed: int) -> None:
             sys.stdout.flush()
         if batch % 3 == 2:
             database.connect(engine="tag").sql(JOIN_SQL)  # BSP supersteps
-        if batch % 4 == 3:
+        if batch % 2 == 1:
+            # six checkpoints plus the closing one: every seeded crash
+            # trigger (1-5) of a snapshot.* / wal.compact.* failpoint is hit
             database.checkpoint()
     asyncio.run(serve_phase(database, seed))
     final = golden(database)

@@ -12,15 +12,18 @@ import pytest
 
 from repro.api import Database
 from repro.durability.manager import DurabilityError
+from repro.durability.failpoints import FaultInjected, clear, install
 from repro.durability.snapshot import (
     SnapshotError,
     SnapshotFormatError,
     list_snapshots,
     load_latest_snapshot,
     prune_snapshots,
+    read_manifest,
     read_snapshot,
     snapshot_filename,
-    write_snapshot,
+    write_manifest,
+    write_segment,
 )
 
 from tests.conftest import make_mini_catalog
@@ -47,27 +50,39 @@ def golden(database: Database) -> dict:
     }
 
 
+def write_state(directory: str, lsn: int, rows=(), **extra) -> str:
+    """A one-relation snapshot at ``lsn``: its segments, then its manifest."""
+    state = {
+        "wal_lsn": lsn,
+        "relations": {"T": write_segment(directory, list(rows))},
+        "dictionary": write_segment(directory, ["a"]),
+        **extra,
+    }
+    return write_manifest(directory, state)
+
+
 class TestSnapshotFiles:
     def test_write_read_round_trip(self, tmp_path):
-        state = {"format_version": 1, "wal_lsn": 7, "payload": [1, 2, 3]}
-        path = write_snapshot(str(tmp_path), state)
+        path = write_state(str(tmp_path), 7, rows=[[1, "x"], [2, None]], payload=[1, 2, 3])
         assert os.path.basename(path) == snapshot_filename(7)
-        assert read_snapshot(path) == state
+        state = read_snapshot(path)
+        assert state["format_version"] == 2
+        assert state["relations"] == {"T": [[1, "x"], [2, None]]}
+        assert state["dictionary"] == ["a"]
+        assert state["payload"] == [1, 2, 3]
 
     def test_corrupt_snapshot_rejected(self, tmp_path):
-        path = write_snapshot(str(tmp_path), {"format_version": 1, "wal_lsn": 1})
+        path = write_state(str(tmp_path), 1)
         data = json.loads(open(path).read())
         data["state"]["wal_lsn"] = 99  # state no longer matches its sha256
         with open(path, "w") as handle:
-            json.dump(data, handle)
+            json.dump(data, handle, separators=(",", ":"))
         with pytest.raises(SnapshotError):
             read_snapshot(path)
 
     def test_loader_skips_corrupt_newest(self, tmp_path):
-        write_snapshot(str(tmp_path), {"format_version": 1, "wal_lsn": 1, "v": "old"})
-        newest = write_snapshot(
-            str(tmp_path), {"format_version": 1, "wal_lsn": 2, "v": "new"}
-        )
+        write_state(str(tmp_path), 1, v="old")
+        newest = write_state(str(tmp_path), 2, v="new")
         with open(newest, "w") as handle:
             handle.write("{ half a json")
         # the WAL still holds record 2, which only the corrupt snapshot covered
@@ -79,17 +94,20 @@ class TestSnapshotFiles:
             load_latest_snapshot(str(tmp_path), wal_lsns=[3])
 
     def test_loader_refuses_another_format_version(self, tmp_path):
-        write_snapshot(str(tmp_path), {"format_version": 1, "wal_lsn": 1})
-        write_snapshot(str(tmp_path), {"format_version": 99, "wal_lsn": 2})
+        write_state(str(tmp_path), 1)
+        write_state(str(tmp_path), 2, format_version=99)
         with pytest.raises(SnapshotFormatError):
             load_latest_snapshot(str(tmp_path), wal_lsns=[2])
 
     def test_prune_keeps_newest(self, tmp_path):
         for lsn in (1, 2, 3, 4):
-            write_snapshot(str(tmp_path), {"format_version": 1, "wal_lsn": lsn})
+            write_state(str(tmp_path), lsn, rows=[[lsn]])
         prune_snapshots(str(tmp_path), keep=2)
         kept = [os.path.basename(p) for _, p in list_snapshots(str(tmp_path))]
         assert kept == [snapshot_filename(4), snapshot_filename(3)]
+        # the segments only the pruned manifests named went with them
+        segments = [name for name in os.listdir(tmp_path) if name.startswith("segment-")]
+        assert len(segments) == 3  # T at LSN 3 and 4, and the shared dictionary
 
 
 class TestRecoveryEquivalence:
@@ -197,8 +215,6 @@ class TestRecoveryEquivalence:
         assert report is not None and report.get("warmed", 0) >= 1
 
     def test_crash_during_recovery_recovers_again(self, tmp_path):
-        from repro.durability.failpoints import FaultInjected, clear, install
-
         data_dir = str(tmp_path / "d")
         db = Database(make_mini_catalog(), data_dir=data_dir)
         db.load_rows("ORDERS", NEW_ORDERS)
@@ -256,10 +272,10 @@ class TestRecoveryRefusesWhatItCannotRebuild:
     def test_other_format_version_is_refused(self, tmp_path):
         data_dir = self._closed_store(tmp_path)
         path = os.path.join(data_dir, snapshot_filename(2))
-        state = read_snapshot(path)
+        state = read_manifest(path)
         state["format_version"] += 1
         os.remove(path)
-        write_snapshot(data_dir, state)  # checksum-valid, another version
+        write_manifest(data_dir, state)  # checksum-valid, another version
         self._assert_refused(data_dir)
 
     def test_corrupt_newest_is_refused_once_the_wal_is_compacted(self, tmp_path):
@@ -277,7 +293,13 @@ class TestRecoveryRefusesWhatItCannotRebuild:
         db.load_rows("ORDERS", NEW_ORDERS[1:2])
         expected = _orders_keys(db)
         # a snapshot renamed into place, then a crash before compaction
-        newest = write_snapshot(data_dir, db._durability.build_state(db))
+        install("wal.compact.before_swap=raise")
+        try:
+            with pytest.raises(FaultInjected):
+                db.checkpoint()
+        finally:
+            clear()
+        newest = os.path.join(data_dir, snapshot_filename(2))
         db._durability.wal.sync()
         with open(newest, "r+b") as handle:
             handle.seek(40)
