@@ -195,6 +195,17 @@ class QuerySpec:
                 return table_ref.table
         raise QueryError(f"unknown alias {alias!r} in query {self.name!r}")
 
+    def read_set(self) -> Tuple[str, ...]:
+        """Every base relation the query reads, subquery blocks included
+        (recursively), sorted and without repeats."""
+        tables: Set[str] = set()
+        pending = [self]
+        while pending:
+            block = pending.pop()
+            tables.update(table_ref.table for table_ref in block.tables)
+            pending.extend(subquery.query for subquery in block.subqueries)
+        return tuple(sorted(tables))
+
     def filters_for(self, alias: str) -> List[Expression]:
         return self.filters.get(alias, [])
 

@@ -39,6 +39,7 @@ reader/writer lock, so sessions never observe a half-applied delta.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 import time
@@ -65,6 +66,10 @@ from ..planner import PlanCache
 from ..relational.catalog import Catalog
 from ..tag.statistics import CatalogStatistics
 from .registry import Engine, EngineContext, create_engine, resolve_engine_name
+
+#: what :meth:`Database.read_stamp` returns: (schema version, out-of-band
+#: changes, per-relation (mutation_count, physical_count) or None)
+ReadStamp = Tuple[int, int, Tuple[Optional[Tuple[int, int]], ...]]
 
 
 class Database:
@@ -141,6 +146,11 @@ class Database:
         self._rw_lock = ReadWriteLock()
         #: registered materialized views by name
         self._views: "OrderedDict[str, Any]" = OrderedDict()
+        #: each materialized view draws its generation from here
+        self._view_generations = itertools.count(1)
+        #: moved only by note_data_change: rows edited behind the write
+        #: pipeline move no relation's stamp, so read stamps carry this
+        self._out_of_band_changes = 0
         #: what incremental maintenance did; mutated under _lock
         self.maintenance = MaintenanceCounters()
         #: durability: WAL + snapshots + idempotency (None = memory-only)
@@ -745,7 +755,7 @@ class Database:
         counters = self.maintenance
 
         maybe_fire("delta.apply.before_graph_patch")
-        affected = [view for view in self._views.values() if relation.name in view.base_tables]
+        affected = [view for view in self._views.values() if relation.name in view.read_set]
         # with a stale graph the delta terms have no history to join
         # against, so every affected view rebuilds instead
         maintained = [view for view in affected if graph_fresh and view.incremental]
@@ -849,6 +859,7 @@ class Database:
         """
         with self._rw_lock.write_locked(), self._lock:
             self.catalog.note_data_change()
+            self._out_of_band_changes += 1
             self._retire_derived(
                 f"catalog {self.catalog.name!r} re-encoded at version "
                 f"{self.catalog.version}"
@@ -857,6 +868,44 @@ class Database:
                 # out-of-band mutations bypassed the WAL; the only way to
                 # make them durable is to capture the rows wholesale now
                 self._durability.snapshot(self, rewrite_all=True)
+
+    # ------------------------------------------------------------------
+    # read stamps: what a cached result depends on
+    # ------------------------------------------------------------------
+    def read_stamp(self, tables: Iterable[str]) -> ReadStamp:
+        """A value that moves whenever a result reading ``tables`` may change.
+
+        It holds the schema version (replacing or dropping a relation
+        moves it), the out-of-band change counter (moved by
+        :meth:`note_data_change`) and each named relation's
+        ``(mutation_count, physical_count)``.  The versions and mutation
+        counts only grow (a row count shrinks only with a mutation), so a
+        stamp never comes back once it moved: one taken before a read
+        starts equals a later one only if nothing the read could see
+        changed in between.  Costs
+        O(len(tables)) and takes no lock: an event loop checking a cache
+        entry never waits on a writer.
+        """
+        catalog = self.catalog
+        return (
+            catalog.schema_version,
+            self._out_of_band_changes,
+            tuple(_relation_stamp(catalog, name) for name in tables),
+        )
+
+    def view_stamp(self, name: str) -> Optional[Tuple[Tuple[str, ...], ReadStamp]]:
+        """``(read set, stamp)`` of the materialized view ``name``, or None
+        when there is none.
+
+        The stamp pairs the view's generation with the read stamp of the
+        relations it reads, so a view dropped and created again under one
+        name never matches what its predecessor served.  Lock-free like
+        :meth:`read_stamp` (one dict lookup, atomic under the GIL).
+        """
+        view = self._views.get(name)
+        if view is None:
+            return None
+        return view.read_set, (view.generation, self.read_stamp(view.read_set))
 
     # ------------------------------------------------------------------
     # materialized views
@@ -896,7 +945,12 @@ class Database:
             if self._durability is not None and _durable_log:
                 self._durability.log_materialize(view_name, sql)
             view = MaterializedView(
-                name=view_name, sql=sql, spec=spec, columns=[], mode=mode
+                name=view_name,
+                sql=sql,
+                spec=spec,
+                columns=[],
+                mode=mode,
+                generation=next(self._view_generations),
             )
             self._rebuild_view(view)
             self._views[view_name] = view
@@ -995,6 +1049,14 @@ class Database:
             f"Database({self.catalog.name!r}, default_engine={self.default_engine!r}, "
             f"{len(self.catalog)} relations)"
         )
+
+
+def _relation_stamp(catalog: Catalog, name: str) -> Optional[Tuple[int, int]]:
+    """One relation's part of a read stamp (None once it is dropped)."""
+    if name not in catalog:
+        return None
+    relation = catalog.relation(name)
+    return relation.mutation_count, relation.physical_count
 
 
 # ----------------------------------------------------------------------

@@ -346,6 +346,9 @@ class MaterializedView:
     spec: QuerySpec
     columns: List[str]
     mode: str  # "delta" | "aggregate" | "recompute"
+    #: this view's identity within its database: drawn from a counter at
+    #: materialize time, so a view re-created under the same name differs
+    generation: int = 0
     #: recompute views: the rows as the engine produced them
     rows: List[Dict[str, Any]] = field(default_factory=list)
     #: delta views: the pre-DISTINCT bag, output value tuple -> multiplicity
@@ -362,20 +365,11 @@ class MaterializedView:
     _compiled_schema_version: int = -1
 
     def __post_init__(self) -> None:
+        #: every relation the view reads, subquery blocks included
+        self.read_set = self.spec.read_set()
         if self.mode == "aggregate":
             self._layout = _AggregateLayout(self.spec)
             self.columns = self.spec.result_columns()
-
-    @property
-    def base_tables(self) -> Set[str]:
-        """Every relation the view reads, subquery blocks included."""
-        tables: Set[str] = set()
-        pending = [self.spec]
-        while pending:
-            spec = pending.pop()
-            tables.update(table_ref.table for table_ref in spec.tables)
-            pending.extend(subquery.query for subquery in spec.subqueries)
-        return tables
 
     @property
     def incremental(self) -> bool:

@@ -18,8 +18,11 @@ facade into a network service without giving up any of its guarantees:
   answer ``deadline_exceeded`` (the abandoned thread finishes in the
   background and is counted, the dbgym-style timeout ledger).
 * **result-set caching** — identical reads are answered from
-  :class:`~repro.serve.cache.ResultCache` without touching the pool; any
-  write invalidates via the catalog version baked into every key.
+  :class:`~repro.serve.cache.ResultCache` without touching the pool.  An
+  entry is stamped with its statement's read set (every base relation the
+  bound query reads, subqueries included) and is a hit only while those
+  relations are unchanged; a write drops just the entries that read the
+  written relation, so reads of other relations keep hitting.
 * **warm starts** — at :meth:`start`, tenants with a configured
   ``plan_cache_path`` replay their persisted statement manifest through
   :meth:`~repro.api.Database.warm_plan_cache`, so the serving window
@@ -48,7 +51,7 @@ from ..core.wire import WireFormatError, decode_params, decode_row
 from ..durability.failpoints import maybe_fire
 from ..incremental.locks import LockTimeout
 from .breaker import CircuitBreaker
-from .cache import ResultCache
+from .cache import CacheKey, ResultCache
 from .protocol import (
     ProtocolError,
     decode_frame,
@@ -151,6 +154,27 @@ class _CachedResponse(Exception):
 
 
 @dataclass
+class _CacheFill:
+    """Where a cacheable read's result goes once it succeeds.
+
+    The read's work sets ``tables`` and ``stamp`` on its worker thread
+    before the statement runs (:meth:`take_stamp`).
+    """
+
+    key: CacheKey
+    tables: Tuple[str, ...] = ()
+    stamp: Any = None
+
+    def take_stamp(self, database: Database, tables: Tuple[str, ...]) -> None:
+        # Taken BEFORE the statement runs, never after: a stamp never
+        # comes back once it moved, so a write landing between this line
+        # and the store leaves the entry older than the rows it holds,
+        # which is a miss at its next lookup and never a stale hit.
+        self.tables = tables
+        self.stamp = database.read_stamp(tables)
+
+
+@dataclass
 class _Admitted:
     """One queued unit of work: the closure plus its response plumbing."""
 
@@ -158,10 +182,9 @@ class _Admitted:
     work: Callable[[], Dict[str, Any]]
     respond: Callable[[Dict[str, Any]], Awaitable[None]]
     deadline: float
-    #: result-cache key to fill on success (None = uncacheable/no-cache)
-    cache_key: Optional[Tuple[str, str, str, str, int]] = None
-    #: names the payload field carrying an encoded result, for cache fills
-    cache_field: str = "result_set"
+    #: result-cache fill on success, from the payload's ``result_set``
+    #: (None = uncacheable/no-cache)
+    cache_fill: Optional[_CacheFill] = None
     #: sheds first under breaker pressure (takes the writer lock)
     is_write: bool = False
 
@@ -176,6 +199,8 @@ class _PreparedEntry:
     sql: str
     prepared: Any  # repro.api.PreparedStatement
     parameter_names: Tuple[str, ...] = ()
+    #: every base relation the statement reads (its cache entries' read set)
+    read_set: Tuple[str, ...] = ()
 
 
 class QueryServer:
@@ -582,13 +607,18 @@ class QueryServer:
             view_name = frame.get("view")
             if not isinstance(view_name, str) or not view_name:
                 raise ProtocolError("invalid_request", "query_view needs a string 'view'")
-            view_key: Optional[Tuple[str, str, str, str, int]] = None
+            view_fill: Optional[_CacheFill] = None
             if use_cache:
                 # views are engine-independent: key on a reserved engine slot
-                view_key = ResultCache.make_key(
-                    tenant, "__view__", view_name, None, database.catalog.version
+                view_fill = _CacheFill(
+                    ResultCache.make_key(tenant, "__view__", view_name, None)
                 )
-                cached = self.result_cache.lookup(view_key)
+
+                def view_stamp_now(_tables: Tuple[str, ...]) -> Any:
+                    current = database.view_stamp(view_name)
+                    return None if current is None else current[1]
+
+                cached = self.result_cache.lookup(view_fill.key, view_stamp_now)
                 if cached is not None:
                     raise _CachedResponse(
                         {"result_set": cached, "view": view_name, "cached": True}
@@ -597,13 +627,19 @@ class QueryServer:
             def work_view() -> Dict[str, Any]:
                 from ..incremental.views import ViewError
 
+                if view_fill is not None:
+                    # before the read, as in _CacheFill.take_stamp; a view
+                    # stamp also carries the view's generation
+                    current = database.view_stamp(view_name)
+                    if current is not None:
+                        view_fill.tables, view_fill.stamp = current
                 try:
                     result = database.query_view(view_name)
                 except ViewError as exc:
                     raise ProtocolError("invalid_request", str(exc)) from exc
                 return {"result_set": result.to_json(), "view": view_name, "cached": False}
 
-            return _Admitted(request_id, work_view, respond, deadline, cache_key=view_key)
+            return _Admitted(request_id, work_view, respond, deadline, cache_fill=view_fill)
 
         engine = self._resolve_engine(frame, database)
 
@@ -646,7 +682,7 @@ class QueryServer:
                     with self._stats_lock:
                         self.stats.deduplicated_writes += 1
                 elif changed and self.result_cache is not None:
-                    self.result_cache.invalidate_tenant(tenant)
+                    self.result_cache.invalidate_relation(tenant, relation)
                 return {
                     **receipt,
                     "relation": relation,
@@ -670,6 +706,7 @@ class QueryServer:
                     sql=sql,
                     prepared=prepared,
                     parameter_names=tuple(prepared.parameter_names),
+                    read_set=prepared.spec.read_set(),
                 )
                 return {
                     "statement": statement_id,
@@ -701,8 +738,13 @@ class QueryServer:
             if not isinstance(sql, str) or not sql.strip():
                 raise ProtocolError("invalid_request", "execute needs non-empty 'sql'")
 
-            def runner(params: Any, _sql: str = sql) -> Any:
-                return database.connect(engine=engine).execute(_sql, params=params)
+            def runner(params: Any, fill: Optional[_CacheFill], _sql: str = sql) -> Any:
+                session = database.connect(engine=engine)
+                # bind first: the read set comes from the bound statement
+                spec = session.prepare(_sql, name="query").spec
+                if fill is not None:
+                    fill.take_stamp(database, spec.read_set())
+                return session.execute(spec, params=params)
 
         else:  # execute_prepared
             statement_id = frame.get("statement")
@@ -720,7 +762,11 @@ class QueryServer:
             sql = entry.sql
             engine = entry.engine
 
-            def runner(params: Any, _entry: _PreparedEntry = entry) -> Any:
+            def runner(
+                params: Any, fill: Optional[_CacheFill], _entry: _PreparedEntry = entry
+            ) -> Any:
+                if fill is not None:
+                    fill.take_stamp(database, _entry.read_set)
                 return _entry.prepared.execute(params)
 
         try:
@@ -728,28 +774,24 @@ class QueryServer:
         except WireFormatError as exc:
             raise ProtocolError("invalid_request", str(exc)) from exc
 
-        cache_key: Optional[Tuple[str, str, str, str, int]] = None
+        fill: Optional[_CacheFill] = None
         if use_cache:
-            cache_key = ResultCache.make_key(
-                tenant, engine, sql, params, database.catalog.version
-            )
-            cached = self.result_cache.lookup(cache_key)
+            fill = _CacheFill(ResultCache.make_key(tenant, engine, sql, params))
+            cached = self.result_cache.lookup(fill.key, database.read_stamp)
             if cached is not None:
                 raise _CachedResponse(
                     {"result_set": cached, "engine": engine, "cached": True}
                 )
 
         def work_execute() -> Dict[str, Any]:
-            result = runner(params)
+            result = runner(params, fill)
             return {
                 "result_set": result.to_json(),
                 "engine": engine,
                 "cached": False,
             }
 
-        return _Admitted(
-            request_id, work_execute, respond, deadline, cache_key=cache_key
-        )
+        return _Admitted(request_id, work_execute, respond, deadline, cache_fill=fill)
 
     # ------------------------------------------------------------------
     # the worker pool
@@ -879,10 +921,11 @@ class QueryServer:
                         )
                     )
                     continue
-                if request.cache_key is not None and self.result_cache is not None:
-                    encoded = payload.get(request.cache_field)
-                    if encoded is not None:
-                        self.result_cache.store(request.cache_key, encoded)
+                fill = request.cache_fill
+                if fill is not None and fill.stamp is not None:
+                    self.result_cache.store(
+                        fill.key, payload["result_set"], fill.tables, fill.stamp
+                    )
                 with self._stats_lock:
                     self.stats.completed += 1
                 await request.respond(ok_frame(request.request_id, payload))

@@ -102,6 +102,49 @@ class TestWriteWhileRead:
         # the readers genuinely raced the writer: more than one prefix observed
         assert len(set(observed)) > 1 or BATCHES == 0
 
+    def test_cached_counts_are_never_torn(self):
+        """The twin of the test above with the result cache on: readers on
+        their own connections race the writer, and a cached reply may never
+        be torn, go backwards, or miss a write acknowledged before it was
+        sent."""
+        acked = [0]  # write batches acknowledged so far
+
+        async def scenario(server: QueryServer, client: ServeClient) -> None:
+            async def writer() -> None:
+                for batch_index in range(BATCHES):
+                    await client.load_rows("ORDERS", order_batch(batch_index))
+                    acked[0] = batch_index + 1
+                    await asyncio.sleep(0)
+
+            async def reader(sql: str, base: int) -> None:
+                connection = await connect(server.host, server.port)
+                try:
+                    last = base
+                    for _ in range(READS_PER_READER):
+                        floor = base + BATCH * acked[0]
+                        count = (await connection.execute(sql)).rows[0]["n"]
+                        assert (count - base) % BATCH == 0, f"torn count {count}"
+                        assert base <= count <= base + BATCH * BATCHES, count
+                        assert count >= last, f"count went back from {last} to {count}"
+                        assert count >= floor, f"{count} misses an acknowledged write"
+                        last = count
+                        await asyncio.sleep(0)
+                finally:
+                    await connection.close()
+
+            await asyncio.gather(
+                writer(),
+                *(reader(ORDER_COUNT_SQL, BASE_ORDERS) for _ in range(READERS // 2)),
+                *(reader(JOIN_COUNT_SQL, BASE_JOINED) for _ in range(READERS // 2)),
+            )
+            final = await client.execute(ORDER_COUNT_SQL)
+            assert final.rows[0]["n"] == BASE_ORDERS + BATCH * BATCHES
+            again = await client.request("execute", sql=ORDER_COUNT_SQL)
+            assert again["result"]["cached"] is True
+            assert server.result_cache.stats.hits >= 1
+
+        serving(scenario)
+
     def test_mixed_engines_race_the_writer(self):
         valid_joined = {BASE_JOINED + BATCH * i for i in range(BATCHES + 1)}
 
