@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-stress test-differential test-chaos perf perf-quick perf-tests bench-recovery bench examples lint format-check loc
+.PHONY: test test-stress test-differential test-chaos perf perf-quick perf-tests bench-recovery bench examples lint format-check loc footprint
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -62,3 +62,11 @@ format-check:
 # lines of Python under src/, the yardstick for simplicity changes
 loc:
 	@find src -name '*.py' | xargs cat | wc -l
+
+# what `import repro, repro.serve` costs one process: wall seconds and peak
+# RSS (ru_maxrss, KiB on Linux); stdlib-only, informational, no gate
+footprint:
+	@$(PYTHON) -c "import resource, time; start = time.perf_counter(); \
+	import repro, repro.serve; seconds = time.perf_counter() - start; \
+	rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024; \
+	print(f'import repro, repro.serve: {seconds:.2f} s, ru_maxrss {rss:.1f} MiB')"

@@ -7,9 +7,11 @@ each containing the join variables it mentions.  This module provides:
 
 * construction of the hypergraph from a :class:`~repro.algebra.logical.QuerySpec`;
 * the GYO ear-removal test for (alpha-)acyclicity;
-* fractional edge covers via linear programming (scipy) and the AGM bound,
-  used by the worst-case-optimal cyclic algorithm and by the cost
-  assertions in the test suite (paper Sections 6.1-6.4).
+* fractional edge covers via linear programming and the AGM bound (paper
+  Section 6.4.1).  Nothing in the engines solves the LP — the cyclic
+  algorithm (:mod:`repro.core.cyclic`) splits on theta = sqrt(IN) instead —
+  so scipy is imported on the first solve, not when this module loads,
+  and a process that never asks for a cover never pays for it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ..algebra.logical import QuerySpec
 
@@ -176,6 +177,8 @@ class Hypergraph:
         Minimise sum of weights subject to: for every join variable, the
         total weight of hyperedges containing it is >= 1, weights >= 0.
         """
+        from scipy.optimize import linprog  # ~40 MiB: loaded on the first solve only
+
         aliases = self.aliases
         if not aliases:
             return {}

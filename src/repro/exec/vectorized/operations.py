@@ -30,7 +30,7 @@ from ...relational.types import NULL
 from ..operations import Partial, SlottedAggregates
 from ..schema import RowSchema, SlottedRow
 from .batch import ColumnBatch
-from .expr import BatchCompiled, compile_batch_expression
+from .expr import BatchCompiled, BatchValue, compile_batch_expression
 
 
 def factorize_groups(
@@ -108,58 +108,41 @@ class VectorizedAggregates:
         )
 
     # ------------------------------------------------------------------
-    def argument_columns(self, batch: ColumnBatch) -> List[Optional[List[Any]]]:
+    def argument_columns(self, batch: ColumnBatch) -> List[BatchValue]:
         """Evaluate every aggregate argument once over the whole batch.
 
-        Returns plain Python lists (row order preserved); ``None`` entries
-        are argument-less COUNT(*) specs.
+        Each entry is the argument's column (a numpy array in row order)
+        or its row-independent scalar; argument-less COUNT(*) specs get
+        ``None``, which :meth:`partial_for` never reads.
         """
-        columns: List[Optional[List[Any]]] = []
-        for argument in self._arguments:
-            if argument is None:
-                columns.append(None)
-                continue
-            value = argument(batch)
-            if isinstance(value, np.ndarray):
-                columns.append(value.tolist())
-            else:
-                columns.append([value] * batch.length)
-        return columns
+        return [
+            None if argument is None else argument(batch) for argument in self._arguments
+        ]
 
-    def partial_for(
-        self, indices: "np.ndarray", columns: Sequence[Optional[List[Any]]]
-    ) -> Partial:
+    def partial_for(self, indices: "np.ndarray", columns: Sequence[BatchValue]) -> Partial:
         """One group's partial payload, gathered from the argument columns."""
+        return self._partial(columns, indices, len(indices))
+
+    def batch_partial(self, batch: ColumnBatch) -> Partial:
+        """The whole batch folded into one partial (LOCAL aggregation)."""
+        return self._partial(self.argument_columns(batch), None, batch.length)
+
+    def _partial(
+        self, columns: Sequence[BatchValue], indices: Optional["np.ndarray"], count: int
+    ) -> Partial:
+        """Fold ``count`` rows (``indices``, or the whole batch for None)."""
         partial: Partial = []
-        index_list = indices.tolist()
         for position, function in enumerate(self._functions):
-            column = columns[position]
-            if column is None:
-                # argument-less specs: COUNT(*) counts the group, anything
-                # else keeps its neutral element (mirrors the row-at-a-time
-                # accumulate, which skips specs without an argument)
-                if function is AggFunc.COUNT:
-                    partial.append(len(index_list))
-                elif function is AggFunc.AVG:
-                    partial.append((0, 0))
-                elif function in (AggFunc.MIN, AggFunc.MAX):
-                    partial.append(None)
-                elif function is AggFunc.COUNT_DISTINCT:
-                    partial.append(set())
-                else:
-                    partial.append(0)
+            if self._arguments[position] is None:  # COUNT(*), the one argument-less spec
+                partial.append(count)
                 continue
-            values = [
-                value
-                for value in (column[index] for index in index_list)
-                if value is not NULL
-            ]
+            values = _non_null_values(columns[position], indices, count)
             if function is AggFunc.COUNT:
                 partial.append(len(values))
             elif function is AggFunc.SUM:
-                partial.append(sum(values) if values else 0)
+                partial.append(sum(values))
             elif function is AggFunc.AVG:
-                partial.append((sum(values) if values else 0, len(values)))
+                partial.append((sum(values), len(values)))
             elif function is AggFunc.MIN:
                 partial.append(min(values) if values else None)
             elif function is AggFunc.MAX:
@@ -169,12 +152,6 @@ class VectorizedAggregates:
             else:  # pragma: no cover - exhaustive over AggFunc
                 raise ValueError(f"unsupported aggregate {function}")
         return partial
-
-    def batch_partial(self, batch: ColumnBatch) -> Partial:
-        """The whole batch folded into one partial (LOCAL aggregation)."""
-        return self.partial_for(
-            np.arange(batch.length), self.argument_columns(batch)
-        )
 
     # slotted-compatible surface --------------------------------------
     def merge(self, left: Partial, right: Partial) -> Partial:
@@ -186,6 +163,23 @@ class VectorizedAggregates:
     @property
     def aliases(self) -> Tuple[str, ...]:
         return self.slotted.aliases
+
+
+def _non_null_values(
+    column: BatchValue, indices: Optional["np.ndarray"], count: int
+) -> List[Any]:
+    """One group's non-NULL argument values as Python objects, in row order.
+
+    A column is gathered with one fancy index and unboxed with one
+    ``tolist``; only a non-native column can hold NULL, so only that one
+    is filtered.  A scalar argument stands for ``count`` equal values.
+    """
+    if not isinstance(column, np.ndarray):
+        return [] if column is NULL else [column] * count
+    values = (column if indices is None else column[indices]).tolist()
+    if column.dtype.kind in "biuf":
+        return values
+    return [value for value in values if value is not NULL]
 
 
 def first_row_output(
