@@ -15,6 +15,7 @@ it is never rebuilt.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -28,6 +29,9 @@ class GraphError(KeyError):
 
 
 _NO_TARGETS: Mapping[VertexId, List[VertexId]] = MappingProxyType({})
+
+#: process-wide source of :attr:`Graph.generation` values
+_GENERATIONS = itertools.count(1)
 
 
 @dataclass(slots=True)
@@ -61,6 +65,9 @@ class Graph:
 
     def __init__(self, name: str = "graph") -> None:
         self.name = name
+        #: process-unique token of this graph: a re-encode (after an
+        #: out-of-band change) builds a new graph, so it moves with it
+        self.generation = next(_GENERATIONS)
         self._vertices: Dict[VertexId, Vertex] = {}
         # the one edge store: label -> source id -> target ids, in edge order
         self._targets: Dict[str, Dict[VertexId, List[VertexId]]] = {}

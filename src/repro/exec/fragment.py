@@ -16,14 +16,16 @@ back ready-to-run closures and the per-row work left at execution time is
 tuple indexing.  What it names per alias are *columns*: the kernel binds
 them to the relation's rows and code arrays at run start
 (:meth:`~repro.relational.relation.Relation.encoded_reader`), never here —
-a plan outlives the arrays it would otherwise hold.
+a plan outlives the arrays it would otherwise hold.  Its one mutable part
+is each :class:`AliasFilter`'s memo of verdicts by physical position.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
+from ..algebra.parameters import current_parameters, expression_parameters
 from ..relational.catalog import Catalog
 from .expr import compile_predicates, slot_resolver
 from .operations import (
@@ -53,13 +55,61 @@ class OwnRowSpec:
         self.schema = RowSchema(qualified + (provenance_key(alias),))
 
 
-@dataclass(frozen=True)
+#: verdict array entries: not judged yet, judged to pass, judged to fail
+UNKNOWN, PASS, FAIL = 0, 1, 2
+
+
 class AliasFilter:
     """An alias's pushed-down filters, slot-compiled over the values of
-    ``columns`` (the table columns they reference, in table order)."""
+    ``columns`` (the table columns they reference, in table order), plus
+    the memo of their verdicts by physical position.
 
-    columns: Tuple[str, ...]
-    test: Callable[[SlottedRow], bool]
+    ``parameters`` names the query parameters the filters read.  The memo
+    holds one ``bytearray`` of :data:`UNKNOWN` / :data:`PASS` /
+    :data:`FAIL` under one key (see :meth:`verdicts`); the kernel fills it
+    lazily and only ever appends to it (the module docstring of
+    :mod:`repro.exec.program` says why that is sound).
+    """
+
+    __slots__ = ("columns", "test", "parameters", "_memo")
+
+    def __init__(
+        self,
+        columns: Tuple[str, ...],
+        test: Callable[[SlottedRow], bool],
+        parameters: Tuple[str, ...],
+    ) -> None:
+        self.columns = columns
+        self.test = test
+        self.parameters = parameters
+        self._memo: Optional[Tuple[Hashable, bytearray]] = None
+
+    def bound_values(self) -> Tuple[Tuple[type, Any], ...]:
+        """The ``(type, value)`` bound to each of :attr:`parameters` in this
+        context (``(None, None)`` when unbound: the test raises then)."""
+        bound = current_parameters() or {}
+        return tuple(
+            (type(bound[name]), bound[name]) if name in bound else (None, None)
+            for name in self.parameters
+        )
+
+    def verdicts(self, key: Hashable) -> bytearray:
+        """The verdict array for ``key``, installing a fresh one when the
+        key moved.  An array another reader holds is never cleared, and a
+        key that cannot be hashed (a mutable parameter value, which may
+        change before the next run) gets an array no one else sees.
+        Readers racing to install one key may each get an array of their
+        own: every verdict in either is right, only reuse is lost."""
+        try:
+            hash(key)
+        except TypeError:
+            return bytearray()
+        memo = self._memo
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        verdicts = bytearray()
+        self._memo = (key, verdicts)
+        return verdicts
 
 
 @dataclass(frozen=True)
@@ -146,7 +196,10 @@ def compile_slotted_fragment(config: Any, catalog: Catalog) -> SlottedFragment:
             predicates, slot_resolver(schema), schema.context_builder()
         )
         if compiled is not None:
-            filters[alias] = AliasFilter(columns, compiled)
+            parameters = sorted(
+                {name for predicate in predicates for name in expression_parameters(predicate)}
+            )
+            filters[alias] = AliasFilter(columns, compiled, tuple(parameters))
 
     # 3. symbolic replay of the collection schedule: propagate schemas and
     #    compile one merge per step, exactly as rows will flow at run time

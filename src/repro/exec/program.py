@@ -41,6 +41,26 @@ the adjacency index — is resolved once; payloads go straight into the next
 inbox and the totals reach the context once.  A vertex still reads only
 its own data, messages and out-edges, in frontier order, so the cost the
 paper counts is exactly the vertex-at-a-time reference program's.
+
+A tuple vertex is admitted or rejected by its alias's pushed-down filter
+(the single-relation selections of Algorithm 2's reduction), and a cached
+plan decides that **once per tuple**, not once per run: each
+:class:`~repro.exec.fragment.AliasFilter` keeps a ``bytearray`` of
+verdicts by physical position (unknown / pass / fail), filled lazily —
+a position is judged the first time a run asks — and only ever appended
+to.  That is sound because the row at a physical position never changes
+through the write API: positions are append-only, deletes tombstone,
+updates are a delete plus an append, and a rolled-back delete restores
+the same row.  What can change it is keyed: the relation's
+:attr:`~repro.relational.relation.Relation.layout_epoch` (redrawn where
+positions are rewritten: a rolled-back append's truncate, compaction, a
+re-encoded column store), the graph's ``generation`` (a re-encode after
+an out-of-band edit builds a new graph) and the values bound to the
+parameters the filter reads.  The kernel takes that key once, at
+construction; a new key installs a fresh array and never clears one
+another reader holds, so readers with different bindings never share
+verdicts.  Admission charges no compute units either way.  Plans with
+subquery filters are not cached, so their memo lives for one run.
 """
 
 from __future__ import annotations
@@ -61,7 +81,7 @@ from ..core.vertex_program import (
     ScheduledStep,
 )
 from ..tag.encoder import TagGraph, tuple_vertex_id
-from .fragment import SlottedFragment
+from .fragment import FAIL, PASS, UNKNOWN, SlottedFragment
 from .operations import SlottedAggregates
 from .schema import SlottedRow
 from .vectorized.batch import ColumnBatch, full_column
@@ -511,14 +531,35 @@ class TagJoinKernel(VertexProgram):
     # ------------------------------------------------------------------
     def _admission(self, alias: str, relation: Any) -> Optional[Callable[[Vertex], bool]]:
         """Compile the alias's membership / exclusion sets and its
-        pushed-down filter into one test on a tuple vertex (None: all pass)."""
+        pushed-down filter into one test on a tuple vertex (None: all pass).
+
+        The filter's verdict on a position is looked up in the plan's
+        memo (module docstring), taken here under the key (relation
+        layout epoch, graph generation, values bound to the parameters
+        the filter reads) and sized to the relation's physical rows.  An
+        entry still unknown runs the compiled test on the row once and
+        records the answer; the restriction sets are per run and stay
+        outside the memo.
+        """
         predicate = None
         pushed = self.slotted.filters.get(alias)
         if pushed is not None:
             read, test = relation.encoded_reader(pushed.columns), pushed.test
+            key = (relation.layout_epoch, self.graph.generation, pushed.bound_values())
+            verdicts = pushed.verdicts(key)
+            # two readers sizing one array at once may both extend it: the
+            # surplus entries are UNKNOWN, past every position, and harmless
+            missing = relation.physical_count - len(verdicts)
+            if missing > 0:
+                verdicts.extend(bytes(missing))
 
             def predicate(vertex: Vertex) -> bool:
-                return test(read(vertex.index - 1))
+                position = vertex.index - 1
+                verdict = verdicts[position]
+                if verdict == UNKNOWN:
+                    verdict = PASS if test(read(position)) else FAIL
+                    verdicts[position] = verdict
+                return verdict == PASS
 
         members = self.alias_members.get(alias)
         excluded = self.alias_excluded.get(alias)

@@ -76,7 +76,9 @@ class PlanCache:
     One instance may be shared by every executor of a
     :class:`repro.api.Database` and hit concurrently from several sessions,
     so all bookkeeping (the LRU order *and* the counters) happens under a
-    lock.  Compiled fragments themselves are immutable once stored.
+    lock.  Compiled fragments are immutable once stored, except for the
+    verdict memo of their alias filters, which only ever grows and is
+    replaced, never cleared (:mod:`repro.exec.program`).
     """
 
     def __init__(self, max_entries: int = 256) -> None:

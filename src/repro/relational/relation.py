@@ -8,6 +8,7 @@ the TAG encoding gives each duplicate occurrence its own tuple vertex
 
 from __future__ import annotations
 
+import itertools
 import random
 from bisect import insort
 from operator import itemgetter
@@ -18,6 +19,9 @@ from .schema import Column, Schema, SchemaError
 from .types import NULL, DataType, coerce, infer_type, value_size_bytes
 
 Row = Tuple[Any, ...]
+
+#: process-wide source of :attr:`Relation.layout_epoch` values
+_LAYOUT_EPOCHS = itertools.count(1)
 
 
 class Relation:
@@ -50,6 +54,9 @@ class Relation:
         # match_positions call and patched by every mutation after it, so a
         # relation nobody deletes from by value never pays for it
         self._match_index: Optional[Dict[Row, List[int]]] = None
+        # what a physical position holds never changes except where this
+        # is redrawn (see layout_epoch)
+        self._layout_epoch = next(_LAYOUT_EPOCHS)
         if rows is not None:
             for row in rows:
                 self.insert(row)
@@ -66,6 +73,7 @@ class Relation:
         for position in self._deleted:
             store.delete_row(position, self._rows[position])
         self._encoded = store
+        self._layout_epoch = next(_LAYOUT_EPOCHS)
 
     @property
     def encoded_store(self) -> Optional[RelationEncodedStore]:
@@ -170,6 +178,8 @@ class Relation:
         del self._rows[count:]
         self._deleted = {p for p in self._deleted if p < count}
         self._match_index = None
+        # the dropped positions will be appended to again, with other rows
+        self._layout_epoch = next(_LAYOUT_EPOCHS)
         if self._encoded is not None:
             self._rebuild_encoded()
         self._note_mutation()
@@ -189,6 +199,7 @@ class Relation:
         self._rows = [row for _pos, row in self.live_items() if not predicate(row)]
         self._deleted = set()
         self._match_index = None
+        self._layout_epoch = next(_LAYOUT_EPOCHS)
         removed = before - len(self._rows)
         if self._encoded is not None and (removed or had_tombstones):
             self._encoded.rebuild(self._rows)
@@ -253,6 +264,19 @@ class Relation:
     def physical_count(self) -> int:
         """Number of physical row slots (live rows + tombstones)."""
         return len(self._rows)
+
+    @property
+    def layout_epoch(self) -> int:
+        """A process-unique token for what the physical positions hold.
+
+        Appends, tombstone deletes and their restores leave the row at
+        every existing position as it was, and keep the epoch.  It is
+        redrawn where a position may come to hold another row or other
+        codes: :meth:`truncate` (its positions are appended to again),
+        :meth:`delete_where` (compaction) and :meth:`bind_encoding`.  The
+        kernel keys its filter-verdict memo on it.
+        """
+        return self._layout_epoch
 
     @property
     def mutation_count(self) -> int:

@@ -96,7 +96,9 @@ class CodeTable:
     arbitrary LIKE / range / BETWEEN into an O(1) integer lookup per row.
     The table extends itself when the dictionary has grown since the last
     use (delta ingest appends entries, it never rewrites them), and the
-    published list is replaced atomically so readers never lock.
+    published list is replaced atomically so readers never lock.  Its
+    row-level analogue is the per-position verdict memo of a cached
+    plan's alias filters (module docstring of :mod:`repro.exec.program`).
     """
 
     __slots__ = ("dictionary", "predicate", "description", "_table", "_np_table", "_lock")

@@ -1,10 +1,12 @@
 """Fault-injection framework: spec grammar, modes, triggers, activation."""
 
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import repro
 from repro.durability.failpoints import (
     CRASH_EXIT_STATUS,
     FAILPOINTS,
@@ -18,6 +20,11 @@ from repro.durability.failpoints import (
     maybe_fire,
     seeded_crash_schedule,
 )
+
+#: the package under test and the directory that puts it on the path, so
+#: the tests read and run this checkout's code wherever it lives
+PACKAGE = pathlib.Path(repro.__file__).resolve().parent
+SRC = PACKAGE.parent
 
 
 @pytest.fixture(autouse=True)
@@ -142,7 +149,7 @@ class TestCrashMode:
             "print('survived')\n"
         )
         env = {
-            "PYTHONPATH": "src",
+            "PYTHONPATH": str(SRC),
             FAILPOINTS_ENV: "wal.append.before_write=crash",
             "PATH": "/usr/bin:/bin",
         }
@@ -150,7 +157,7 @@ class TestCrashMode:
             [sys.executable, "-c", code],
             capture_output=True,
             env=env,
-            cwd="/root/repo",
+            cwd=tmp_path,
             timeout=30,
         )
         assert proc.returncode == CRASH_EXIT_STATUS
@@ -161,11 +168,8 @@ class TestCatalog:
     def test_every_failpoint_is_threaded_somewhere(self):
         """Each registered name appears in a maybe_fire() call site —
         keeps the chaos matrix honest about its coverage claim."""
-        import pathlib
-
-        src = pathlib.Path("src/repro")
         sites = "\n".join(
-            path.read_text() for path in src.rglob("*.py")
+            path.read_text() for path in PACKAGE.rglob("*.py")
             if path.name != "failpoints.py"
         )
         for name in FAILPOINTS:
