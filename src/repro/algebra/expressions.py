@@ -10,7 +10,7 @@ unqualified names are also resolvable when unambiguous.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..relational.types import NULL
@@ -40,7 +40,7 @@ class Expression:
         return Or([self, other])
 
     def __invert__(self) -> "Expression":
-        return Not(self)
+        return negate(self)
 
 
 @dataclass(frozen=True)
@@ -201,20 +201,6 @@ class Or(Expression):
 
 
 @dataclass(frozen=True)
-class Not(Expression):
-    operand: Expression
-
-    def evaluate(self, context: RowContext) -> bool:
-        return not self.operand.evaluate(context)
-
-    def columns(self) -> FrozenSet[str]:
-        return self.operand.columns()
-
-    def __repr__(self) -> str:
-        return f"NOT {self.operand!r}"
-
-
-@dataclass(frozen=True)
 class IsNull(Expression):
     operand: Expression
     negated: bool = False
@@ -304,6 +290,52 @@ class Like(Expression):
 
     def columns(self) -> FrozenSet[str]:
         return self.operand.columns()
+
+
+_COMPLEMENTS = {
+    "=": "<>",
+    "==": "<>",
+    "!=": "=",
+    "<>": "=",
+    "<": ">=",
+    ">=": "<",
+    ">": "<=",
+    "<=": ">",
+}
+
+
+def negate(expression: Expression) -> Expression:
+    """``NOT expression`` in negation normal form: no node negates another.
+
+    De Morgan over ``And``/``Or``, the complementary comparison, a flipped
+    ``negated`` flag on ``InList``/``Like``/``IsNull``, ``x < low OR
+    x > high`` for ``Between``, a flipped boolean literal (NULL stays
+    NULL) and ``= FALSE`` for a bare column or parameter.  Every atom is
+    False on NULL, so the result keeps exactly the rows SQL's WHERE keeps
+    for ``NOT expression`` (UNKNOWN and FALSE both drop a row) and no
+    evaluator needs a third truth value.  Raises :class:`ExpressionError`
+    for anything else.
+    """
+    from .parameters import ParameterRef  # parameters imports this module
+
+    if isinstance(expression, And):
+        return Or([negate(operand) for operand in expression.operands])
+    if isinstance(expression, Or):
+        return And([negate(operand) for operand in expression.operands])
+    if isinstance(expression, Comparison):
+        return Comparison(_COMPLEMENTS[expression.op], expression.left, expression.right)
+    if isinstance(expression, (InList, Like, IsNull)):
+        return replace(expression, negated=not expression.negated)
+    if isinstance(expression, Between):
+        below = Comparison("<", expression.operand, expression.low)
+        return Or([below, Comparison(">", expression.operand, expression.high)])
+    if isinstance(expression, Literal) and expression.value is NULL:
+        return expression
+    if isinstance(expression, Literal) and isinstance(expression.value, bool):
+        return Literal(not expression.value)
+    if isinstance(expression, (ColumnRef, ParameterRef)):
+        return Comparison("=", expression, Literal(False))
+    raise ExpressionError(f"NOT is not defined over {expression!r}")
 
 
 def like_regex(pattern: str):

@@ -842,8 +842,9 @@ class Database:
             self.maintenance.views_recomputed += 1
 
     def note_data_change(self) -> None:
-        """Record an *out-of-band* data mutation: bump the catalog version so
-        the TAG encoding refreshes, and eagerly retire every cached engine.
+        """Record an *out-of-band* data mutation: re-encode every relation's
+        columns, bump the catalog version so the TAG encoding refreshes,
+        and eagerly retire every cached engine.
 
         This is the scorched-earth fallback for mutations that bypassed
         :meth:`load_rows` (direct writes to relation row lists), where no
@@ -858,6 +859,11 @@ class Database:
         Materialized views are recomputed from scratch on the spot.
         """
         with self._rw_lock.write_locked(), self._lock:
+            # the edited rows' codes are stale too: re-encode every
+            # relation, which also redraws its layout epoch (no filter
+            # verdict memo survives)
+            for relation in self.catalog:
+                relation.bind_encoding(self.catalog.encoding)
             self.catalog.note_data_change()
             self._out_of_band_changes += 1
             self._retire_derived(

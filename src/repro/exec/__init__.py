@@ -3,7 +3,7 @@
 Intermediate result tables are shaped by compile-time :class:`RowSchema`
 objects instead of dict-per-row name resolution:
 
-* :mod:`repro.exec.schema` — column -> slot mapping and merge compilation;
+* :mod:`repro.exec.schema` — column -> slot mapping;
 * :mod:`repro.exec.expr` — slot-compiling expression evaluator (with a
   dict-context fallback for opaque predicates);
 * :mod:`repro.exec.operations` — slotted aggregates, outputs, group keys;
@@ -25,7 +25,7 @@ from .expr import compile_expression, compile_predicates, slot_resolver
 from .fragment import SlottedFragment, compile_slotted_fragment, provenance_key
 from .operations import SlottedAggregates, compile_group_key, compile_output, deduplicate_rows
 from .program import TagJoinKernel, register_group_aggregator
-from .schema import RowSchema, SlotError, merge_schemas
+from .schema import RowSchema, SlotError
 
 __all__ = [
     "RowSchema",
@@ -39,7 +39,6 @@ __all__ = [
     "compile_predicates",
     "compile_slotted_fragment",
     "deduplicate_rows",
-    "merge_schemas",
     "provenance_key",
     "register_group_aggregator",
     "slot_resolver",

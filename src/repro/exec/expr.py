@@ -33,7 +33,6 @@ from ..algebra.expressions import (
     IsNull,
     Like,
     Literal,
-    Not,
     Or,
     like_regex,
 )
@@ -130,10 +129,6 @@ def _compile(expression: Expression, resolve: Resolver, context_of: ContextBuild
     if isinstance(expression, Or):
         operands = tuple(_compile(op, resolve, context_of) for op in expression.operands)
         return lambda row: any(operand(row) for operand in operands)
-
-    if isinstance(expression, Not):
-        operand = _compile(expression.operand, resolve, context_of)
-        return lambda row: not operand(row)
 
     if isinstance(expression, IsNull):
         operand = _compile(expression.operand, resolve, context_of)

@@ -34,7 +34,7 @@ from .operations import (
     compile_output,
     compile_residual,
 )
-from .schema import RowSchema, SlottedRow, merge_gather_plan, merge_schemas
+from .schema import RowSchema, SlottedRow
 
 
 def provenance_key(alias: Optional[str]) -> str:
@@ -116,22 +116,18 @@ class AliasFilter:
 class CollectAction:
     """Compiled receive behaviour of one collection step.
 
-    ``merge`` is None at attribute nodes (tables pass through by
-    concatenation); at relation nodes it combines an incoming row with the
-    vertex's own row.  ``prov_slot`` is the provenance column's slot in
-    the *incoming* schema when present — rows whose recorded contributor
-    for this alias is a different vertex are dropped, mirroring the
-    reference program's ``row.get(provenance, vid) == vid`` check.
+    At an attribute node (``at_relation`` False) tables pass through.  At
+    a relation node an incoming row meets the vertex's own row in one of
+    two ways.  If it carries none of the alias's columns, the own row is
+    appended.  If it carries all of them (an Euler re-ascent),
+    ``prov_slot`` is the provenance column's slot in it: rows whose
+    recorded contributor for this alias is a different vertex are
+    dropped, mirroring the reference program's ``row.get(provenance,
+    vid) == vid`` check, and the rest pass unchanged.
     """
 
-    merge: Optional[Callable[[SlottedRow, SlottedRow], SlottedRow]] = None
+    at_relation: bool = False
     prov_slot: Optional[int] = None
-    concat: bool = False  # merge is a plain tuple concatenation (fast path)
-    identity: bool = False  # incoming row already carries this alias's columns
-    #: per-output-slot gather recipe ``(take_from_incoming, source_slot)`` for
-    #: overlapping merges; None for concat/identity/passthrough.  On a
-    #: column batch it becomes column gathers + own-value broadcasts.
-    plan: Optional[Tuple[Tuple[bool, int], ...]] = None
     #: AND of the residual conditions placed at this step, over the merged
     #: row (None: nothing to check here)
     check: Optional[Callable[[SlottedRow], bool]] = None
@@ -157,8 +153,9 @@ def compile_slotted_fragment(config: Any, catalog: Catalog) -> SlottedFragment:
 
     Raises ValueError for configs the compiler never produces and the
     kernel cannot run: open-ended ``required_columns`` (row shapes must be
-    fixed at compile time) or a collection schedule that does not start at
-    a relation node.
+    fixed at compile time), a collection schedule that does not start at
+    a relation node, or a step whose incoming rows carry only part of an
+    alias's columns.
     """
     from ..core.vertex_program import Phase  # local: avoid import cycle at package init
 
@@ -221,23 +218,24 @@ def compile_slotted_fragment(config: Any, catalog: Catalog) -> SlottedFragment:
             action = CollectAction()
             schema = source_schema
         else:
-            own_spec = own[target_node.alias]
-            prov_slot = source_schema.slot_or_none(provenance_key(target_node.alias))
-            if all(column in source_schema for column in own_spec.schema.columns):
-                # Euler re-ascent: the incoming rows already carry this alias's
-                # columns, and the provenance filter (prov_slot is necessarily
-                # set) guarantees they came from this very vertex's own row —
-                # the merge is the identity on the incoming row.
-                action = CollectAction(
-                    merge=lambda left, right: left, prov_slot=prov_slot, identity=True
-                )
+            # an alias's columns and its provenance slot enter a row schema
+            # together, so the incoming rows carry all of the own row's
+            # columns or none of them
+            own_columns = own[target_node.alias].schema.columns
+            present = sum(column in source_schema for column in own_columns)
+            if present == len(own_columns):
+                # Euler re-ascent: the provenance filter guarantees the rows
+                # came from this very vertex's own row, so they pass as they are
+                prov_slot = source_schema.slot(provenance_key(target_node.alias))
+                action = CollectAction(at_relation=True, prov_slot=prov_slot)
                 schema = source_schema
+            elif present == 0:
+                action = CollectAction(at_relation=True)
+                schema = RowSchema(source_schema.columns + own_columns)
             else:
-                schema, merge = merge_schemas(source_schema, own_spec.schema)
-                concat = not any(column in source_schema for column in own_spec.schema.columns)
-                gather = None if concat else merge_gather_plan(source_schema, own_spec.schema)
-                action = CollectAction(
-                    merge=merge, prov_slot=prov_slot, concat=concat, plan=gather
+                raise ValueError(
+                    f"collection step {index} carries part of alias "
+                    f"{target_node.alias!r}'s columns"
                 )
         check = compile_residual(config.step_residuals.get(index, ()), schema)
         if check is not None:

@@ -11,10 +11,10 @@ Every intermediate result table is shaped by the compile-time
 :class:`~repro.exec.fragment.SlottedFragment` and lives in one of two
 forms, chosen per table from its observed size:
 
-* **tuple rows** (``List[SlottedRow]``) — how every table starts.  Merges
-  are precompiled tuple concatenations gated by a slot-indexed provenance
-  check; the residual checks after a merge, outputs and aggregates are
-  slot-compiled closures.
+* **tuple rows** (``List[SlottedRow]``) — how every table starts.  A merge
+  is a tuple concatenation or a slot-indexed provenance check; the
+  residual checks after a merge, outputs and aggregates are slot-compiled
+  closures.
   numpy's fixed per-array cost is never recouped by a three-row table,
   and most TAG tables are that small (a leaf relation vertex's own row,
   an attribute vertex's handful of children).
@@ -23,7 +23,7 @@ forms, chosen per table from its observed size:
   :data:`COLUMNAR_THRESHOLD` rows, and stays (tables only grow along the
   collection phase).  The TAG topology is the hash bucketing of the join,
   so each merge is a per-bucket gather-join: a boolean provenance mask,
-  column gathers and ``repeat``-broadcasts of the vertex's own values;
+  or ``repeat``-broadcasts of the vertex's own values;
   residual checks, outputs, GROUP BY keys and aggregate arguments evaluate
   as whole-column expressions.
 
@@ -265,7 +265,7 @@ class TagJoinKernel(VertexProgram):
         # and drops them.
         # Right after the merge, the residual conditions placed at this step
         # drop the rows whose aliases have met but do not agree.
-        read_own = None if action.merge is None else self._read_own[target_node.alias]
+        read_own = self._read_own[target_node.alias] if action.at_relation else None
         check = action.check
         batch_check = self.vectorized.checks.get(step_index)
         for vertex_id in active:
@@ -279,9 +279,9 @@ class TagJoinKernel(VertexProgram):
                 ordinal = vertex.ordinal
                 own_row = read_own(vertex.index - 1) + (ordinal,)
                 if type(rows) is ColumnBatch:
-                    rows = self._merge_batch(rows, own_row, action, ordinal)
+                    rows = self._merge_batch(rows, own_row, action.prov_slot, ordinal)
                 elif rows:
-                    rows = self._merge_rows(rows, own_row, action, ordinal)
+                    rows = self._merge_rows(rows, own_row, action.prov_slot, ordinal)
                 else:
                     rows = [own_row]
             if check is not None and rows:
@@ -329,40 +329,21 @@ class TagJoinKernel(VertexProgram):
         return ColumnBatch.concat(batches)
 
     @staticmethod
-    def _merge_rows(incoming, own_row, action, vid: int) -> List[SlottedRow]:
-        prov_slot = action.prov_slot
-        if action.identity:
-            return [row for row in incoming if row[prov_slot] == vid]
+    def _merge_rows(incoming, own_row, prov_slot: Optional[int], vid: int) -> List[SlottedRow]:
         if prov_slot is None:
-            if action.concat:
-                return [row + own_row for row in incoming]
-            merge = action.merge
-            return [merge(row, own_row) for row in incoming]
-        if action.concat:
-            return [row + own_row for row in incoming if row[prov_slot] == vid]
-        merge = action.merge
-        return [merge(row, own_row) for row in incoming if row[prov_slot] == vid]
+            return [row + own_row for row in incoming]
+        return [row for row in incoming if row[prov_slot] == vid]
 
     @staticmethod
-    def _merge_batch(incoming: ColumnBatch, own_row, action, vid: int) -> ColumnBatch:
+    def _merge_batch(
+        incoming: ColumnBatch, own_row, prov_slot: Optional[int], vid: int
+    ) -> ColumnBatch:
         if not incoming:
             return ColumnBatch.from_row(own_row)
-        prov_slot = action.prov_slot
         if prov_slot is not None:
-            incoming = incoming.mask(np.equal(incoming.arrays[prov_slot], vid))
-        if action.identity or not incoming:
-            return incoming
+            return incoming.mask(np.equal(incoming.arrays[prov_slot], vid))
         length = incoming.length
-        if action.concat:
-            return incoming.with_appended([full_column(length, value) for value in own_row])
-        arrays = incoming.arrays
-        return ColumnBatch(
-            [
-                arrays[index] if from_incoming else full_column(length, own_row[index])
-                for from_incoming, index in action.plan
-            ],
-            length,
-        )
+        return incoming.with_appended([full_column(length, value) for value in own_row])
 
     # ------------------------------------------------------------------
     # send: one edge-map over the senders, straight into the next inbox

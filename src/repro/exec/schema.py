@@ -12,10 +12,9 @@ Schemas compose the same way the dict rows did:
 
 * a relation node's *own row* schema is its alias-qualified projection
   plus the hidden provenance column;
-* merging two partial-result schemas mirrors ``dict(left).update(right)``
-  ordering — left columns keep their position (right values win on
-  overlap), new right columns are appended — so the slotted path produces
-  byte-identical logical rows to the dict path.
+* a collection step appends the own row's columns to the incoming
+  schema, or finds them all there already (an Euler re-ascent), so the
+  slotted path produces byte-identical logical rows to the dict path.
 """
 
 from __future__ import annotations
@@ -117,49 +116,3 @@ class RowSchema:
         columns = self.columns
         return lambda row: dict(zip(columns, row))
 
-
-def merge_schemas(
-    left: RowSchema, right: RowSchema
-) -> Tuple[RowSchema, Callable[[SlottedRow, SlottedRow], SlottedRow]]:
-    """Compile the slotted counterpart of ``ops.merge_rows`` for two schemas.
-
-    Returns the merged schema plus a ``merge(left_row, right_row)``
-    closure.  Ordering matches ``dict(left); dict.update(right)``: left
-    columns keep their positions (right values override on overlap), new
-    right columns are appended.  The disjoint case — the overwhelmingly
-    common one on the TAG-join collection path — compiles to a plain
-    tuple concatenation.
-    """
-    overlap = [name for name in right.columns if name in left]
-    if not overlap:
-        merged = RowSchema(left.columns + right.columns)
-        return merged, lambda left_row, right_row: left_row + right_row
-
-    appended = tuple(name for name in right.columns if name not in left)
-    merged = RowSchema(left.columns + appended)
-    plan = merge_gather_plan(left, right)
-
-    def merge(left_row: SlottedRow, right_row: SlottedRow) -> SlottedRow:
-        return tuple(
-            left_row[index] if from_left else right_row[index] for from_left, index in plan
-        )
-
-    return merged, merge
-
-
-def merge_gather_plan(
-    left: RowSchema, right: RowSchema
-) -> Tuple[Tuple[bool, int], ...]:
-    """The gather recipe behind :func:`merge_schemas`, as inspectable data.
-
-    One ``(take_from_left, slot_in_source)`` pair per merged output slot —
-    the form a column batch consumes directly (a left entry becomes
-    a column gather of the incoming batch, a right entry a broadcast of the
-    vertex's own value).
-    """
-    appended = tuple(name for name in right.columns if name not in left)
-    merged_columns = left.columns + appended
-    return tuple(
-        (False, right.slot(name)) if name in right else (True, left.slot(name))
-        for name in merged_columns
-    )

@@ -45,7 +45,6 @@ from ...algebra.expressions import (
     IsNull,
     Like,
     Literal,
-    Not,
     Or,
     like_regex,
 )
@@ -161,10 +160,6 @@ def _compile(expression: Expression, schema: RowSchema) -> BatchCompiled:
     if isinstance(expression, Or):
         operands = tuple(_compile(op, schema) for op in expression.operands)
         return lambda batch: _combine(operands, batch, np.logical_or)
-
-    if isinstance(expression, Not):
-        operand = _compile(expression.operand, schema)
-        return lambda batch: ~as_mask(operand(batch), batch)
 
     if isinstance(expression, IsNull):
         return _compile_is_null(expression, schema)

@@ -10,9 +10,9 @@ the GROUP BY key and the aggregates — into whole-batch closures.
 
 The per-step collection behaviour needs no separate compilation: the
 program applies the same :class:`~repro.exec.fragment.CollectAction` to a
-table in either form (``identity`` -> provenance mask, ``concat`` ->
-gather + own broadcast, ``plan`` -> column gather plan), which guarantees
-the two forms can never disagree about the shape of a step.
+table in either form (a provenance mask, or the own row appended as
+broadcast columns), which guarantees the two forms can never disagree
+about the shape of a step.
 
 Like the slotted plan, the compiled result rides inside the cached
 :class:`~repro.core.compiler.CompiledFragment`, so a plan-cache hit hands

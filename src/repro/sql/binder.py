@@ -20,12 +20,13 @@ from ..algebra.expressions import (
     ColumnRef,
     Comparison,
     Expression,
+    ExpressionError,
     InList,
     IsNull,
     Like,
     Literal,
-    Not,
     Or,
+    negate,
     referenced_aliases,
 )
 from ..algebra.parameters import ParameterRef
@@ -401,7 +402,11 @@ class Binder:
             operands = [self._bind_scalar(scope, operand) for operand in node.operands]
             return And(operands) if node.op == "AND" else Or(operands)
         if isinstance(node, sql_ast.NotNode):
-            return Not(self._bind_scalar(scope, node.operand))
+            operand = self._bind_scalar(scope, node.operand)
+            try:
+                return negate(operand)
+            except ExpressionError as error:
+                raise SqlBindError(str(error)) from None
         if isinstance(node, sql_ast.IsNullNode):
             return IsNull(self._bind_scalar(scope, node.operand), node.negated)
         if isinstance(node, sql_ast.BetweenNode):

@@ -10,9 +10,11 @@ the public result boundary.
 Correctness contract: every rewritten predicate must produce the
 *identical* boolean the un-rewritten expression produces for **all**
 inputs, including NULLs (``None`` from outer-join padding as well as the in-band
-sentinels).  Composition under ``And``/``Or``/``Not`` is then
-automatically safe, because ``Not`` is plain boolean negation in this
-engine.
+sentinels).  Composition under ``And``/``Or`` is then automatically
+safe.  No node negates another: the binder pushes every ``NOT`` down to
+the atoms (:func:`~repro.algebra.expressions.negate`), so a complemented
+atom (``>=`` for ``NOT <``, a negated ``InList``/``Like``) is rewritten
+like any other and, like any other, is False on NULL.
 
 The hot rewrites (equality, IN, IS NULL, date ranges) produce ordinary
 :class:`~repro.algebra.expressions.Comparison`/``InList`` nodes over
@@ -44,7 +46,6 @@ from ..algebra.expressions import (
     IsNull,
     Like,
     Literal,
-    Not,
     Or,
     like_regex,
 )
@@ -226,7 +227,6 @@ _REBUILDABLE = (
     Arithmetic,
     And,
     Or,
-    Not,
     IsNull,
     InList,
     Between,
@@ -326,7 +326,7 @@ class FragmentRewriter:
             return True
         if isinstance(expression, (And, Or)):
             return all(self._subst_ok(op, scope) for op in expression.operands)
-        if isinstance(expression, (Not, IsNull, Like)):
+        if isinstance(expression, (IsNull, Like)):
             return self._subst_ok(expression.operand, scope)
         if isinstance(expression, (Comparison, Arithmetic)):
             return self._subst_ok(expression.left, scope) and self._subst_ok(
@@ -359,8 +359,6 @@ class FragmentRewriter:
             return And([self._subst(op, scope) for op in expression.operands])
         if isinstance(expression, Or):
             return Or([self._subst(op, scope) for op in expression.operands])
-        if isinstance(expression, Not):
-            return Not(self._subst(expression.operand, scope))
         if isinstance(expression, IsNull):
             return IsNull(self._subst(expression.operand, scope), expression.negated)
         if isinstance(expression, Like):
@@ -409,8 +407,6 @@ class FragmentRewriter:
             return And([self.rewrite(op, scope) for op in expression.operands])
         if isinstance(expression, Or):
             return Or([self.rewrite(op, scope) for op in expression.operands])
-        if isinstance(expression, Not):
-            return Not(self.rewrite(expression.operand, scope))
         if isinstance(expression, Comparison):
             return self._rewrite_comparison(expression, scope)
         if isinstance(expression, InList):

@@ -27,7 +27,6 @@ from ..algebra.expressions import (
     IsNull,
     Like,
     Literal,
-    Not,
     Or,
 )
 from ..algebra.parameters import ParameterRef
@@ -176,8 +175,6 @@ class CatalogStatistics:
             for part in predicate.operands:
                 miss *= 1.0 - self.predicate_selectivity(table, part)
             return 1.0 - miss
-        if isinstance(predicate, Not):
-            return 1.0 - self.predicate_selectivity(table, predicate.operand)
         return DEFAULT_PREDICATE_SELECTIVITY
 
     def _comparison_selectivity(self, table: str, predicate: Comparison) -> float:

@@ -12,12 +12,12 @@ from repro.algebra import (
     InList,
     IsNull,
     Like,
-    Not,
     Or,
     col,
     conjunction,
     eq,
     lit,
+    negate,
     split_conjuncts,
 )
 
@@ -78,7 +78,7 @@ class TestBooleanOperators:
         assert And([true_cmp, true_cmp]).evaluate(ROW)
         assert not And([true_cmp, false_cmp]).evaluate(ROW)
         assert Or([false_cmp, true_cmp]).evaluate(ROW)
-        assert Not(false_cmp).evaluate(ROW)
+        assert negate(false_cmp).evaluate(ROW)
 
     def test_operator_overloads(self):
         true_cmp = Comparison(">", col("r.A"), lit(1))
@@ -86,6 +86,30 @@ class TestBooleanOperators:
         assert (true_cmp & true_cmp).evaluate(ROW)
         assert (false_cmp | true_cmp).evaluate(ROW)
         assert (~false_cmp).evaluate(ROW)
+
+    def test_negate_pushes_down_to_atoms(self):
+        a, c = col("r.A"), col("r.C")
+        assert negate(Comparison("<", a, lit(1))) == Comparison(">=", a, lit(1))
+        assert negate(eq(a, lit(1)) | IsNull(c)) == And(
+            [Comparison("<>", a, lit(1)), IsNull(c, negated=True)]
+        )
+        assert negate(InList(a, [1, 2])) == InList(a, [1, 2], negated=True)
+        assert negate(Like(c, "x%", negated=True)) == Like(c, "x%")
+        assert negate(Between(a, lit(1), lit(9))) == Or(
+            [Comparison("<", a, lit(1)), Comparison(">", a, lit(9))]
+        )
+        assert negate(lit(True)) == lit(False) and negate(lit(None)) == lit(None)
+        assert negate(c) == eq(c, lit(False))
+        assert negate(negate(Comparison(">", a, lit(1)))) == Comparison(">", a, lit(1))
+        with pytest.raises(ExpressionError):
+            negate(Arithmetic("+", a, lit(1)))
+
+    def test_negated_atoms_drop_null(self):
+        # NOT over a NULL operand is UNKNOWN, which a WHERE clause drops
+        c = col("r.C")
+        for predicate in (eq(c, lit(1)), InList(c, [1]), Like(c, "%"), Between(c, lit(0), lit(9))):
+            assert not predicate.evaluate(ROW)
+            assert not negate(predicate).evaluate(ROW)
 
     def test_split_and_rebuild_conjuncts(self):
         a = Comparison(">", col("r.A"), lit(1))

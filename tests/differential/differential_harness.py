@@ -2,8 +2,9 @@
 
 Hypothesis strategies generate :class:`QueryCase` objects — SQL text plus
 parameter bindings covering joins along the dataset's FK chain, filters
-with comparisons / IN / BETWEEN / LIKE / IS NULL, residual column-column
-predicates, parameters, and GROUP BY / scalar aggregates; the
+with comparisons / IN / BETWEEN / LIKE / IS NULL and NOT over them,
+residual column-column predicates, parameters, and GROUP BY / scalar
+aggregates; the
 ``extra_equality_cases`` variant also adds a second ``=`` over a nullable
 column between two aliases, which the TAG engines either route on or check
 at a collection merge — and
@@ -202,8 +203,29 @@ def filter_predicates(draw, alias: str, table: str) -> Tuple[str, Optional[Any]]
     """One WHERE predicate for an alias; returns (sql, parameter value or None).
 
     When a parameter value is returned, the SQL contains ``{param}`` where
-    the caller must splice the parameter's name.
+    the caller must splice the parameter's name.  Sometimes the predicate
+    is ``NOT (p)`` or ``NOT (p OR q)``: the binder rewrites it to the
+    complemented atoms, which then take the code-space rewrites (date
+    ranges, the string dictionary's side table, IN over codes) as any
+    atom does.  ``q``'s parameter, if it drew one, is inlined as a literal.
     """
+    predicate, value = draw(filter_atoms(alias, table))
+    shape = draw(st.sampled_from(["atom", "atom", "atom", "not", "not_or"]))
+    if shape == "atom":
+        return predicate, value
+    if shape == "not_or":
+        other, other_value = draw(filter_atoms(alias, table))
+        if other_value is not None:
+            other = other.format(param=sql_literal(other_value))
+        predicate = f"{predicate} OR {other}"
+    return f"NOT ({predicate})", value
+
+
+@st.composite
+def filter_atoms(draw, alias: str, table: str) -> Tuple[str, Optional[Any]]:
+    """One comparison / IN / BETWEEN / LIKE / IS NULL predicate (the last
+    four sometimes with their own NOT), as :func:`filter_predicates`
+    returns it."""
     kinds = ["compare_num", "in_list", "between"]
     if STRING_COLUMNS[table]:
         kinds += ["compare_str", "like"]
@@ -272,7 +294,12 @@ def filter_predicates(draw, alias: str, table: str) -> Tuple[str, Optional[Any]]
         low, high = sorted(
             [draw(st.sampled_from(values)), draw(st.sampled_from(values))]
         )
-        return (f"{alias}.{column} BETWEEN {sql_literal(low)} AND {sql_literal(high)}", None)
+        negated = draw(st.booleans())
+        return (
+            f"{alias}.{column} {'NOT ' if negated else ''}BETWEEN "
+            f"{sql_literal(low)} AND {sql_literal(high)}",
+            None,
+        )
 
     if kind == "compare_str":
         column = draw(st.sampled_from(STRING_COLUMNS[table]))

@@ -21,10 +21,10 @@ from repro.algebra.expressions import (
     IsNull,
     Like,
     Literal,
-    Not,
     Or,
     col,
     lit,
+    negate,
 )
 from repro.algebra.parameters import ParameterRef, bind_parameters
 from repro.exec import RowSchema, compile_expression, slot_resolver
@@ -72,7 +72,7 @@ def test_arithmetic_agrees(row, op):
 def test_boolean_combinations_agree(row):
     expression = Or(
         [
-            And([Comparison(">", col("t.a"), lit(0)), Not(IsNull(col("t.b")))]),
+            And([Comparison(">", col("t.a"), lit(0)), negate(IsNull(col("t.b")))]),
             IsNull(col("t.a")),
         ]
     )

@@ -158,8 +158,9 @@ class TestPositionRewrites:
         assert_like_rdbms(db, SCAN_SQL)
 
     def test_in_place_edit_then_note_data_change(self):
-        """(c) a row edited behind the write API keeps its position and
-        the relation its epoch; the re-encoded graph is what moves."""
+        """(c) a row edited behind the write API keeps its position;
+        ``note_data_change`` re-encodes the relation (a new epoch) and
+        the graph."""
         db = Database(make_mini_catalog())
         assert_like_rdbms(db, SQL)
         assert_like_rdbms(db, SCAN_SQL)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exec import RowSchema, SlotError, deduplicate_rows, merge_schemas
+from repro.exec import RowSchema, SlotError, deduplicate_rows
 from repro.exec.operations import compile_group_key, compile_output
 from repro.algebra.logical import OutputColumn
 from repro.algebra.expressions import Arithmetic, col, lit
@@ -40,26 +40,6 @@ class TestRowSchema:
     def test_to_dict_round_trip(self):
         schema = RowSchema(["a.x", "a.y"])
         assert schema.to_dict((1, 2)) == {"a.x": 1, "a.y": 2}
-
-
-class TestMergeSchemas:
-    def test_disjoint_merge_is_concatenation(self):
-        left = RowSchema(["a.x", "a.y"])
-        right = RowSchema(["b.z"])
-        merged, merge = merge_schemas(left, right)
-        assert merged.columns == ("a.x", "a.y", "b.z")
-        assert merge((1, 2), (3,)) == (1, 2, 3)
-
-    def test_overlap_matches_dict_update_semantics(self):
-        """dict(left).update(right): left positions kept, right values win."""
-        left = RowSchema(["a.x", "shared", "a.y"])
-        right = RowSchema(["shared", "b.z"])
-        merged, merge = merge_schemas(left, right)
-        left_row, right_row = (1, 2, 3), (20, 30)
-        expected_dict = dict(zip(left.columns, left_row))
-        expected_dict.update(dict(zip(right.columns, right_row)))
-        assert list(merged.columns) == list(expected_dict)
-        assert merge(left_row, right_row) == tuple(expected_dict.values())
 
 
 class TestCompiledHelpers:

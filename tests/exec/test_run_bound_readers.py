@@ -2,8 +2,9 @@
 
 A tuple vertex holds only its index; its values live in the relation's
 row list and in the int32 code arrays of its encoded store.  Both
-``truncate`` (a write rolled back mid-apply) and ``delete_where`` (an
-out-of-band delete that compacts positions) swap in fresh code arrays, so
+``truncate`` (a write rolled back mid-apply), ``delete_where`` (an
+out-of-band delete that compacts positions) and ``note_data_change``
+(which re-encodes rows edited in place) swap in fresh code arrays, so
 a compiled plan — which outlives them in the plan cache — must never hold
 a reader.  Each case runs the query once to cache its plan, changes the
 arrays under it, and runs it again: filtered and projected string and
@@ -94,3 +95,32 @@ def test_after_delete_where_compacts_positions():
     db.note_data_change()
     rows = assert_tag_answers_like_rdbms(db)
     assert [row[0] for row in rows] == [6, 7, 9]
+
+
+def test_after_in_place_edits_of_string_and_date_columns():
+    """An edit through ``Relation.rows`` is out of band: the encoded store
+    still holds the old codes until ``note_data_change`` re-encodes every
+    relation.  Filters, projections and a prepared statement whose cached
+    plan filters on the edited columns then read the new values."""
+    db = make_database()
+    prepared = db.connect(engine="tag").prepare(
+        "SELECT e.ID AS id FROM EVENTS e WHERE e.KIND = :kind AND e.DAY <= :day"
+    )
+    by_kind = "SELECT e.ID AS id FROM EVENTS e WHERE e.KIND = 'beta'"
+    params = {"kind": "beta", "day": day(5)}
+    for engine in ("tag", "tag_dict"):
+        assert sorted(db.connect(engine=engine).sql(by_kind).to_tuples()) == [(1,), (4,), (7,)]
+    assert sorted(prepared.execute(params).to_tuples()) == [(1,), (4,)]
+    assert_tag_answers_like_rdbms(db)
+
+    events = db.catalog.relation("EVENTS")
+    events.rows[2] = (3, "beta", day(1))  # was ("alpha", day(3))
+    events.rows[3] = (4, "beta", day(20))  # was day(4)
+    db.note_data_change()
+
+    for engine in ("tag", "tag_dict", "rdbms"):
+        got = sorted(db.connect(engine=engine).sql(by_kind).to_tuples())
+        assert got == [(1,), (3,), (4,), (7,)], engine
+    assert sorted(prepared.execute(params).to_tuples()) == [(1,), (3,)]
+    rows = assert_tag_answers_like_rdbms(db)
+    assert (4, "beta", day(20), "l-two") in rows  # projected from the new codes

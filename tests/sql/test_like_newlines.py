@@ -8,9 +8,8 @@ with embedded newlines covers all of them — and a delta-mode view that
 folds the rows in as they are written.
 """
 
-import sqlite3
-
 import pytest
+from sqlite_reference import sqlite_ids
 
 from repro.api import Database
 from repro.relational import Catalog, Column, DataType, Relation, Schema
@@ -47,17 +46,6 @@ def sql_for(pattern, negated=False):
     return f"SELECT t.ID AS id FROM T t WHERE t.S {'NOT ' if negated else ''}LIKE '{literal}'"
 
 
-def sqlite_ids(rows, sql):
-    connection = sqlite3.connect(":memory:")
-    try:
-        connection.execute("PRAGMA case_sensitive_like=ON")
-        connection.execute("CREATE TABLE T (ID INTEGER, S TEXT)")
-        connection.executemany("INSERT INTO T VALUES (?, ?)", rows)
-        return sorted(row[0] for row in connection.execute(sql))
-    finally:
-        connection.close()
-
-
 @pytest.fixture(scope="module")
 def database():
     catalog = Catalog("like_newlines")
@@ -71,7 +59,7 @@ def database():
 def test_like_matches_sqlite(database, engine, pattern, negated):
     sql = sql_for(pattern, negated)
     rows = database.connect(engine=engine).sql(sql).rows
-    assert sorted(row["id"] for row in rows) == sqlite_ids(ROWS, sql)
+    assert sorted(row["id"] for row in rows) == sqlite_ids(schema(), ROWS, sql)
 
 
 def test_newline_matches_in_a_delta_view():
@@ -88,4 +76,4 @@ def test_newline_matches_in_a_delta_view():
     live = ROWS[1:] + LATER
     for i, pattern in enumerate(PATTERNS):
         served = sorted(row["id"] for row in db.query_view(f"v{i}").rows)
-        assert served == sqlite_ids(live, sql_for(pattern)), pattern
+        assert served == sqlite_ids(schema(), live, sql_for(pattern)), pattern
