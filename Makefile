@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-stress test-differential test-chaos perf perf-quick perf-tests bench-recovery bench examples lint format-check loc footprint
+.PHONY: test test-stress test-differential test-chaos perf perf-quick perf-tests counts bench-recovery bench examples lint format-check loc footprint
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -37,6 +37,18 @@ perf-quick:
 
 perf-tests:
 	$(PYTHON) -m pytest perf/tests -q
+
+# the deterministic bsp.* counters of the two analytic workloads at smoke
+# size and seed 7 (the last line of a traced ledger run); a change that
+# moves one names the old and new value
+counts:
+	@for workload in tpc_warm fanout_agg; do \
+		$(PYTHON) perf/run.py --workload $$workload --seed 7 --quick --trace 1 | tail -n 1 | \
+		$(PYTHON) -c "import json, sys; report = json.load(sys.stdin); \
+		metrics = report['metrics']; \
+		[print(sys.argv[1], name, metrics[name]['value']) for name in sorted(metrics) \
+		if name.startswith('bsp.')]; sys.exit(not report['correct'])" $$workload || exit 1; \
+	done
 
 # WAL write-path overhead + recovery-time curve; exits non-zero if a
 # recovered database diverges from a clean load or buffered-WAL ingest

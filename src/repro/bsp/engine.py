@@ -152,15 +152,12 @@ class SuperstepContext:
         if not self.engine.graph.has_vertex(target):
             raise BSPError(f"message sent to unknown vertex {target!r}")
         self.outbox[target].append(payload)
-        self._messages_sent += 1
         size = payload_size_bytes(payload)
-        self._message_bytes += size
-        if self._current_vertex is not None:
-            source_partition = self.engine.partition_of(self._current_vertex.vertex_id)
-            target_partition = self.engine.partition_of(target)
-            if source_partition != target_partition:
-                self._network_messages += 1
-                self._network_bytes += size
+        vertex, partition_of = self._current_vertex, self.engine.partition_of
+        crossing = int(
+            vertex is not None and partition_of(vertex.vertex_id) != partition_of(target)
+        )
+        self.add_messages(1, size, crossing, crossing * size)
 
     # ------------------------------------------------------------------
     # bulk surface for programs that implement ``compute_superstep``
@@ -178,14 +175,22 @@ class SuperstepContext:
         self._network_messages += network_messages
         self._network_bytes += network_bytes
 
-    def set_current_vertex(self, vertex: Optional[Vertex]) -> None:
-        """Name the vertex whose computation runs now.
-
-        :meth:`send` and :meth:`aggregate` attribute cross-worker traffic
-        to it; the per-vertex default of ``compute_superstep`` sets it for
-        every vertex, a bulk implementation before it calls either.
-        """
-        self._current_vertex = vertex
+    def add_aggregates(
+        self,
+        name: str,
+        values: List[Any],
+        messages: int,
+        message_bytes: int,
+        network_messages: int = 0,
+        network_bytes: int = 0,
+    ) -> None:
+        """Contribute ``values`` to the aggregator ``name`` and account, once
+        per superstep, for the ``messages`` the contributing vertices sent it
+        (more than ``len(values)`` when the program folded them first)."""
+        if name not in self.engine.aggregators:
+            raise BSPError(f"unknown aggregator {name!r}")
+        self._aggregator_inbox.extend([(name, value) for value in values])
+        self.add_messages(messages, message_bytes, network_messages, network_bytes)
 
     # ------------------------------------------------------------------
     # run-scoped vertex state
@@ -208,19 +213,16 @@ class SuperstepContext:
         Contributions are also charged as messages: the aggregator is a
         vertex whose id every vertex knows (Section 2), so talking to it is
         communication, and it is exactly the bottleneck the paper observes
-        for global aggregation.
+        for global aggregation.  The aggregator lives on worker 0.
         """
-        if name not in self.engine.aggregators:
-            raise BSPError(f"unknown aggregator {name!r}")
-        self._aggregator_inbox.append((name, value))
-        self._messages_sent += 1
         size = payload_size_bytes(value)
-        self._message_bytes += size
-        if self._current_vertex is not None and self.engine.num_workers > 1:
-            # the aggregator lives on worker 0 by convention
-            if self.engine.partition_of(self._current_vertex.vertex_id) != 0:
-                self._network_messages += 1
-                self._network_bytes += size
+        vertex = self._current_vertex
+        crossing = int(
+            vertex is not None
+            and self.engine.num_workers > 1
+            and self.engine.partition_of(vertex.vertex_id) != 0
+        )
+        self.add_aggregates(name, [value], 1, size, crossing, crossing * size)
 
     # ------------------------------------------------------------------
     # cost accounting & control

@@ -5,61 +5,49 @@ number of messages sent over all supersteps and the total per-vertex
 computation.  For the distributed experiments (Section 8.6) the relevant
 quantity is *network traffic*: bytes crossing machine boundaries.  The
 metrics objects here capture all three so benchmarks can report them.
+
+**Byte model.**  The TAG-join kernel (:mod:`repro.exec.program`) counts
+bytes from its compiled plan, as the paper assumes fixed-width messages
+(Section 5.2.1): 4 per vertex id, 8 per row slot, 4 per table header.  A
+reduction message weighs 4, a collection message of ``n`` rows of ``s``
+slots ``4 + 8ns``, an aggregator message 8 per slot of its group key,
+partial (two for AVG) and sample row.  The widths are fixed at compile
+time, so the count depends only on how many rows flow, never on their
+values or load order.  The other programs (the dict-row reference, the
+cycle and two-way programs, the shuffle) still size their Python
+payloads with :func:`payload_size_bytes`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List
 
 
-# exact-type sizes of the scalars almost every payload is made of
-_SCALAR_SIZES = {int: 8, float: 8, bool: 1, type(None): 1}
+#: the kernel's byte model (module docstring)
+VERTEX_ID_BYTES = 4
+SLOT_BYTES = 8
+TABLE_HEADER_BYTES = 4
 
 
 def payload_size_bytes(payload: Any) -> int:
     """Approximate serialized size of a message payload.
 
-    Numbers and dates count 8 bytes, strings their length, containers the
-    sum of their elements plus a small per-element overhead.  This mirrors
-    the fixed-width message-size assumption of the paper's analysis
-    (Section 5.2.1) while still letting the collection phase's tuple-bearing
-    messages weigh more than id-bearing ones.
-
-    The common shapes — a plain scalar, a string, a row of them — are
-    sized by exact-type lookup in one flat loop; subclasses (a numpy
-    float, an ``IntEnum``), sets, dicts and everything else take the
-    ``isinstance`` ladder below it, which gives the same numbers.
+    Numbers and dates count 8 bytes (a bool or None 1), strings their
+    length, containers the sum of their elements plus a 4-byte overhead;
+    a container of more than 8 elements is sized from its first element
+    times its length, so accounting stays O(1) per message.
     """
-    kind = type(payload)
-    size = _SCALAR_SIZES.get(kind)
-    if size is not None:
-        return size
-    if kind is str:
-        return len(payload)
-    if kind is tuple or kind is list:
-        count = len(payload)
-        if count > 8:  # large containers: sample the first element
-            return 4 + count * payload_size_bytes(payload[0])
-        total = 4
-        for element in payload:
-            size = _SCALAR_SIZES.get(type(element))
-            total += size if size is not None else payload_size_bytes(element)
-        return total
+    if payload is None or type(payload) is bool:
+        return 1
     if isinstance(payload, (int, float)):
         return 8
     if isinstance(payload, str):
         return len(payload)
     if isinstance(payload, (list, tuple, set, frozenset)):
-        # large homogeneous containers (the collection phase's row tables)
-        # are sized by sampling the first element to keep accounting O(1)
-        # per message instead of O(payload)
-        size = len(payload)
-        if size == 0:
-            return 4
-        if size > 8:
-            first = next(iter(payload))
-            return 4 + size * payload_size_bytes(first)
+        count = len(payload)
+        if count > 8:
+            return 4 + count * payload_size_bytes(next(iter(payload)))
         return 4 + sum(payload_size_bytes(element) for element in payload)
     if isinstance(payload, dict):
         return 4 + sum(
@@ -68,11 +56,6 @@ def payload_size_bytes(payload: Any) -> int:
         )
     if hasattr(payload, "isoformat"):  # date / datetime
         return 8
-    # columnar batches (and any future table-like payload) size themselves;
-    # duck-typed so this module never imports the execution layer
-    hint = getattr(payload, "payload_size_hint", None)
-    if hint is not None:
-        return hint()
     return 16
 
 
@@ -87,17 +70,6 @@ class SuperstepMetrics:
     network_messages: int = 0
     network_bytes: int = 0
     compute_units: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "superstep": self.superstep,
-            "active_vertices": self.active_vertices,
-            "messages_sent": self.messages_sent,
-            "message_bytes": self.message_bytes,
-            "network_messages": self.network_messages,
-            "network_bytes": self.network_bytes,
-            "compute_units": self.compute_units,
-        }
 
 
 @dataclass
@@ -147,17 +119,9 @@ class RunMetrics:
     def merge(self, other: "RunMetrics") -> None:
         """Fold another run's counters into this one (multi-phase queries)."""
         offset = len(self.supersteps)
-        for step in other.supersteps:
-            copied = SuperstepMetrics(
-                superstep=offset + step.superstep,
-                active_vertices=step.active_vertices,
-                messages_sent=step.messages_sent,
-                message_bytes=step.message_bytes,
-                network_messages=step.network_messages,
-                network_bytes=step.network_bytes,
-                compute_units=step.compute_units,
-            )
-            self.supersteps.append(copied)
+        self.supersteps.extend(
+            replace(step, superstep=offset + step.superstep) for step in other.supersteps
+        )
         self.wall_time_seconds += other.wall_time_seconds
         self.compile_seconds += other.compile_seconds
         self.plan_cache_hits += other.plan_cache_hits

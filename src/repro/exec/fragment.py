@@ -25,7 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
+from ..algebra.logical import AggFunc
 from ..algebra.parameters import current_parameters, expression_parameters
+from ..bsp.metrics import SLOT_BYTES
 from ..relational.catalog import Catalog
 from .expr import compile_predicates, slot_resolver
 from .operations import (
@@ -140,6 +142,11 @@ class SlottedFragment:
     own: Dict[str, OwnRowSpec]  # alias -> own-row projection
     collect: Dict[int, CollectAction]  # schedule index -> compiled receive
     step_schemas: Dict[int, RowSchema]  # schedule index -> schema of the step's table
+    #: schedule index of a collection step -> bytes of one row of the table
+    #: it sends (the byte model of :mod:`repro.bsp.metrics`)
+    sent_row_bytes: Dict[int, int]
+    #: bytes of one aggregator message: group key, partial and sample row
+    aggregate_bytes: int
     root_schema: RowSchema
     filters: Dict[str, AliasFilter]  # alias -> pushed-down filter
     output: Callable[[SlottedRow], Tuple[Any, ...]]
@@ -203,6 +210,7 @@ def compile_slotted_fragment(config: Any, catalog: Catalog) -> SlottedFragment:
     schema_at: Dict[str, RowSchema] = {}
     collect: Dict[int, CollectAction] = {}
     step_schemas: Dict[int, RowSchema] = {}
+    sent_row_bytes: Dict[int, int] = {}
     for index, scheduled in enumerate(config.schedule):
         if scheduled.phase is not Phase.COLLECT:
             continue
@@ -214,6 +222,7 @@ def compile_slotted_fragment(config: Any, catalog: Catalog) -> SlottedFragment:
             if not source_node.is_relation:
                 raise ValueError(f"collection step {index} starts at a valueless attribute node")
             source_schema = own[source_node.alias].schema
+        sent_row_bytes[index] = SLOT_BYTES * len(source_schema)
         if not target_node.is_relation:
             action = CollectAction()
             schema = source_schema
@@ -258,11 +267,17 @@ def compile_slotted_fragment(config: Any, catalog: Catalog) -> SlottedFragment:
     aggregates = (
         SlottedAggregates(config.aggregates, root_schema) if config.aggregates else None
     )
+    # an aggregator message: group key, partial (AVG's is a (sum, count)
+    # pair, every other one value) and sample row
+    partial_slots = sum(2 if spec.function is AggFunc.AVG else 1 for spec in config.aggregates)
+    aggregate_slots = len(config.group_by_columns) + partial_slots + len(root_schema)
 
     return SlottedFragment(
         own=own,
         collect=collect,
         step_schemas=step_schemas,
+        sent_row_bytes=sent_row_bytes,
+        aggregate_bytes=SLOT_BYTES * aggregate_slots,
         root_schema=root_schema,
         filters=filters,
         output=output,

@@ -42,6 +42,16 @@ inbox and the totals reach the context once.  A vertex still reads only
 its own data, messages and out-edges, in frontier order, so the cost the
 paper counts is exactly the vertex-at-a-time reference program's.
 
+A plan over a **single relation** has no schedule and runs in superstep
+0 only: the kernel reads the admitted frontier's rows, in frontier order,
+into one table and folds it into one partial per group, as a TigerGraph
+global accumulator combines inside the engine.  Sums stay sequential in
+frontier order, so answers equal the reference's exactly.  Message bytes
+come from the compiled plan (the byte model of :mod:`repro.bsp.metrics`),
+and a superstep's aggregator payloads reach the context in one
+``add_aggregates`` call, charged with the messages the vertex-at-a-time
+reference sends: one per admitted vertex in that plan.
+
 A tuple vertex is admitted or rejected by its alias's pushed-down filter
 (the single-relation selections of Algorithm 2's reduction), and a cached
 plan decides that **once per tuple**, not once per run: each
@@ -73,12 +83,11 @@ from ..algebra.logical import AggregationClass
 from ..bsp.aggregators import GroupAggregator
 from ..bsp.engine import BSPEngine, SuperstepContext, VertexProgram
 from ..bsp.graph import Graph, Vertex, VertexId
-from ..bsp.metrics import payload_size_bytes
+from ..bsp.metrics import TABLE_HEADER_BYTES, VERTEX_ID_BYTES
 from ..core.vertex_program import (
     GLOBAL_GROUPS_AGGREGATOR,
     FragmentConfig,
     Phase,
-    ScheduledStep,
 )
 from ..tag.encoder import TagGraph, tuple_vertex_id
 from .fragment import FAIL, PASS, UNKNOWN, SlottedFragment
@@ -150,6 +159,8 @@ class TagJoinKernel(VertexProgram):
         self.output_rows: List[SlottedRow] = []
         self.output_batches: List[ColumnBatch] = []
         self.local_groups: List[SlottedRow] = []
+        # this superstep's GLOBAL / SCALAR payloads (key, (partial, sample))
+        self._contributions: List[Any] = []
         self._start_node = config.plan.node(config.start_node_id)
         # per relation alias, bound to the relation's rows and code arrays
         # as they are at run start (a cached plan outlives them): the
@@ -200,26 +211,55 @@ class TagJoinKernel(VertexProgram):
         superstep = context.superstep
         if superstep == 0:
             # initial frontier: nothing delivered yet, send for step 0 (or
-            # assemble immediately for single-relation plans)
+            # assemble the whole frontier at once for single-relation plans)
             if not schedule:
-                for vertex_id in active:
-                    vertex = graph.vertex(vertex_id)
-                    context.set_current_vertex(vertex)
-                    self._assemble(self._initial_value(vertex, self._start_node), context)
-                context.set_current_vertex(None)
+                self._assemble_frontier(active, graph, context)
                 return
             senders = active
         else:
             senders = self._receive_frontier(superstep - 1, active, inbox, graph, context)
         if superstep < len(schedule):
-            self._send_frontier(senders, schedule[superstep], graph, context)
+            self._send_frontier(senders, superstep, graph, context)
             return
-        # final superstep: the root's values are complete at these vertices
+        # final superstep: the root's values are complete at these vertices;
+        # each vertex sends the aggregator one message per contribution
         values = self._values.get(schedule[-1].step.target, {})
+        contributions = self._contributions
+        engine = context.engine
+        partition_of = engine.partition_of if engine.num_workers > 1 else None
+        crossing = 0
         for vertex_id in senders:
-            context.set_current_vertex(graph.vertex(vertex_id))
+            before = len(contributions)
             self._assemble(values.get(vertex_id, []), context)
-        context.set_current_vertex(None)
+            if partition_of is not None and partition_of(vertex_id) != 0:
+                crossing += len(contributions) - before
+        self._contribute(len(contributions), crossing, context)
+
+    def _assemble_frontier(
+        self, active: Collection[VertexId], graph: Graph, context: SuperstepContext
+    ) -> None:
+        """Assemble a single-relation plan's frontier, already admitted by
+        :meth:`initial_active_vertices`, as one table in frontier order;
+        each vertex holds one row and is charged one aggregator message."""
+        read_own = self._read_own[self._start_node.alias]
+        vertices = map(graph.vertex, active)
+        rows = [read_own(vertex.index - 1) + (vertex.ordinal,) for vertex in vertices]
+        table = ColumnBatch.from_rows(rows) if len(rows) >= self.columnar_threshold else rows
+        self._assemble(table, context)
+        engine = context.engine
+        crossing = 0
+        if engine.num_workers > 1 and self._contributions:
+            crossing = sum(1 for vertex_id in active if engine.partition_of(vertex_id) != 0)
+        self._contribute(len(rows), crossing, context)
+
+    def _contribute(self, messages: int, crossing: int, context: SuperstepContext) -> None:
+        """Hand the superstep's aggregator payloads over, if any, charging
+        ``messages`` (``crossing`` of them from off worker 0, the aggregator's)."""
+        payloads, self._contributions = self._contributions, []
+        if payloads:
+            size = self.slotted.aggregate_bytes
+            bulk = (messages, messages * size, crossing, crossing * size)
+            context.add_aggregates(GLOBAL_GROUPS_AGGREGATOR, payloads, *bulk)
 
     # ------------------------------------------------------------------
     # receive: one loop over the frontier, returns the vertices that go on
@@ -351,10 +391,11 @@ class TagJoinKernel(VertexProgram):
     def _send_frontier(
         self,
         senders: Collection[VertexId],
-        scheduled: ScheduledStep,
+        step_index: int,
         graph: Graph,
         context: SuperstepContext,
     ) -> None:
+        scheduled = self.config.schedule[step_index]
         step = scheduled.step
         adjacency = graph.adjacency(step.label)
         outbox = context.outbox
@@ -368,6 +409,7 @@ class TagJoinKernel(VertexProgram):
             values = self._values.get(step.source, {})
             source_node = self.config.plan.node(step.source)
             read_own = self._read_own[source_node.alias] if source_node.is_relation else None
+            row_bytes = self.slotted.sent_row_bytes[step_index]
         engine = context.engine
         partition_of = engine.partition_of if engine.num_workers > 1 else None
         units = messages = message_bytes = network_messages = network_bytes = 0
@@ -393,15 +435,11 @@ class TagJoinKernel(VertexProgram):
                     payload = [read_own(vertex.index - 1) + (vertex.ordinal,)]
                 if not payload:
                     continue
-                # a row table weighs its first row times its length
-                if type(payload) is ColumnBatch:
-                    size = payload.payload_size_hint()
-                else:
-                    size = 4 + len(payload) * payload_size_bytes(payload[0])
+                size = TABLE_HEADER_BYTES + len(payload) * row_bytes
             else:
-                # the reduction passes ship the sender's id (a string)
+                # the reduction passes ship the sender's id
                 payload = vertex_id
-                size = len(vertex_id)
+                size = VERTEX_ID_BYTES
             for target in targets:
                 outbox[target].append(payload)
             count = len(targets)
@@ -446,7 +484,7 @@ class TagJoinKernel(VertexProgram):
             self.local_groups.append(slotted.output(rows[0]) + aggregates.finalize(partial))
             return
 
-        # GLOBAL / SCALAR: contribute (key, (partial, sample)) payloads
+        # GLOBAL / SCALAR: one (key, (partial, sample)) payload per group
         if config.eager_partial_aggregation:
             group_key = slotted.group_key
             by_group: Dict[Tuple[Any, ...], List[Any]] = {}
@@ -458,10 +496,11 @@ class TagJoinKernel(VertexProgram):
                     by_group[key] = partial = aggregates.empty()
                     samples[key] = row
                 aggregates.accumulate(partial, row)
-            for key, partial in by_group.items():
-                context.aggregate(GLOBAL_GROUPS_AGGREGATOR, (key, (partial, samples[key])))
+            self._contributions.extend(
+                [(key, (partial, samples[key])) for key, partial in by_group.items()]
+            )
         else:
-            self._contribute_raw_rows(rows, context)
+            self._contribute_raw_rows(rows)
 
     def _assemble_batch(self, rows: ColumnBatch, context: SuperstepContext) -> None:
         if not rows:
@@ -483,23 +522,25 @@ class TagJoinKernel(VertexProgram):
 
         # GLOBAL / SCALAR: one (key, (partial, sample)) payload per group
         if config.eager_partial_aggregation:
+            contributions = self._contributions
             key_columns = vectorized.group_key_columns(rows)
             argument_columns = aggregates.argument_columns(rows)
             for key, indices in factorize_groups(key_columns, rows.length):
                 partial = aggregates.partial_for(indices, argument_columns)
                 sample = rows.row(int(indices[0]))
-                context.aggregate(GLOBAL_GROUPS_AGGREGATOR, (key, (partial, sample)))
+                contributions.append((key, (partial, sample)))
         else:
-            self._contribute_raw_rows(rows.to_tuples(), context)
+            self._contribute_raw_rows(rows.to_tuples())
 
-    def _contribute_raw_rows(self, rows: List[SlottedRow], context: SuperstepContext) -> None:
+    def _contribute_raw_rows(self, rows: List[SlottedRow]) -> None:
         """Lazy variant (ablation A03): ship every raw row to the aggregator."""
         aggregates = self.slotted.aggregates
         group_key = self.slotted.group_key
+        contributions = self._contributions
         for row in rows:
             partial = aggregates.empty()
             aggregates.accumulate(partial, row)
-            context.aggregate(GLOBAL_GROUPS_AGGREGATOR, (group_key(row), (partial, row)))
+            contributions.append((group_key(row), (partial, row)))
 
     def result_tuples(self) -> List[SlottedRow]:
         """All NONE-aggregation output rows as pure-Python tuples."""
@@ -556,15 +597,6 @@ class TagJoinKernel(VertexProgram):
             return predicate is None or predicate(vertex)
 
         return admit
-
-    def _initial_value(self, vertex: Vertex, node) -> Any:
-        admit = self._admit[node.alias]
-        if admit is not None and not admit(vertex):
-            return []
-        rows = [self._read_own[node.alias](vertex.index - 1) + (vertex.ordinal,)]
-        if len(rows) >= self.columnar_threshold:
-            return ColumnBatch.from_rows(rows)
-        return rows
 
 
 def register_group_aggregator(engine: BSPEngine, aggregates: SlottedAggregates) -> None:

@@ -28,7 +28,6 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...bsp.metrics import payload_size_bytes
 from ..schema import SlottedRow
 
 #: dtype kinds considered "native" (vectorizable maths, NULL-free)
@@ -224,28 +223,13 @@ class ColumnBatch:
         return tuple(values)
 
     # ------------------------------------------------------------------
-    # container / messaging protocol
+    # container protocol
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self.length
 
     def __bool__(self) -> bool:
         return self.length > 0
-
-    def payload_size_hint(self) -> int:
-        """Message-size accounting: per-column width sampling, O(columns)."""
-        if self.length == 0:
-            return 4
-        per_row = 4
-        for column in self.arrays:
-            kind = column.dtype.kind
-            if kind in "iuf":
-                per_row += 8
-            elif kind == "b":
-                per_row += 1
-            else:
-                per_row += payload_size_bytes(column[0])
-        return 4 + self.length * per_row
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         dtypes = ", ".join(column.dtype.str for column in self.arrays)

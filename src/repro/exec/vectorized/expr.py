@@ -75,6 +75,8 @@ _ARITHMETIC_UFUNCS = {
     "-": np.subtract,
     "*": np.multiply,
     "/": np.true_divide,
+    # the sign follows the divisor, as with the row evaluators' operator.mod
+    "%": np.remainder,
 }
 
 

@@ -5,7 +5,8 @@ vertex-at-a-time loop (fresh message list, current vertex set); a program
 that replaces it — the TAG-join kernel — still stops at the barrier on a
 cancelled token or a ``bsp.superstep`` failpoint, and still cannot message
 a vertex that does not exist; and the bulk accounting surface of
-:class:`SuperstepContext` adds up exactly like per-message ``send``.
+:class:`SuperstepContext` adds up exactly like per-message ``send`` and
+per-value ``aggregate``.
 """
 
 from types import SimpleNamespace
@@ -13,6 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.bsp import BSPEngine, BSPError, Graph, HashPartitioner, VertexProgram
+from repro.bsp.aggregators import GroupAggregator
 from repro.bsp.engine import SuperstepContext
 from repro.core import TagJoinExecutor
 from repro.core.cancellation import CancellationToken, QueryCancelled, cancel_scope
@@ -115,7 +117,7 @@ class TestBulkAccounting:
         targets = [f"v{i}" for i in range(1, 6)]
 
         loop = SuperstepContext(engine, 0)
-        loop.set_current_vertex(graph.vertex("v0"))
+        loop._current_vertex = graph.vertex("v0")  # as the per-vertex default loop does
         for target in targets:
             loop.send(target, payload)
 
@@ -132,6 +134,40 @@ class TestBulkAccounting:
         assert bulk._message_bytes == loop._message_bytes
         assert bulk._network_messages == loop._network_messages > 0
         assert bulk._network_bytes == loop._network_bytes
+
+    def test_bulk_aggregates_match_per_value_contributions(self):
+        graph = fan_graph()
+        engine = BSPEngine(graph, HashPartitioner(3))
+        engine.register_aggregator(GroupAggregator("groups"))
+        senders = ["v1", "v2", "v3", "v4"]
+        values = [("k", 1), ("k", 2), ("j", 5), ("k", 4)]
+
+        loop = SuperstepContext(engine, 0)
+        for sender, value in zip(senders, values):
+            loop._current_vertex = graph.vertex(sender)
+            loop.aggregate("groups", value)
+
+        bulk = SuperstepContext(engine, 0)
+        size = loop._message_bytes // len(values)
+        crossing = sum(1 for sender in senders if engine.partition_of(sender) != 0)
+        bulk.add_aggregates("groups", values, 4, 4 * size, crossing, crossing * size)
+
+        assert bulk._aggregator_inbox == loop._aggregator_inbox
+        assert bulk._messages_sent == loop._messages_sent == 4
+        assert bulk._message_bytes == loop._message_bytes
+        assert bulk._network_messages == loop._network_messages > 0
+        assert bulk._network_bytes == loop._network_bytes
+
+    def test_folded_aggregates_are_charged_per_contributing_vertex(self):
+        engine = BSPEngine(fan_graph())
+        engine.register_aggregator(GroupAggregator("groups"))
+        context = SuperstepContext(engine, 0)
+        # four vertices' values folded into two groups before handing over
+        context.add_aggregates("groups", [("k", 7), ("j", 5)], 4, 4 * 13)
+        assert len(context._aggregator_inbox) == 2
+        assert (context._messages_sent, context._message_bytes) == (4, 52)
+        with pytest.raises(BSPError, match="unknown aggregator"):
+            context.add_aggregates("missing", [("k", 1)], 1, 13)
 
     def test_an_outbox_entry_for_a_missing_vertex_raises_at_the_barrier(self):
         class Ghostly(VertexProgram):
