@@ -10,8 +10,13 @@ compute units.  Message bytes follow the plan's widths
 (:mod:`repro.bsp.metrics`), which is what makes the byte part exact.
 
 The instance is fixed: R(60) ⋈ S(50) ⋈ T(40), then 30 and 300 tuples added
-to each relation.  The added tuples either join nothing at all, or join
-one another (R to S) but not the third relation.
+to each relation.  The added tuples join nothing at all, or join one
+another (R to S) but not T, or the added S tuples share one join value
+with original tuples (B with R, or C with T) but not the other.  In the
+two sharing shapes only the reduction's marks keep the added S tuples
+out of the top-down pass and of collection, and there the compute units
+after the reduction do grow: a vertex sending along its marked edges is
+charged for scanning all of its edges, those to dangling tuples included.
 """
 
 import random
@@ -30,15 +35,24 @@ def schema(name, columns):
     return Schema(name, [Column(column, DataType.INT, nullable=False) for column in columns])
 
 
+#: shape -> the (B, C) of the i-th added S tuple.  Fresh values join
+#: nothing; 10 000 + i is the B of the i-th added R tuple; i % 12 is in
+#: the original R tuples' B domain and i % 10 in the T tuples' C domain.
+ADDED_S = {
+    "isolated": lambda index: (20_000 + index, 30_000 + index),
+    "joined_to_each_other": lambda index: (10_000 + index, 30_000 + index),
+    "sharing_b_with_the_chain": lambda index: (index % 12, 30_000 + index),
+    "sharing_c_with_the_chain": lambda index: (20_000 + index, index % 10),
+}
+
+
 def catalog(added, shape):
     rng = random.Random(5)
     r = [(index, rng.randrange(12)) for index in range(60)]
     s = [(rng.randrange(12), rng.randrange(10)) for _ in range(50)]
     t = [(rng.randrange(10), index) for index in range(40)]
-    # join values of the added tuples lie outside every original domain
-    s_b = 10_000 if shape == "joined_to_each_other" else 20_000
     r += [(1_000 + index, 10_000 + index) for index in range(added)]
-    s += [(s_b + index, 30_000 + index) for index in range(added)]
+    s += [ADDED_S[shape](index) for index in range(added)]
     t += [(40_000 + index, 2_000 + index) for index in range(added)]
     chain = Catalog("chain")
     chain.add(Relation(schema("R", ["A", "B"]), r))
@@ -48,14 +62,17 @@ def catalog(added, shape):
 
 
 def run(added, shape):
-    executor = Database(catalog(added, shape)).engine("tag")
+    # the heuristic planner: the plan, and so the schedule, is the same for
+    # every instance, whatever the statistics of the added tuples
+    options = {"tag": {"use_cost_based_planner": False}}
+    executor = Database(catalog(added, shape), engine_options=options).engine("tag")
     spec = parse_and_bind(SQL, executor.catalog)
     schedule = executor._compile(spec, {}, []).config.schedule
     result = executor.execute(spec)
     return schedule, result
 
 
-@pytest.mark.parametrize("shape", ["isolated", "joined_to_each_other"])
+@pytest.mark.parametrize("shape", sorted(ADDED_S))
 @pytest.mark.parametrize("added", [30, 300])
 def test_dangling_tuples_change_only_the_bottom_up_reduction(added, shape):
     schedule, base = run(0, shape)
@@ -67,11 +84,16 @@ def test_dangling_tuples_change_only_the_bottom_up_reduction(added, shape):
 
     def after_reduction(result):
         return [
-            (s.active_vertices, s.messages_sent, s.message_bytes, s.compute_units)
+            (s.active_vertices, s.messages_sent, s.message_bytes)
             for s in result.metrics.supersteps[reduce_up:]
         ]
 
+    def units_after_reduction(result):
+        return [s.compute_units for s in result.metrics.supersteps[reduce_up:]]
+
     assert after_reduction(grown) == after_reduction(base)
+    if not shape.startswith("sharing"):
+        assert units_after_reduction(grown) == units_after_reduction(base)
     assert len(grown.metrics.supersteps) == len(base.metrics.supersteps) == len(schedule) + 1
     # the added start-relation tuples do show: they send the first step
     assert grown.metrics.supersteps[0].messages_sent == (
