@@ -143,6 +143,8 @@ class SuperstepContext:
         self._network_bytes = 0
         self._compute_units = 0
         self._current_vertex: Optional[Vertex] = None
+        #: copied to the superstep's metrics (:attr:`SuperstepMetrics.phase`)
+        self.phase: Optional[str] = None
 
     # ------------------------------------------------------------------
     # messaging
@@ -420,6 +422,7 @@ class BSPEngine:
     @staticmethod
     def _record(step_metrics, context: SuperstepContext, active_count: int) -> None:
         step_metrics.active_vertices = active_count
+        step_metrics.phase = context.phase
         step_metrics.messages_sent += context._messages_sent
         step_metrics.message_bytes += context._message_bytes
         step_metrics.network_messages += context._network_messages

@@ -21,7 +21,7 @@ payloads with :func:`payload_size_bytes`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 
 #: the kernel's byte model (module docstring)
@@ -64,6 +64,9 @@ class SuperstepMetrics:
     """Counters for one superstep."""
 
     superstep: int
+    #: what the superstep does, set by the program that ran it (the TAG-join
+    #: programs: ``reduce_up``, ``reduce_down``, ``collect`` or ``final``)
+    phase: Optional[str] = None
     active_vertices: int = 0
     messages_sent: int = 0
     message_bytes: int = 0
@@ -115,6 +118,13 @@ class RunMetrics:
     @property
     def total_compute(self) -> int:
         return sum(step.compute_units for step in self.supersteps)
+
+    def messages_by_phase(self) -> Dict[Optional[str], int]:
+        """Messages sent per :attr:`SuperstepMetrics.phase`."""
+        totals: Dict[Optional[str], int] = {}
+        for step in self.supersteps:
+            totals[step.phase] = totals.get(step.phase, 0) + step.messages_sent
+        return totals
 
     def merge(self, other: "RunMetrics") -> None:
         """Fold another run's counters into this one (multi-phase queries)."""

@@ -63,6 +63,9 @@ class CompiledFragment:
     output_decoders: Dict[str, Callable[[Any], Any]] = field(default_factory=dict)
     #: where each residual condition is checked, in residual order (EXPLAIN)
     residual_checks: List["ResidualCheck"] = field(default_factory=list)
+    #: estimated messages of the bottom-up reduction in the chosen sibling
+    #: order (:func:`~repro.planner.cost.order_reduction`, EXPLAIN)
+    reduction_estimate: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -235,12 +238,6 @@ def compile_fragment(
     elif preferred_root is None:
         preferred_root = spec.tables[0].alias
 
-    hypergraph = build_hypergraph(spec)
-    join_tree = build_join_tree(spec, hypergraph, preferred_root=preferred_root, catalog=catalog)
-    alias_tables = spec.alias_map()
-    plan = build_tag_plan(join_tree, catalog, alias_tables, group_by_root=group_root)
-    schedule = build_schedule(plan)
-
     filters: Dict[str, List[Expression]] = {}
     for alias in spec.aliases():
         combined = list(spec.filters_for(alias))
@@ -248,6 +245,18 @@ def compile_fragment(
             combined.extend(extra_filters[alias])
         if combined:
             filters[alias] = combined
+
+    from ..planner.cost import order_reduction  # local: breaks import cycles
+    from ..tag.statistics import CatalogStatistics
+
+    hypergraph = build_hypergraph(spec)
+    join_tree = build_join_tree(spec, hypergraph, preferred_root=preferred_root, catalog=catalog)
+    join_tree, reduction_estimate = order_reduction(
+        join_tree, spec, CatalogStatistics(catalog), filters
+    )
+    alias_tables = spec.alias_map()
+    plan = build_tag_plan(join_tree, catalog, alias_tables, group_by_root=group_root)
+    schedule = build_schedule(plan)
 
     required: Dict[str, Set[str]] = {
         alias: spec.required_columns_of(alias) for alias in spec.aliases()
@@ -339,4 +348,5 @@ def compile_fragment(
         vectorized=vectorized,
         output_decoders=output_decoders,
         residual_checks=residual_checks,
+        reduction_estimate=reduction_estimate,
     )

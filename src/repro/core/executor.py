@@ -46,7 +46,7 @@ from .compiler import CompiledFragment, compile_fragment, effective_aggregation_
 from .cyclic import CycleQueryProgram, CycleRelation
 from .hypergraph import connected_components, detect_simple_cycle
 from .subquery import compile_subquery_filters
-from .vertex_program import GLOBAL_GROUPS_AGGREGATOR
+from .vertex_program import GLOBAL_GROUPS_AGGREGATOR, PHASES, Phase
 
 
 class ExecutionError(RuntimeError):
@@ -392,6 +392,16 @@ class TagJoinExecutor:
             if compiled.residual_checks:
                 lines.append("  residual conditions (each checked where it first binds):")
                 lines.extend(f"    {check.describe()}" for check in compiled.residual_checks)
+            schedule, plan = compiled.config.schedule, compiled.plan
+            if schedule:
+                # aliases in the order the bottom-up reduction first reaches them
+                up = [s.step for s in schedule if s.phase is Phase.REDUCE_UP]
+                nodes = [plan.node(step.source) for step in up] + [plan.node(up[-1].target)]
+                order = dict.fromkeys(node.alias for node in nodes if node.is_relation)
+                lines.append(
+                    f"  reduction order: {' -> '.join(order)} "
+                    f"(estimated {compiled.reduction_estimate:.1f} bottom-up messages)"
+                )
             if choice is not None:
                 cost = choice.cost
                 lines.append(
@@ -422,6 +432,11 @@ class TagJoinExecutor:
                 f"{metrics.total_messages} messages, "
                 f"{metrics.total_network_bytes} network bytes, "
                 f"{metrics.wall_time_seconds:.4f}s wall"
+            )
+            by_phase = metrics.messages_by_phase()
+            lines.append(
+                "  actual messages by phase: "
+                + ", ".join(f"{phase}={by_phase.get(phase, 0)}" for phase in PHASES)
             )
         return "\n".join(lines)
 

@@ -11,7 +11,9 @@ the vertex program sends messages along.
 produces the connected bottom-up traversal of the plan starting from the
 rightmost leaf.  The reduction phase runs these steps, then their reverse
 (top-down), and the collection phase runs the bottom-up list again
-(Algorithm 2).
+(Algorithm 2).  The order of a node's children is the plan's: the
+compiler picks it by estimated cost before building the plan
+(:func:`repro.planner.cost.order_reduction`).
 """
 
 from __future__ import annotations
@@ -142,9 +144,6 @@ class TagPlan:
 
     def attribute_nodes(self) -> List[PlanNode]:
         return [node for node in self.nodes.values() if node.is_attribute]
-
-    def leaves(self) -> List[str]:
-        return [node_id for node_id, childs in self.children.items() if not childs]
 
     def rightmost_leaf(self) -> str:
         """The leaf reached by always following the last child (Algorithm 1's start)."""
@@ -294,9 +293,13 @@ def generate_steps(plan: TagPlan) -> List[TraversalStep]:
 
     The returned list starts at the rightmost leaf and ends at the root,
     descending into sibling subtrees along the way so that every step
-    starts from the node reached by the previous one.  Reversing each step
-    of the reversed list yields the top-down pass used by the reduction
-    phase's second half.
+    starts from the node reached by the previous one.  A node's children
+    are visited last to first, and each one off the path to the start
+    leaf is descended into and returned from; the return sends only along
+    the marks (a running semijoin, see
+    :func:`repro.core.vertex_program.build_schedule`).  Reversing each
+    step of the reversed list yields the top-down pass used by the
+    reduction phase's second half.
     """
     if plan.root is None:
         raise PlanError("plan has no root")

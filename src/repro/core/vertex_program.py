@@ -7,7 +7,10 @@ produced from the TAG plan (Section 5):
 * **reduction, bottom-up** — vertices send their id along the current
   step's edge label; recipients that pass their pushed-down filters mark
   the plan edge with the sender ids (a vertex-centric Yannakakis reducer,
-  Lemma 5.1);
+  Lemma 5.1).  A step crossing its plan edge for the first time sends
+  along every edge; an ascent back over an edge the pass has just
+  descended sends only along the marks, so a parent stays reduced by the
+  sibling subtrees visited before (a running semijoin);
 * **reduction, top-down** — the reversed schedule; messages only travel
   along marked edges, completing the full reduction;
 * **collection, bottom-up** — vertices propagate partial result tables
@@ -46,12 +49,22 @@ class Phase(enum.Enum):
     COLLECT = "collect"
 
 
+#: every superstep's phase (:func:`superstep_phase`), in schedule order
+PHASES = tuple(phase.value for phase in Phase) + ("final",)
+
+
 @dataclass(frozen=True)
 class ScheduledStep:
-    """A traversal step tagged with the phase it belongs to."""
+    """A traversal step tagged with the phase it belongs to.
+
+    ``marked_only``: the step's senders send only along the edges their
+    neighbours marked.  False only for a bottom-up reduction step crossing
+    its plan edge for the first time.
+    """
 
     phase: Phase
     step: TraversalStep
+    marked_only: bool
 
 
 #: Name of the global aggregator used for global / scalar aggregation.
@@ -107,10 +120,19 @@ def build_schedule(plan: TagPlan) -> List[ScheduledStep]:
 
     up_steps, down_steps = reduction_schedule(plan)
     schedule: List[ScheduledStep] = []
-    schedule.extend(ScheduledStep(Phase.REDUCE_UP, step) for step in up_steps)
-    schedule.extend(ScheduledStep(Phase.REDUCE_DOWN, step) for step in down_steps)
-    schedule.extend(ScheduledStep(Phase.COLLECT, step) for step in up_steps)
+    crossed: Set[str] = set()
+    for step in up_steps:
+        schedule.append(ScheduledStep(Phase.REDUCE_UP, step, step.edge.edge_id in crossed))
+        crossed.add(step.edge.edge_id)
+    schedule.extend(ScheduledStep(Phase.REDUCE_DOWN, step, True) for step in down_steps)
+    schedule.extend(ScheduledStep(Phase.COLLECT, step, True) for step in up_steps)
     return schedule
+
+
+def superstep_phase(schedule: Sequence[ScheduledStep], superstep: int) -> str:
+    """The phase of the step superstep ``superstep`` sends, or ``"final"``
+    for the superstep that assembles the output."""
+    return schedule[superstep].phase.value if superstep < len(schedule) else "final"
 
 
 class TagJoinProgram(VertexProgram):
@@ -127,6 +149,9 @@ class TagJoinProgram(VertexProgram):
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
+    def before_superstep(self, superstep: int, graph: Graph, context: SuperstepContext) -> None:
+        context.phase = superstep_phase(self.config.schedule, superstep)
+
     def initial_active_vertices(self, graph: Graph):
         """Activate the tuple vertices of the start relation (rightmost leaf)."""
         start = self._start_node
@@ -158,7 +183,7 @@ class TagJoinProgram(VertexProgram):
             if not schedule:
                 self._assemble(vertex, self._initial_value(vertex, self._start_node), context)
                 return
-            self._send(vertex, schedule[0], context, is_initial=True)
+            self._send(vertex, schedule[0], context)
             return
 
         received = schedule[superstep - 1]
@@ -235,25 +260,20 @@ class TagJoinProgram(VertexProgram):
         vertex: Vertex,
         scheduled: ScheduledStep,
         context: SuperstepContext,
-        is_initial: bool = False,
     ) -> None:
         step = scheduled.step
-        label = step.label
-        targets = self.graph.edge_targets(vertex.vertex_id, label)
+        targets = self.graph.edge_targets(vertex.vertex_id, step.label)
+        if scheduled.marked_only:
+            # in adjacency order, never in the marks' set order
+            marked: Set[VertexId] = (
+                context.state(vertex).get(_MARKED_KEY, {}).get(step.edge.edge_id, set())
+            )
+            targets = [target for target in targets if target in marked]
         context.charge(len(targets))
 
-        if scheduled.phase is Phase.REDUCE_UP:
+        if scheduled.phase is not Phase.COLLECT:
             for target in targets:
                 context.send(target, vertex.vertex_id)
-            return
-
-        marked: Set[VertexId] = (
-            context.state(vertex).get(_MARKED_KEY, {}).get(step.edge.edge_id, set())
-        )
-        if scheduled.phase is Phase.REDUCE_DOWN:
-            for target in targets:
-                if target in marked:
-                    context.send(target, vertex.vertex_id)
             return
 
         # collection phase: propagate this node's value along marked edges
@@ -265,8 +285,7 @@ class TagJoinProgram(VertexProgram):
         if not table:
             return
         for target in targets:
-            if target in marked:
-                context.send(target, table)
+            context.send(target, table)
 
     # ------------------------------------------------------------------
     # result assembly (runs at the vertices holding the plan root's values)

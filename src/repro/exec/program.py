@@ -7,6 +7,14 @@ values.  It is what the ``tag`` engine runs; the dict-row
 :class:`~repro.core.vertex_program.TagJoinProgram` behind the ``tag_dict``
 engine is the independent reference it is tested against.
 
+The bottom-up reduction is a **running semijoin**: only a step crossing
+its plan edge for the first time sends along every edge; every other
+step sends along the edges its neighbours marked (``marked_only``).  So a
+tuple pruned by one sibling subtree is not revived by the next, and the
+root ends reduced by every subtree (Yannakakis; the paper's Lemma 5.1).
+A vertex sending along marks is charged one compute unit per marked
+edge, scanned in adjacency order, never in the marks' set order.
+
 Every intermediate result table is shaped by the compile-time
 :class:`~repro.exec.fragment.SlottedFragment` and lives in one of two
 forms, chosen per table from its observed size:
@@ -88,6 +96,7 @@ from ..core.vertex_program import (
     GLOBAL_GROUPS_AGGREGATOR,
     FragmentConfig,
     Phase,
+    superstep_phase,
 )
 from ..tag.encoder import TagGraph, tuple_vertex_id
 from .fragment import FAIL, PASS, UNKNOWN, SlottedFragment
@@ -182,6 +191,9 @@ class TagJoinKernel(VertexProgram):
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
+    def before_superstep(self, superstep: int, graph: Graph, context: SuperstepContext) -> None:
+        context.phase = superstep_phase(self.config.schedule, superstep)
+
     def initial_active_vertices(self, graph: Graph):
         """Activate the tuple vertices of the start relation (rightmost leaf)."""
         start = self._start_node
@@ -399,11 +411,9 @@ class TagJoinKernel(VertexProgram):
         step = scheduled.step
         adjacency = graph.adjacency(step.label)
         outbox = context.outbox
-        # reduction up sends along every edge; the later phases only along
-        # the edges the reduction marked
-        marked = None
-        if scheduled.phase is not Phase.REDUCE_UP:
-            marked = self._marked.get(step.edge.edge_id, {})
+        # a first crossing of the plan edge sends along every edge; every
+        # other step only along the edges the neighbours marked
+        marked = self._marked.get(step.edge.edge_id, {}) if scheduled.marked_only else None
         collecting = scheduled.phase is Phase.COLLECT
         if collecting:
             values = self._values.get(step.source, {})
@@ -418,14 +428,15 @@ class TagJoinKernel(VertexProgram):
             targets = adjacency.get(vertex_id)
             if not targets:
                 continue
-            units += len(targets)
             if marked is not None:
+                # the marks are a subset of the adjacency; filter only when
+                # some are missing, in adjacency order (never the set's)
                 mine = marked.get(vertex_id)
                 if not mine:
                     continue
-                targets = [target for target in targets if target in mine]
-                if not targets:
-                    continue
+                if len(mine) < len(targets):
+                    targets = [target for target in targets if target in mine]
+            units += len(targets)
             if collecting:
                 # propagate this node's value: its table, or at the start
                 # relation (no table yet) the vertex's own row

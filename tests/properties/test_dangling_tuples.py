@@ -14,9 +14,9 @@ to each relation.  The added tuples join nothing at all, or join one
 another (R to S) but not T, or the added S tuples share one join value
 with original tuples (B with R, or C with T) but not the other.  In the
 two sharing shapes only the reduction's marks keep the added S tuples
-out of the top-down pass and of collection, and there the compute units
-after the reduction do grow: a vertex sending along its marked edges is
-charged for scanning all of its edges, those to dangling tuples included.
+out of the top-down pass and of collection.  A vertex sending along its
+marked edges is charged for those edges only, so there too the compute
+units after the reduction do not grow.
 """
 
 import random
@@ -84,16 +84,11 @@ def test_dangling_tuples_change_only_the_bottom_up_reduction(added, shape):
 
     def after_reduction(result):
         return [
-            (s.active_vertices, s.messages_sent, s.message_bytes)
+            (s.active_vertices, s.messages_sent, s.message_bytes, s.compute_units)
             for s in result.metrics.supersteps[reduce_up:]
         ]
 
-    def units_after_reduction(result):
-        return [s.compute_units for s in result.metrics.supersteps[reduce_up:]]
-
     assert after_reduction(grown) == after_reduction(base)
-    if not shape.startswith("sharing"):
-        assert units_after_reduction(grown) == units_after_reduction(base)
     assert len(grown.metrics.supersteps) == len(base.metrics.supersteps) == len(schedule) + 1
     # the added start-relation tuples do show: they send the first step
     assert grown.metrics.supersteps[0].messages_sent == (
