@@ -45,6 +45,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..algebra.expressions import Between, ColumnRef, Comparison, Expression, InList
@@ -70,6 +71,21 @@ from .registry import Engine, EngineContext, create_engine, resolve_engine_name
 #: what :meth:`Database.read_stamp` returns: (schema version, out-of-band
 #: changes, per-relation (mutation_count, physical_count) or None)
 ReadStamp = Tuple[int, int, Tuple[Optional[Tuple[int, int]], ...]]
+
+#: what the statement cache is keyed by: (engine, SQL text, spec name,
+#: catalog schema version)
+StatementKey = Tuple[str, str, str, int]
+
+
+@dataclass(frozen=True)
+class BoundStatement:
+    """SQL text bound against one schema version: the spec plus its
+    parameters' names and inferred types.  Shared by every session that
+    prepares the same text, so nothing may write to it after binding."""
+
+    spec: QuerySpec
+    parameter_names: Tuple[str, ...]
+    parameter_types: Mapping[str, str]
 
 
 class Database:
@@ -104,7 +120,7 @@ class Database:
         snapshot_every: WAL records between automatic snapshots.
     """
 
-    #: prepared-statement recipes retained for manifest persistence (LRU)
+    #: bound statements retained for reuse and manifest persistence (LRU)
     _STATEMENT_LOG_ENTRIES = 512
 
     def __init__(
@@ -136,9 +152,10 @@ class Database:
         self._graph_version: Optional[int] = catalog.version if graph is not None else None
         self._engines: Dict[str, Engine] = {}
         self._engine_versions: Dict[str, int] = {}
-        #: (engine, sql) -> bound QuerySpec, recorded by Session.prepare so
-        #: close() can persist a warm-start manifest of every query shape
-        self._statement_log: "OrderedDict[Tuple[str, str], QuerySpec]" = OrderedDict()
+        #: the statement cache: every text Session.prepare bound, so the
+        #: same text binds once per schema version, and close() persists a
+        #: warm-start manifest of every query shape (see bind_statement)
+        self._statement_log: "OrderedDict[StatementKey, BoundStatement]" = OrderedDict()
         self._closed = False
         self._lock = threading.RLock()
         #: readers (query executions) share; writers (delta application,
@@ -298,14 +315,34 @@ class Database:
     # ------------------------------------------------------------------
     # persisted plan cache (warm starts)
     # ------------------------------------------------------------------
-    def _record_statement(self, engine_name: str, sql: str, spec: QuerySpec) -> None:
-        """Remember a prepared statement's recipe for manifest persistence."""
-        key = (engine_name, sql)
+    def bind_statement(self, engine_name: str, sql: str, name: str) -> BoundStatement:
+        """``sql`` parsed and bound as the spec ``name``, through the statement cache.
+
+        The cache holds the last 512 statements, keyed by engine, text,
+        name and the catalog's schema version: binding reads only schemas,
+        so a data-only write keeps every entry, and creating or dropping
+        a relation rebinds.  It caches bindings, never results.  Two
+        threads binding one new text at once may both parse it; the first
+        to finish is kept, and both get that entry.
+        """
+        from ..sql import parse_and_bind
+
+        key = (engine_name, sql, name, self.catalog.schema_version)
         with self._lock:
-            self._statement_log[key] = spec
+            bound = self._statement_log.get(key)
+            if bound is not None:
+                self._statement_log.move_to_end(key)
+                return bound
+        spec = parse_and_bind(sql, self.catalog, name=name)
+        bound = BoundStatement(
+            spec, tuple(spec_parameters(spec)), infer_parameter_types(spec, self.catalog)
+        )
+        with self._lock:
+            bound = self._statement_log.setdefault(key, bound)
             self._statement_log.move_to_end(key)
             while len(self._statement_log) > self._STATEMENT_LOG_ENTRIES:
                 self._statement_log.popitem(last=False)
+        return bound
 
     def flush_plan_manifest(self, path: Optional[str] = None) -> Optional[str]:
         """Persist every recorded statement as a warm-start manifest.
@@ -322,8 +359,10 @@ class Database:
             return None
         with self._lock:
             recorded = list(self._statement_log.items())
+        # one entry per (engine, text): the most recently bound spec
+        latest = {(key[0], key[1]): bound.spec for key, bound in recorded}
         entries = []
-        for (engine_name, sql), spec in recorded:
+        for (engine_name, sql), spec in latest.items():
             fingerprint = None
             try:
                 fingerprinter = getattr(self.engine(engine_name), "fragment_fingerprint", None)
@@ -348,7 +387,6 @@ class Database:
         ``{"path", "matched", "entries", "warmed", "skipped"}``.
         """
         from ..planner.persist import load_manifest
-        from ..sql import parse_and_bind
 
         path = path if path is not None else self.plan_cache_path
         report: Dict[str, Any] = {
@@ -375,11 +413,10 @@ class Database:
                 if not callable(prepare):
                     report["skipped"] += 1
                     continue
-                spec = parse_and_bind(entry.sql, self.catalog, name="warm")
+                # binding also keeps the recipe for the next close() to persist
+                spec = self.bind_statement(canonical, entry.sql, "warm").spec
                 if prepare(spec):
                     report["warmed"] += 1
-                    # keep the recipe alive so the next close() re-persists it
-                    self._record_statement(canonical, entry.sql, spec)
                 else:
                     report["skipped"] += 1
             except Exception:
@@ -1184,19 +1221,19 @@ class Session:
             return self._run_rebinding(lambda engine: engine.execute(query))
 
     def prepare(self, sql: str, name: str = "stmt") -> "PreparedStatement":
-        """Parse + bind once; execute any number of times with new values."""
-        from ..sql import parse_and_bind
+        """Parse + bind once; execute any number of times with new values.
 
-        spec = parse_and_bind(sql, self.catalog, name=name)
-        # remember the recipe so Database.close() can persist a warm-start
-        # manifest covering every statement this process prepared
-        self.database._record_statement(self.engine_name, sql, spec)
+        Binding goes through the database's statement cache
+        (:meth:`Database.bind_statement`), so preparing a text this
+        engine already bound under ``name`` parses nothing.
+        """
+        bound = self.database.bind_statement(self.engine_name, sql, name)
         return PreparedStatement(
             session=self,
             sql=sql,
-            spec=spec,
-            parameter_names=spec_parameters(spec),
-            parameter_types=infer_parameter_types(spec, self.catalog),
+            spec=bound.spec,
+            parameter_names=list(bound.parameter_names),
+            parameter_types=dict(bound.parameter_types),
         )
 
     # ------------------------------------------------------------------
@@ -1217,9 +1254,7 @@ class Session:
         required then, if the query has any) and appends actual totals.
         """
         if isinstance(query, str):
-            from ..sql import parse_and_bind
-
-            spec = parse_and_bind(query, self.catalog, name=name)
+            spec = self.database.bind_statement(self.engine_name, query, name).spec
         else:
             spec = query
         expected = spec_parameters(spec)

@@ -9,7 +9,9 @@ single-server experiments, several workers = the distributed experiments).
 Dispatch logic (paper Section 6.4, "TAG-join algorithm"):
 
 * subquery predicates are evaluated first (recursively) and folded into
-  pushed-down filters (Section 7);
+  pushed-down filters (Section 7); a correlated inner block runs only over
+  the inner tuples a forward lookup reaches from the correlation values
+  the outer alias keeps (:mod:`repro.core.subquery`);
 * a disconnected join graph is split into components whose results are
   combined with a Cartesian product (Section 6.3);
 * a join graph that forms one simple cycle is evaluated by the
@@ -25,27 +27,34 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..planner import PlanCache, PlanChoice
 
-from ..algebra.expressions import Expression, col
-from ..algebra.logical import AggregationClass, OutputColumn, QuerySpec
+from ..algebra.expressions import ColumnRef, Expression, col
+from ..algebra.logical import (
+    AggregationClass,
+    OutputColumn,
+    QuerySpec,
+    SubqueryPredicate,
+    TableRef,
+)
 from ..bsp.engine import BSPEngine
 from ..bsp.metrics import RunMetrics
 from ..bsp.partition import HashPartitioner, Partitioner, SinglePartitioner
 from ..exec.operations import deduplicate_rows
-from ..exec.program import TagJoinKernel, register_group_aggregator
+from ..exec.program import TagJoinKernel, memoised_filter, register_group_aggregator
 from ..relational.catalog import Catalog
 from ..storage.rewrite import FragmentRewriter, decode_output_rows
-from ..tag.encoder import TagGraph
+from ..tag.encoder import TagGraph, edge_label
 from . import operations as ops
 from .cartesian import cartesian_product_rows
 from .compiler import CompiledFragment, compile_fragment, effective_aggregation_class
 from .cyclic import CycleQueryProgram, CycleRelation
 from .hypergraph import connected_components, detect_simple_cycle
-from .subquery import compile_subquery_filters
+from . import subquery as subquery_module
+from .subquery import ForwardLookup, ForwardLookupProgram, compile_subquery_filters
 from .vertex_program import GLOBAL_GROUPS_AGGREGATOR, PHASES, Phase
 
 
@@ -360,11 +369,26 @@ class TagJoinExecutor:
         annotated with the observed row count, supersteps and message
         totals (EXPLAIN ANALYZE).  The analyze run uses the same run-scoped
         state as a regular execution, so it leaves no residue on the shared
-        graph and may interleave freely with concurrent queries.
+        graph and may interleave freely with concurrent queries.  Under
+        ANALYZE the plan shown is the one that ran, with the filters the
+        subquery predicates folded into, and each subquery gets a line
+        saying how its inner block was restricted; plain EXPLAIN shows the
+        outer block without those filters, which only exist once the inner
+        blocks have run.
         """
         self._check_not_stale()
         spec.validate(self.catalog)
         lines: List[str] = [f"TAG-join plan for {spec.name!r}"]
+        extra_filters: Dict[str, List[Expression]] = {}
+        extra_residuals: List[Expression] = []
+        lookups: List[ForwardLookup] = []
+        if analyze:
+            refuse_outer_joins(spec, self.name)
+            metrics = RunMetrics(label=spec.name)
+            started = time.perf_counter()
+            extra_filters, extra_residuals, lookups = self._subquery_filters(spec, metrics)
+            result = self._execute_outer(spec, extra_filters, extra_residuals, metrics)
+            metrics.wall_time_seconds = time.perf_counter() - started
 
         components = connected_components(spec)
         if len(components) > 1:
@@ -383,12 +407,12 @@ class TagJoinExecutor:
         elif len(components) == 1:
             # last_plan_choice is thread-local, so a concurrent execute on
             # another thread cannot pair this fragment with its verdict
-            compiled = self._compile(spec, {}, [])
+            compiled = self._compile(spec, extra_filters, extra_residuals)
             choice = self.last_plan_choice
             tree = compiled.join_tree
             lines.append(f"  aggregation class: {compiled.aggregation_class.value}")
             lines.append(f"  join tree (root = {tree.root}):")
-            lines.extend(self._render_tree(spec, tree, tree.root, depth=2))
+            lines.extend(self._render_tree(spec, extra_filters, tree, tree.root, depth=2))
             if compiled.residual_checks:
                 lines.append("  residual conditions (each checked where it first binds):")
                 lines.extend(f"    {check.describe()}" for check in compiled.residual_checks)
@@ -417,15 +441,20 @@ class TagJoinExecutor:
                 lines.append(f"  rootings considered: {considered}")
             else:
                 lines.append("  cost model: abstained (root dictated by aggregation or trivial)")
-        if spec.subqueries:
+        if spec.subqueries and not analyze:
             lines.append(
                 f"  subquery predicates: {len(spec.subqueries)} "
-                "(evaluated first, folded into pushed-down filters)"
+                "(evaluated first; the filters they fold into are not in the plan "
+                "shown, EXPLAIN ANALYZE shows the plan that ran)"
             )
+        elif spec.subqueries:
+            lines.append(
+                f"  subquery predicates: {len(spec.subqueries)} "
+                "(evaluated first, folded into the pushed-down filters shown)"
+            )
+            lines.extend(f"    {lookup.describe()}" for lookup in lookups)
 
         if analyze:
-            result = self.execute(spec)
-            metrics = result.metrics
             lines.append(
                 "  actual: "
                 f"{len(result.rows)} rows, {metrics.superstep_count} supersteps, "
@@ -434,16 +463,24 @@ class TagJoinExecutor:
                 f"{metrics.wall_time_seconds:.4f}s wall"
             )
             by_phase = metrics.messages_by_phase()
+            phases = PHASES + (("lookup",) if "lookup" in by_phase else ())
             lines.append(
                 "  actual messages by phase: "
-                + ", ".join(f"{phase}={by_phase.get(phase, 0)}" for phase in PHASES)
+                + ", ".join(f"{phase}={by_phase.get(phase, 0)}" for phase in phases)
             )
         return "\n".join(lines)
 
-    def _render_tree(self, spec: QuerySpec, tree, alias: str, depth: int) -> List[str]:
+    def _render_tree(
+        self,
+        spec: QuerySpec,
+        extra_filters: Dict[str, List[Expression]],
+        tree,
+        alias: str,
+        depth: int,
+    ) -> List[str]:
         table = spec.alias_map()[alias]
         annotations = [f"{self.catalog.relation(table).cardinality()} rows"]
-        filter_count = len(spec.filters_for(alias))
+        filter_count = len(spec.filters_for(alias)) + len(extra_filters.get(alias, []))
         if filter_count:
             annotations.append(f"{filter_count} filter{'s' if filter_count > 1 else ''}")
         edge = tree.edge_to_parent(alias)
@@ -452,22 +489,34 @@ class TagJoinExecutor:
             via = f" via {alias}.{edge.child_column} = {edge.parent}.{edge.parent_column}"
         lines = [f"{'  ' * depth}{alias} ({table}: {', '.join(annotations)}){via}"]
         for child in tree.children(alias):
-            lines.extend(self._render_tree(spec, tree, child, depth + 1))
+            lines.extend(self._render_tree(spec, extra_filters, tree, child, depth + 1))
         return lines
 
     # ------------------------------------------------------------------
     # block dispatch
     # ------------------------------------------------------------------
-    def _execute_block(self, spec: QuerySpec, metrics: RunMetrics) -> QueryResult:
+    def _execute_block(
+        self,
+        spec: QuerySpec,
+        metrics: RunMetrics,
+        alias_members: Optional[Dict[str, FrozenSet[int]]] = None,
+    ) -> QueryResult:
+        """Run one block; ``alias_members`` restricts the fragment path's
+        aliases to those tuple indexes (a forward lookup's result), and
+        the other paths ignore it, which is always correct."""
         refuse_outer_joins(spec, self.name)
         # 1. subqueries become pushed-down filters / residuals on the outer block
-        extra_filters: Dict[str, List[Expression]] = {}
-        extra_residuals: List[Expression] = []
-        if spec.subqueries:
-            extra_filters, extra_residuals = compile_subquery_filters(
-                spec.subqueries, lambda inner: self._execute_nested(inner, metrics)
-            )
+        extra_filters, extra_residuals, _ = self._subquery_filters(spec, metrics)
+        return self._execute_outer(spec, extra_filters, extra_residuals, metrics, alias_members)
 
+    def _execute_outer(
+        self,
+        spec: QuerySpec,
+        extra_filters: Dict[str, List[Expression]],
+        extra_residuals: List[Expression],
+        metrics: RunMetrics,
+        alias_members: Optional[Dict[str, FrozenSet[int]]] = None,
+    ) -> QueryResult:
         # 2. disconnected join graphs: evaluate components, combine by product
         components = connected_components(spec)
         if len(components) > 1:
@@ -484,12 +533,136 @@ class TagJoinExecutor:
                     return self._post_assemble(spec, cycle_rows, metrics, extra_residuals)
 
         # 4. the general case: join-tree-driven Algorithm 2
-        return self._execute_fragment(spec, extra_filters, extra_residuals, metrics)
+        return self._execute_fragment(
+            spec, extra_filters, extra_residuals, metrics, alias_members=alias_members
+        )
 
-    def _execute_nested(self, inner: QuerySpec, metrics: RunMetrics) -> List[Dict[str, Any]]:
+    # ------------------------------------------------------------------
+    # subqueries: forward lookup, then the inner block
+    # ------------------------------------------------------------------
+    def _subquery_filters(
+        self, spec: QuerySpec, metrics: RunMetrics
+    ) -> Tuple[Dict[str, List[Expression]], List[Expression], List[ForwardLookup]]:
+        """Evaluate ``spec``'s subqueries into outer filters and residuals.
+
+        Each inner block runs over the tuples its forward lookup reached,
+        or in full where the lookup was not taken.  Also returns the
+        lookups, one per subquery, in order.
+        """
+        filters: Dict[str, List[Expression]] = {}
+        residuals: List[Expression] = []
+        lookups: List[ForwardLookup] = []
+        for subquery in spec.subqueries:
+            lookup = self._forward_lookup(spec, subquery, metrics)
+            lookups.append(lookup)
+            members = None
+            if lookup.members is not None:
+                members = {subquery.correlation[0].right_alias: lookup.members}
+            found, residual = compile_subquery_filters(
+                [subquery], lambda inner: self._execute_nested(inner, metrics, members)
+            )
+            for alias, predicates in found.items():
+                filters.setdefault(alias, []).extend(predicates)
+            residuals.extend(residual)
+        return filters, residuals, lookups
+
+    def _execute_nested(
+        self,
+        inner: QuerySpec,
+        metrics: RunMetrics,
+        alias_members: Optional[Dict[str, FrozenSet[int]]] = None,
+    ) -> List[Dict[str, Any]]:
         inner.validate(self.catalog)
-        result = self._execute_block(inner, metrics)
+        result = self._execute_block(inner, metrics, alias_members)
         return result.rows
+
+    def _forward_lookup(
+        self, spec: QuerySpec, subquery: SubqueryPredicate, metrics: RunMetrics
+    ) -> ForwardLookup:
+        """The inner tuples that the outer block's kept correlation values reach.
+
+        Restricts by the first correlation condition ``outer.a = inner.b``
+        only, which keeps a superset of the tuples any outer row probes.
+        Taken only where both columns have attribute vertices of one type
+        and the inner block runs as one fragment, and only while it pays
+        (:func:`~repro.core.subquery.lookup_pays`) for the ``M`` inner
+        tuples the kept values hold: ``M`` is estimated as
+        ``est_rows(outer, filters) · card(inner) / ndv(inner.col)`` before
+        the lookup starts, and known exactly (the kept values' degrees)
+        before its second hop.
+        """
+        inner = subquery.query
+        if not subquery.correlation:
+            table = inner.tables[0].table
+            return ForwardLookup(
+                table, table, len(self.catalog.relation(table)), reason="uncorrelated"
+            )
+        condition = subquery.correlation[0]
+        outer_table = spec.table_for(condition.left_alias)
+        inner_table = inner.table_for(condition.right_alias)
+        inner_tuples = len(self.catalog.relation(inner_table))
+        label = f"{condition.right_alias}.{condition.right_column}"
+
+        def full(reason: str) -> ForwardLookup:
+            return ForwardLookup(label, inner_table, inner_tuples, reason=reason)
+
+        sides = ((outer_table, condition.left_column), (inner_table, condition.right_column))
+        for table, column in sides:
+            if not self.graph.has_attribute_vertices(table, column):
+                return full(f"{table}.{column} has no attribute vertices")
+        dtypes = {self.catalog.schema(table).dtype(column) for table, column in sides}
+        if len(dtypes) > 1:
+            return full("the correlated columns differ in type")
+        if len(connected_components(inner)) > 1 or (
+            self.use_wco_cycles
+            and not inner.group_by
+            and not inner.aggregates
+            and detect_simple_cycle(inner) is not None
+        ):
+            return full("the inner block is not one tree-shaped fragment")
+        outer_filters = spec.filters_for(condition.left_alias)
+        statistics = self.planner.statistics
+        kept = statistics.estimated_rows(outer_table, outer_filters)
+        per_key = inner_tuples / statistics.distinct_count(inner_table, condition.right_column)
+        outer_tuples = statistics.cardinality(outer_table)
+
+        def pays(members: float) -> bool:
+            return subquery_module.lookup_pays(outer_tuples, members, inner_tuples)
+
+        if not pays(kept * per_key):
+            return full(
+                f"estimated to reach {kept * per_key:.0f} of {inner_tuples} {inner_table} "
+                "tuples, too many to pay"
+            )
+
+        # the outer alias's own filters, compiled once into a cached
+        # single-relation block whose verdict memo the lookup reads
+        block = QuerySpec(
+            tables=[TableRef(outer_table, condition.left_alias)],
+            filters={condition.left_alias: list(outer_filters)} if outer_filters else {},
+            output=[OutputColumn(ColumnRef(condition.left_column, condition.left_alias), "key")],
+            name=f"{spec.name}:lookup",
+        )
+        compiled = self._compile_or_fetch(block, {}, [], metrics)
+        admit = memoised_filter(
+            self.graph,
+            self.catalog.relation(outer_table),
+            compiled.slotted.filters.get(condition.left_alias),
+        )
+        labels = (
+            edge_label(outer_table, condition.left_column),
+            edge_label(inner_table, condition.right_column),
+        )
+        program = ForwardLookupProgram(outer_table, admit, labels, pays)
+        engine = self._make_engine()
+        engine.run(program)
+        metrics.merge(engine.last_metrics)
+        if program.members is None:
+            return full(
+                f"{program.keys} keys reach {program.reached} of {inner_tuples} {inner_table} "
+                "tuples, too many to pay"
+            )
+        return ForwardLookup(label, inner_table, inner_tuples, program.members, program.keys)
 
     # ------------------------------------------------------------------
     # the main path: one connected, tree-shaped fragment
@@ -501,11 +674,14 @@ class TagJoinExecutor:
         extra_residuals: List[Expression],
         metrics: RunMetrics,
         raw_rows: bool = False,
+        alias_members: Optional[Dict[str, FrozenSet[int]]] = None,
     ) -> QueryResult:
         compiled = self._compile_or_fetch(spec, extra_filters, extra_residuals, metrics)
-        result = self._run_compiled(spec, compiled, metrics, raw_rows)
+        result = self._run_compiled(spec, compiled, metrics, raw_rows, alias_members)
         if self.cross_check_plans and self.use_cost_based_planner:
-            self._cross_check(spec, extra_filters, extra_residuals, result, raw_rows)
+            self._cross_check(
+                spec, extra_filters, extra_residuals, result, raw_rows, alias_members
+            )
         return result
 
     # ------------------------------------------------------------------
@@ -583,11 +759,12 @@ class TagJoinExecutor:
         extra_residuals: List[Expression],
         result: QueryResult,
         raw_rows: bool,
+        alias_members: Optional[Dict[str, FrozenSet[int]]],
     ) -> None:
         """Re-run the fragment with the heuristic root and require equal rows."""
         compiled = self._compile(spec, extra_filters, extra_residuals, cost_based=False)
         scratch = RunMetrics(label=f"{spec.name}:cross-check")
-        baseline = self._run_compiled(spec, compiled, scratch, raw_rows)
+        baseline = self._run_compiled(spec, compiled, scratch, raw_rows, alias_members)
         if result.to_tuples() != baseline.to_tuples():
             raise ExecutionError(
                 f"plan cross-check failed for {spec.name!r}: cost-based plan returned "
@@ -604,13 +781,16 @@ class TagJoinExecutor:
         compiled: CompiledFragment,
         metrics: RunMetrics,
         raw_rows: bool = False,
+        alias_members: Optional[Dict[str, FrozenSet[int]]] = None,
     ) -> QueryResult:
         slotted = compiled.slotted
         engine = self._make_engine()
         if compiled.aggregation_class in (AggregationClass.GLOBAL, AggregationClass.SCALAR):
             register_group_aggregator(engine, slotted.aggregates)
 
-        program = TagJoinKernel(self.graph, compiled.config, slotted, compiled.vectorized)
+        program = TagJoinKernel(
+            self.graph, compiled.config, slotted, compiled.vectorized, alias_members=alias_members
+        )
         engine.run(program)
         metrics.merge(engine.last_metrics)
 

@@ -13,6 +13,8 @@ not a production mode, and the only place ``TagJoinProgram`` is built.
 
 from __future__ import annotations
 
+from typing import Dict, FrozenSet, Optional
+
 from ..algebra.logical import AggregationClass, QuerySpec
 from ..bsp.metrics import RunMetrics
 from ..storage.rewrite import decode_output_rows
@@ -35,13 +37,14 @@ class ReferenceTagJoinExecutor(TagJoinExecutor):
         compiled: CompiledFragment,
         metrics: RunMetrics,
         raw_rows: bool = False,
+        alias_members: Optional[Dict[str, FrozenSet[int]]] = None,
     ) -> QueryResult:
         config = compiled.config
         engine = self._make_engine()
         if compiled.aggregation_class in (AggregationClass.GLOBAL, AggregationClass.SCALAR):
             register_group_aggregator(engine, config.aggregates)
 
-        program = TagJoinProgram(self.graph, config)
+        program = TagJoinProgram(self.graph, config, alias_members)
         engine.run(program)
         metrics.merge(engine.last_metrics)
 

@@ -6,17 +6,31 @@ vertex-centric executor (recursively), its result is condensed into a
 membership set or a per-correlation-key scalar map, and the outer block
 receives an extra pushed-down filter on the correlated alias.  This is the
 semi-join / anti-join strategy the paper describes for IN / EXISTS
-constructs, realised with a reverse lookup (evaluate the inner block once,
-then probe it from every outer tuple vertex during the reduction phase).
+constructs.
+
+A correlated inner block is evaluated by *forward lookup* from the outer
+block (the paper's forward-lookup navigation; the magic-set restriction of
+Seshadri et al., SIGMOD 1996): the correlation values that the outer
+alias's own pushed-down filters keep are found first, each value's
+attribute vertex is followed to the inner relation's tuples under the
+``INNER.col`` label (:class:`ForwardLookupProgram`), and the inner block
+runs over those tuples only.  Keys no outer row can probe are never
+computed.  Dropping the restriction is always correct, so the executor
+runs the inner block in full whenever the lookup cannot pay off or cannot
+be taken (:class:`ForwardLookup` records which, for EXPLAIN ANALYZE).
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, Dict, List, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..algebra.expressions import ColumnRef, Expression, referenced_aliases
 from ..algebra.logical import OutputColumn, QuerySpec, SubqueryKind, SubqueryPredicate
+from ..bsp.engine import SuperstepContext, VertexProgram
+from ..bsp.graph import Graph, VertexId
+from ..bsp.metrics import VERTEX_ID_BYTES
 from ..relational.types import NULL
 from .operations import CallablePredicate
 
@@ -65,6 +79,122 @@ def compile_subquery_filters(
         else:
             residuals.append(predicate)
     return filters, residuals
+
+
+# ----------------------------------------------------------------------
+# forward lookup: the inner tuples the outer block can probe
+# ----------------------------------------------------------------------
+def lookup_pays(outer_tuples: int, members: float, inner_tuples: int) -> bool:
+    """Whether restricting an inner block to ``members`` tuples pays.
+
+    The lookup visits the outer relation's tuples and the inner members,
+    and the inner block then visits the members again instead of the
+    whole inner relation: ``card(outer) + 2·M < card(inner)``.  A
+    self-correlated block (outer and inner one relation) never pays.
+    """
+    return outer_tuples + 2 * members < inner_tuples
+
+
+@dataclass(frozen=True)
+class ForwardLookup:
+    """How one subquery's inner block was restricted, if it was.
+
+    ``members`` holds the 1-based tuple indexes of ``inner_table`` that
+    the lookup reached through ``keys`` correlation values; ``None`` means
+    the inner block ran in full, for ``reason``.
+    """
+
+    label: str
+    inner_table: str
+    inner_tuples: int
+    members: Optional[FrozenSet[int]] = None
+    keys: int = 0
+    reason: str = ""
+
+    def describe(self) -> str:
+        if self.members is None:
+            return f"{self.label}: inner block runs in full ({self.reason})"
+        return (
+            f"forward lookup on {self.label}: {self.keys} keys -> {len(self.members)} "
+            f"of {self.inner_tuples} {self.inner_table} tuples"
+        )
+
+
+class ForwardLookupProgram(VertexProgram):
+    """Forward lookup from the outer tuples to the inner relation's tuples.
+
+    Superstep 0 activates the outer relation's tuple vertices that pass
+    ``admit`` (the outer alias's own pushed-down filters; None = all);
+    each sends its id along ``labels[0]`` (``OUTER.col``) to its
+    correlation value.  In superstep 1 the values reached count the inner
+    tuples they hold under ``labels[1]`` (``INNER.col``), their degrees.
+    If ``pays`` that total, each value sends to those tuples, which in
+    superstep 2 are the inner block's :attr:`members`; otherwise nothing
+    is sent and :attr:`members` is ``None`` (run the inner block in
+    full).  A message weighs one vertex id, as a reduction message does.
+    """
+
+    def __init__(
+        self,
+        outer_table: str,
+        admit: Optional[Callable[[Any], bool]],
+        labels: Tuple[str, str],
+        pays: Callable[[int], bool],
+    ) -> None:
+        self.outer_table = outer_table
+        self.admit = admit
+        self.labels = labels
+        self.pays = pays
+        #: distinct correlation values reached, and the inner tuples they hold
+        self.keys = 0
+        self.reached = 0
+        self.members: Optional[FrozenSet[int]] = frozenset()
+
+    def initial_active_vertices(self, graph: Graph) -> Sequence[VertexId]:
+        candidates = graph.vertices_with_label(self.outer_table)
+        if self.admit is None:
+            return candidates
+        admit, vertex = self.admit, graph.vertex
+        return [vertex_id for vertex_id in candidates if admit(vertex(vertex_id))]
+
+    def before_superstep(self, superstep: int, graph: Graph, context: SuperstepContext) -> None:
+        context.phase = "lookup"
+
+    def compute_superstep(
+        self,
+        active: Collection[VertexId],
+        inbox: Dict[VertexId, List[Any]],
+        graph: Graph,
+        context: SuperstepContext,
+    ) -> None:
+        superstep = context.superstep
+        if superstep > 0:
+            context.charge(sum(map(len, inbox.values())))
+        if superstep == 2:
+            self.members = frozenset(vertex.index for vertex in map(graph.vertex, active))
+            return
+        label = self.labels[superstep]
+        adjacency = graph.adjacency(label)
+        if superstep == 1:
+            self.keys = len(active)
+            self.reached = sum(len(adjacency.get(vertex_id, ())) for vertex_id in active)
+            if not self.pays(self.reached):
+                self.members = None
+                return
+        outbox = context.outbox
+        engine = context.engine
+        partition_of = engine.partition_of if engine.num_workers > 1 else None
+        sent = crossing = 0
+        for vertex_id in active:
+            targets = adjacency.get(vertex_id, ())
+            for target in targets:
+                outbox[target].append(vertex_id)
+            sent += len(targets)
+            if partition_of is not None:
+                home = partition_of(vertex_id)
+                crossing += sum(1 for target in targets if partition_of(target) != home)
+        context.charge(sent)
+        context.add_messages(sent, sent * VERTEX_ID_BYTES, crossing, crossing * VERTEX_ID_BYTES)
 
 
 # ----------------------------------------------------------------------
@@ -243,7 +373,8 @@ def _compile_scalar(
     def check(context: Dict[str, Any]) -> bool:
         value = outer_expr.evaluate(context)
         key = tuple(context.get(column) for column in outer_correlation)
-        scalar = scalar_by_key.get(key)
+        # a NULL correlation key matches no inner row: the scalar is NULL
+        scalar = None if NULL in key else scalar_by_key.get(key)
         if value is NULL or scalar is NULL or scalar is None:
             return False
         return comparator(value, scalar)

@@ -31,14 +31,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..algebra.expressions import Expression
 from ..algebra.logical import AggregateSpec, AggregationClass, OutputColumn
 from ..bsp.aggregators import GroupAggregator
 from ..bsp.engine import BSPEngine, SuperstepContext, VertexProgram
 from ..bsp.graph import Graph, Vertex, VertexId
-from ..tag.encoder import TagGraph
+from ..tag.encoder import TagGraph, tuple_vertex_id
 from . import operations as ops
 from .tag_plan import PlanNode, TagPlan, TraversalStep
 
@@ -136,11 +136,21 @@ def superstep_phase(schedule: Sequence[ScheduledStep], superstep: int) -> str:
 
 
 class TagJoinProgram(VertexProgram):
-    """Vertex-centric evaluation of one tree-shaped query fragment (Algorithm 2)."""
+    """Vertex-centric evaluation of one tree-shaped query fragment (Algorithm 2).
 
-    def __init__(self, graph: TagGraph, config: FragmentConfig) -> None:
+    ``alias_members`` pins an alias to those 1-based tuple indexes, as the
+    kernel's argument of that name does (a subquery's forward lookup).
+    """
+
+    def __init__(
+        self,
+        graph: TagGraph,
+        config: FragmentConfig,
+        alias_members: Optional[Dict[str, AbstractSet[int]]] = None,
+    ) -> None:
         self.graph = graph
         self.config = config
+        self.alias_members = alias_members or {}
         self.output_rows: List[Dict[str, Any]] = []
         self.local_groups: List[Dict[str, Any]] = []
         self._start_node = config.plan.node(config.start_node_id)
@@ -157,7 +167,12 @@ class TagJoinProgram(VertexProgram):
         start = self._start_node
         if not start.is_relation:
             raise ValueError("the TAG plan traversal must start at a relation node")
-        candidates = graph.vertices_with_label(start.table)
+        pinned = self.alias_members.get(start.alias)
+        if pinned is None:
+            candidates = graph.vertices_with_label(start.table)
+        else:
+            ids = (tuple_vertex_id(start.table, index) for index in sorted(pinned))
+            candidates = [vertex_id for vertex_id in ids if graph.has_vertex(vertex_id)]
         if not self.config.filters.get(start.alias):
             return candidates
         passing = []
@@ -351,6 +366,9 @@ class TagJoinProgram(VertexProgram):
     def _tuple_passes_filters(self, vertex: Vertex, alias: Optional[str]) -> bool:
         if alias is None:
             return True
+        members = self.alias_members.get(alias)
+        if members is not None and vertex.index not in members:
+            return False
         predicates = self.config.filters.get(alias)
         if not predicates:
             return True

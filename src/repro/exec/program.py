@@ -99,7 +99,7 @@ from ..core.vertex_program import (
     superstep_phase,
 )
 from ..tag.encoder import TagGraph, tuple_vertex_id
-from .fragment import FAIL, PASS, UNKNOWN, SlottedFragment
+from .fragment import FAIL, PASS, UNKNOWN, AliasFilter, SlottedFragment
 from .operations import SlottedAggregates
 from .schema import SlottedRow
 from .vectorized.batch import ColumnBatch, full_column
@@ -565,35 +565,10 @@ class TagJoinKernel(VertexProgram):
     def _admission(self, alias: str, relation: Any) -> Optional[Callable[[Vertex], bool]]:
         """Compile the alias's membership / exclusion sets and its
         pushed-down filter into one test on a tuple vertex (None: all pass).
-
-        The filter's verdict on a position is looked up in the plan's
-        memo (module docstring), taken here under the key (relation
-        layout epoch, graph generation, values bound to the parameters
-        the filter reads) and sized to the relation's physical rows.  An
-        entry still unknown runs the compiled test on the row once and
-        records the answer; the restriction sets are per run and stay
-        outside the memo.
+        The restriction sets are per run and stay outside the filter's
+        verdict memo (:func:`memoised_filter`).
         """
-        predicate = None
-        pushed = self.slotted.filters.get(alias)
-        if pushed is not None:
-            read, test = relation.encoded_reader(pushed.columns), pushed.test
-            key = (relation.layout_epoch, self.graph.generation, pushed.bound_values())
-            verdicts = pushed.verdicts(key)
-            # two readers sizing one array at once may both extend it: the
-            # surplus entries are UNKNOWN, past every position, and harmless
-            missing = relation.physical_count - len(verdicts)
-            if missing > 0:
-                verdicts.extend(bytes(missing))
-
-            def predicate(vertex: Vertex) -> bool:
-                position = vertex.index - 1
-                verdict = verdicts[position]
-                if verdict == UNKNOWN:
-                    verdict = PASS if test(read(position)) else FAIL
-                    verdicts[position] = verdict
-                return verdict == PASS
-
+        predicate = memoised_filter(self.graph, relation, self.slotted.filters.get(alias))
         members = self.alias_members.get(alias)
         excluded = self.alias_excluded.get(alias)
         if members is None and excluded is None:
@@ -608,6 +583,39 @@ class TagJoinKernel(VertexProgram):
             return predicate is None or predicate(vertex)
 
         return admit
+
+
+def memoised_filter(
+    graph: TagGraph, relation: Any, pushed: Optional[AliasFilter]
+) -> Optional[Callable[[Vertex], bool]]:
+    """``pushed`` as a test on the tuple vertices of ``relation`` (None: no filter).
+
+    The filter's verdict on a position is looked up in the plan's memo
+    (module docstring), taken here under the key (relation layout epoch,
+    graph generation, values bound to the parameters the filter reads)
+    and sized to the relation's physical rows.  An entry still unknown
+    runs the compiled test on the row once and records the answer.
+    """
+    if pushed is None:
+        return None
+    read, test = relation.encoded_reader(pushed.columns), pushed.test
+    key = (relation.layout_epoch, graph.generation, pushed.bound_values())
+    verdicts = pushed.verdicts(key)
+    # two readers sizing one array at once may both extend it: the
+    # surplus entries are UNKNOWN, past every position, and harmless
+    missing = relation.physical_count - len(verdicts)
+    if missing > 0:
+        verdicts.extend(bytes(missing))
+
+    def predicate(vertex: Vertex) -> bool:
+        position = vertex.index - 1
+        verdict = verdicts[position]
+        if verdict == UNKNOWN:
+            verdict = PASS if test(read(position)) else FAIL
+            verdicts[position] = verdict
+        return verdict == PASS
+
+    return predicate
 
 
 def register_group_aggregator(engine: BSPEngine, aggregates: SlottedAggregates) -> None:
@@ -626,4 +634,4 @@ def register_group_aggregator(engine: BSPEngine, aggregates: SlottedAggregates) 
     engine.register_aggregator(GroupAggregator(GLOBAL_GROUPS_AGGREGATOR, combine=combine))
 
 
-__all__ = ["COLUMNAR_THRESHOLD", "TagJoinKernel", "register_group_aggregator"]
+__all__ = ["COLUMNAR_THRESHOLD", "TagJoinKernel", "memoised_filter", "register_group_aggregator"]

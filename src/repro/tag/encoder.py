@@ -191,6 +191,14 @@ class TagGraph(Graph):
             return None
         return vertex_id if self.has_vertex(vertex_id) else None
 
+    def has_attribute_vertices(self, relation_name: str, column_name: str) -> bool:
+        """Whether ``relation_name.column_name`` values become attribute
+        vertices (linked under the ``R.A`` label) in this graph."""
+        plan = self._column_plans.get(relation_name)
+        if plan is None:
+            return self.catalog.schema(relation_name).column(column_name).materialise_as_vertex
+        return any(name == column_name and materialise for name, _, materialise, _ in plan)
+
     def is_tuple_vertex(self, vertex: Vertex) -> bool:
         return vertex.index > 0
 

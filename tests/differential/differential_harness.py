@@ -7,7 +7,9 @@ residual column-column predicates, parameters, and GROUP BY / scalar
 aggregates; the
 ``extra_equality_cases`` variant also adds a second ``=`` over a nullable
 column between two aliases, which the TAG engines either route on or check
-at a collection merge — and
+at a collection merge, and the ``subquery`` variant a correlated EXISTS /
+NOT EXISTS / IN / NOT IN / scalar subquery, correlated on integer columns
+(the nullable ``O_PRIO`` among them) — and
 :func:`run_case` executes each across every execution path of the
 reproduction:
 
@@ -19,6 +21,8 @@ tag          TAG-join kernel at the shipped columnar threshold
 tag@columnar the same engine with the threshold pinned to 0
              (every table a column batch)
 tag@tuples   ... and pinned to "never" (every table tuple rows)
+tag@lookup   ``tag`` taking every forward lookup of a correlated
+             subquery that can be taken, whether it pays or not
 rdbms        iterator-model relational baseline
 spark        distributed shuffle/broadcast baseline
 ============ ===================================================
@@ -45,6 +49,7 @@ from hypothesis import strategies as st
 
 from differential_dataset import build_catalog
 from repro.api import Database
+from repro.core import subquery as subquery_module
 from repro.exec import program as kernel_program
 
 ENGINE_NAMES = ("tag_dict", "tag", "rdbms", "spark")
@@ -53,7 +58,7 @@ ENGINE_NAMES = ("tag_dict", "tag", "rdbms", "spark")
 #: every generated query also executes fully columnar and fully as tuples
 #: however small or large its tables are
 TAG_REGIMES = {"tag@columnar": 0, "tag@tuples": sys.maxsize}
-TAG_FAMILY = ("tag_dict", "tag", *TAG_REGIMES)
+TAG_FAMILY = ("tag_dict", "tag", *TAG_REGIMES, "tag@lookup")
 
 
 def run_on_every_path(database: Database, sql: str, params: Optional[Dict[str, Any]] = None):
@@ -65,6 +70,8 @@ def run_on_every_path(database: Database, sql: str, params: Optional[Dict[str, A
     for name, threshold in TAG_REGIMES.items():
         with mock.patch.object(kernel_program, "COLUMNAR_THRESHOLD", threshold):
             results[name] = database.connect(engine="tag").sql(sql, params=params or None)
+    with mock.patch.object(subquery_module, "lookup_pays", lambda *_: True):
+        results["tag@lookup"] = database.connect(engine="tag").sql(sql, params=params or None)
     return results
 
 #: FK edges of the dataset: (child table, child column, parent table, parent column)
@@ -102,6 +109,14 @@ NULLABLE_COLUMNS = {
     "ORD": ["O_PRIO"],
     "ITEM": ["I_TAG", "I_MEMO"],
 }
+#: (outer table, column, inner table, column) a correlated subquery may
+#: equate: the FK edges both ways, and every integer column with itself
+CORRELATIONS = sorted(
+    {edge for child, c_col, parent, p_col in FK_EDGES
+     for edge in ((child, c_col, parent, p_col), (parent, p_col, child, c_col))}
+    | {(table, column, table, column) for table, columns in INT_COLUMNS.items()
+       for column in columns}
+)
 #: columns safe for GROUP BY keys (non-null, low-to-medium cardinality)
 GROUPABLE_COLUMNS = {
     "REGION": ["R_ID", "R_NAME"],
@@ -350,13 +365,69 @@ def extra_equalities(draw, alias_tables: List[Tuple[str, str]]) -> str:
     return draw(st.sampled_from(candidates))
 
 
+def bind_parameter(predicate: str, value: Optional[Any], params: Dict[str, Any]) -> str:
+    """Name ``value`` (if any) as the next parameter and splice it in."""
+    if value is None:
+        return predicate
+    name = f"p{len(params)}"
+    params[name] = value
+    return predicate.format(param=f":{name}")
+
+
 @st.composite
-def query_cases(draw, extra_equality: bool = False) -> QueryCase:
+def subquery_predicates(
+    draw, alias_tables: List[Tuple[str, str]], params: Dict[str, Any]
+) -> str:
+    """One correlated subquery predicate on an outer alias.
+
+    The inner block correlates one :data:`CORRELATIONS` pair, sometimes
+    joins a second relation along an FK edge (so the alias a forward
+    lookup restricts need not start the inner traversal) and sometimes
+    filters its correlated alias.
+    """
+    outer_alias, outer_table = draw(st.sampled_from(alias_tables))
+    outer_column, inner_table, inner_column = draw(
+        st.sampled_from([pair[1:] for pair in CORRELATIONS if pair[0] == outer_table])
+    )
+    tables = [f"{inner_table} s0"]
+    where = [f"s0.{inner_column} = {outer_alias}.{outer_column}"]
+    if draw(st.booleans()):
+        new_table, new_column, other_column = draw(
+            st.sampled_from(
+                [(c, c_col, p_col) for c, c_col, p, p_col in FK_EDGES if p == inner_table]
+                + [(p, p_col, c_col) for c, c_col, p, p_col in FK_EDGES if c == inner_table]
+            )
+        )
+        tables.append(f"{new_table} s1")
+        where.append(f"s1.{new_column} = s0.{other_column}")
+    if draw(st.booleans()):
+        where.append(bind_parameter(*draw(filter_predicates("s0", inner_table)), params))
+    body = f"FROM {', '.join(tables)} WHERE {' AND '.join(where)}"
+
+    kind = draw(st.sampled_from(["exists", "not_exists", "in", "not_in", "scalar"]))
+    if kind in ("exists", "not_exists"):
+        negated = "NOT " if kind == "not_exists" else ""
+        return f"{negated}EXISTS (SELECT s0.{inner_column} {body})"
+    if kind in ("in", "not_in"):
+        probe = draw(st.sampled_from(INT_COLUMNS[outer_table]))
+        member = draw(st.sampled_from(INT_COLUMNS[inner_table]))
+        negated = "NOT " if kind == "not_in" else ""
+        return f"{outer_alias}.{probe} {negated}IN (SELECT s0.{member} {body})"
+    probe = draw(st.sampled_from(INT_COLUMNS[outer_table] + FLOAT_COLUMNS[outer_table]))
+    argument = draw(st.sampled_from(INT_COLUMNS[inner_table] + FLOAT_COLUMNS[inner_table]))
+    aggregate = draw(st.sampled_from(["AVG", "MIN", "MAX", "SUM"]))
+    op = draw(st.sampled_from(["<", "<=", ">", ">=", "=", "!="]))
+    return f"{outer_alias}.{probe} {op} (SELECT {aggregate}(s0.{argument}) {body})"
+
+
+@st.composite
+def query_cases(draw, extra_equality: bool = False, subquery: bool = False) -> QueryCase:
     """A complete differential query: joins + filters + projection/aggregates.
 
     ``extra_equality`` adds one :func:`extra_equalities` condition to a
-    tree of at least two aliases; without it the draws (and so the cases
-    a seed yields) are exactly those of the plain strategy.
+    tree of at least two aliases, and ``subquery`` one
+    :func:`subquery_predicates` conjunct; without them the draws (and so
+    the cases a seed yields) are exactly those of the plain strategy.
     """
     tree = draw(join_trees(min_extra=1 if extra_equality else 0))
     alias_tables = [(alias, table) for alias, table, _ in tree]
@@ -413,6 +484,9 @@ def query_cases(draw, extra_equality: bool = False) -> QueryCase:
             col_a, col_b = draw(st.sampled_from(int_a)), draw(st.sampled_from(int_b))
         op = draw(st.sampled_from(["<", "<=", ">", ">=", "!="]))
         where.append(f"{alias_a}.{col_a} {op} {alias_b}.{col_b}")
+
+    if subquery:
+        where.append(draw(subquery_predicates(alias_tables, params)))
 
     shape = draw(st.sampled_from(["plain", "plain", "group", "scalar"]))
     if shape == "plain":

@@ -10,6 +10,10 @@ Two layers:
   (``query_cases(extra_equality=True)``): multi-key edges and
   cycle-closing conditions, which the TAG engines route on or check at a
   collection merge.
+* ``test_subqueries_agree_quick`` / ``..._deep`` do the same for queries
+  with a correlated EXISTS / NOT EXISTS / IN / NOT IN / scalar subquery
+  (``query_cases(subquery=True)``), run also with every forward lookup
+  taken (the ``tag@lookup`` path).
 * ``test_engines_agree_deep`` (``-m differential``) is the real sweep:
   500+ generated queries by default, sized via ``DIFFERENTIAL_EXAMPLES``.
   CI runs it twice — once derandomized (a fixed, reproducible example
@@ -63,4 +67,17 @@ def test_extra_equalities_agree_quick(database, case):
 @settings(max_examples=DEEP_EXAMPLES, derandomize=DEEP_DERANDOMIZE, **_COMMON)
 @given(case=query_cases(extra_equality=True))
 def test_extra_equalities_agree_deep(database, case):
+    run_case(database, case)
+
+
+@settings(max_examples=30, derandomize=True, **_COMMON)
+@given(case=query_cases(subquery=True))
+def test_subqueries_agree_quick(database, case):
+    run_case(database, case)
+
+
+@pytest.mark.differential
+@settings(max_examples=DEEP_EXAMPLES, derandomize=DEEP_DERANDOMIZE, **_COMMON)
+@given(case=query_cases(subquery=True))
+def test_subqueries_agree_deep(database, case):
     run_case(database, case)
