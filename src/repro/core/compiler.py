@@ -15,7 +15,8 @@ multi-key edge, a cycle-closing edge, a cross-alias WHERE predicate or
 subquery check — is placed by :func:`place_residuals` at the first
 collection merge whose row holds every alias it references, and a
 predicate over at most one alias becomes a pushed-down filter.  No
-residual is left for result assembly.
+residual is left for result assembly.  Collection rows carry only the
+columns a later step reads (:func:`live_columns`).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from ..storage.rewrite import FragmentRewriter
 from .hypergraph import build_hypergraph
 from .jointree import JoinTree, build_join_tree
 from .tag_plan import TagPlan, build_tag_plan
-from .vertex_program import FragmentConfig, Phase, ScheduledStep, build_schedule
+from .vertex_program import FragmentConfig, ScheduledStep, build_schedule, carried_aliases
 
 
 class CompileError(ValueError):
@@ -140,14 +141,40 @@ def effective_aggregation_class(spec: QuerySpec, catalog: Catalog) -> Aggregatio
     return declared
 
 
-def default_output_columns(spec: QuerySpec, required: Dict[str, Set[str]]) -> List[OutputColumn]:
-    """SELECT-* style outputs when the query declares none."""
+def default_output_columns(spec: QuerySpec) -> List[OutputColumn]:
+    """SELECT-* style outputs when the query declares none: every column
+    the query references anywhere (:meth:`QuerySpec.required_columns_of`)."""
     outputs: List[OutputColumn] = []
     for alias in spec.aliases():
-        for column in sorted(required.get(alias, set())):
+        for column in sorted(spec.required_columns_of(alias)):
             qualified = f"{alias}.{column}"
             outputs.append(OutputColumn(col(qualified), qualified))
     return outputs
+
+
+def live_columns(
+    spec: QuerySpec,
+    step_residuals: Dict[int, List[Expression]],
+    output_columns: List[OutputColumn],
+) -> Dict[str, Set[str]]:
+    """The columns each alias's collection rows carry: those read by a
+    residual checked at a collection merge, an output, a GROUP BY key or
+    an aggregate argument.  A join column leaves the rows (the topology
+    does that join), and so does a column only a pushed-down filter reads
+    (admission reads it off the tuple)."""
+    expressions = [predicate for predicates in step_residuals.values() for predicate in predicates]
+    expressions.extend(column.expression for column in output_columns)
+    expressions.extend(agg.argument for agg in spec.aggregates if agg.argument is not None)
+    live: Dict[str, Set[str]] = {alias: set() for alias in spec.aliases()}
+    for expression in expressions:
+        for qualified in expression.columns():
+            alias, _, column = qualified.partition(".")
+            if column and alias in live:
+                live[alias].add(column)
+    for group_col in spec.group_by:
+        if group_col.table in live:
+            live[group_col.table].add(group_col.column)
+    return live
 
 
 def residual_expressions(conditions: List[JoinCondition]) -> List[Expression]:
@@ -167,29 +194,20 @@ def place_residuals(
 ) -> List[Tuple[Optional[int], str]]:
     """Where each predicate is checked: ``(schedule index, alias)`` per predicate.
 
-    Replays the collection schedule once, tracking which aliases the rows
-    of each step's table hold (a relation target adds its alias; an
-    attribute target passes its input through).  A predicate over several
-    aliases is checked at the first collection merge whose rows hold all of
-    them — the index of that step and its relation alias.  A predicate over
-    at most one of the plan's aliases binds at a tuple vertex: ``(None,
-    alias)``, a pushed-down filter on that alias (on the start relation
-    when it names none).
+    Replays the collection schedule once (:func:`carried_aliases`) to learn
+    which aliases the rows of each step's table hold.  A predicate over
+    several aliases is checked at the first collection merge whose rows
+    hold all of them — the index of that step and its relation alias.  A
+    predicate over at most one of the plan's aliases binds at a tuple
+    vertex: ``(None, alias)``, a pushed-down filter on that alias (on the
+    start relation when it names none).
     """
     start = plan.node(schedule[0].step.source) if schedule else plan.relation_nodes()[0]
-    held: Dict[str, FrozenSet[str]] = {}
     merges: List[Tuple[int, str, FrozenSet[str]]] = []
-    for index, scheduled in enumerate(schedule):
-        if scheduled.phase is not Phase.COLLECT:
-            continue
-        step = scheduled.step
-        target = plan.node(step.target)
-        # a relation source without a table yet sends its own row
-        aliases = held.get(step.source) or frozenset({plan.node(step.source).alias})
+    for index, aliases in carried_aliases(plan, schedule).items():
+        target = plan.node(schedule[index].step.target)
         if target.is_relation:
-            aliases = aliases | {target.alias}
-            merges.append((index, target.alias, aliases))
-        held[step.target] = aliases
+            merges.append((index, target.alias, aliases | {target.alias}))
     plan_aliases = frozenset(node.alias for node in plan.relation_nodes())
 
     placed: List[Tuple[Optional[int], str]] = []
@@ -258,10 +276,6 @@ def compile_fragment(
     plan = build_tag_plan(join_tree, catalog, alias_tables, group_by_root=group_root)
     schedule = build_schedule(plan)
 
-    required: Dict[str, Set[str]] = {
-        alias: spec.required_columns_of(alias) for alias in spec.aliases()
-    }
-
     # (as written, predicate) per residual condition
     residuals: List[Tuple[str, Expression]] = [
         (repr(predicate), predicate) for predicate in spec.residual_predicates
@@ -274,13 +288,6 @@ def compile_fragment(
     )
     if extra_residuals:
         residuals.extend((repr(predicate), predicate) for predicate in extra_residuals)
-        # make sure the columns these predicates inspect survive projection
-        for predicate in extra_residuals:
-            for qualified in predicate.columns():
-                if "." in qualified:
-                    alias, column = qualified.split(".", 1)
-                    if alias in required:
-                        required[alias].add(column)
 
     # each residual runs where it first binds: at a collection merge, or
     # (over at most one alias) as a pushed-down filter
@@ -296,7 +303,8 @@ def compile_fragment(
 
     output_columns = list(spec.output)
     if not output_columns and not spec.aggregates:
-        output_columns = default_output_columns(spec, required)
+        output_columns = default_output_columns(spec)
+    required = live_columns(spec, step_residuals, output_columns)
 
     group_by_columns = [
         f"{group_col.table}.{group_col.column}" if group_col.table else group_col.column
@@ -324,7 +332,7 @@ def compile_fragment(
         schedule=schedule,
         alias_tables=alias_tables,
         filters=filters,
-        required_columns={alias: columns for alias, columns in required.items()},
+        required_columns=required,
         step_residuals=step_residuals,
         output_columns=output_columns,
         aggregates=aggregates,

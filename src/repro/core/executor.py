@@ -412,7 +412,7 @@ class TagJoinExecutor:
             tree = compiled.join_tree
             lines.append(f"  aggregation class: {compiled.aggregation_class.value}")
             lines.append(f"  join tree (root = {tree.root}):")
-            lines.extend(self._render_tree(spec, extra_filters, tree, tree.root, depth=2))
+            lines.extend(self._render_tree(spec, extra_filters, compiled, tree.root, depth=2))
             if compiled.residual_checks:
                 lines.append("  residual conditions (each checked where it first binds):")
                 lines.extend(f"    {check.describe()}" for check in compiled.residual_checks)
@@ -474,7 +474,7 @@ class TagJoinExecutor:
         self,
         spec: QuerySpec,
         extra_filters: Dict[str, List[Expression]],
-        tree,
+        compiled: CompiledFragment,
         alias: str,
         depth: int,
     ) -> List[str]:
@@ -483,13 +483,15 @@ class TagJoinExecutor:
         filter_count = len(spec.filters_for(alias)) + len(extra_filters.get(alias, []))
         if filter_count:
             annotations.append(f"{filter_count} filter{'s' if filter_count > 1 else ''}")
+        tree = compiled.join_tree
         edge = tree.edge_to_parent(alias)
         via = ""
         if edge is not None:
             via = f" via {alias}.{edge.child_column} = {edge.parent}.{edge.parent_column}"
-        lines = [f"{'  ' * depth}{alias} ({table}: {', '.join(annotations)}){via}"]
+        carries = compiled.slotted.own[alias].describe()
+        lines = [f"{'  ' * depth}{alias} ({table}: {', '.join(annotations)}){via} {carries}"]
         for child in tree.children(alias):
-            lines.extend(self._render_tree(spec, extra_filters, tree, child, depth + 1))
+            lines.extend(self._render_tree(spec, extra_filters, compiled, child, depth + 1))
         return lines
 
     # ------------------------------------------------------------------

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import AbstractSet, Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..algebra.expressions import Expression
 from ..algebra.logical import AggregateSpec, AggregationClass, OutputColumn
@@ -89,6 +89,7 @@ class FragmentConfig:
     schedule: List[ScheduledStep]
     alias_tables: Dict[str, str]
     filters: Dict[str, List[Expression]] = field(default_factory=dict)
+    #: alias -> the columns its collection rows carry (None: every column)
     required_columns: Dict[str, Optional[Set[str]]] = field(default_factory=dict)
     #: schedule index of a collection step -> the residual conditions its
     #: merged rows must pass (see :func:`repro.core.compiler.place_residuals`)
@@ -127,6 +128,28 @@ def build_schedule(plan: TagPlan) -> List[ScheduledStep]:
     schedule.extend(ScheduledStep(Phase.REDUCE_DOWN, step, True) for step in down_steps)
     schedule.extend(ScheduledStep(Phase.COLLECT, step, True) for step in up_steps)
     return schedule
+
+
+def carried_aliases(plan: TagPlan, schedule: Sequence[ScheduledStep]) -> Dict[int, FrozenSet[str]]:
+    """Per collection step (schedule index), the aliases whose rows the
+    table it sends already carries.
+
+    Replays the collection schedule once: a relation source without a
+    table yet sends its own row, a relation target adds its alias, an
+    attribute target passes its input through.  A step whose target alias
+    is already carried is an Euler re-ascent onto that alias.
+    """
+    held: Dict[str, FrozenSet[str]] = {}
+    carried: Dict[int, FrozenSet[str]] = {}
+    for index, scheduled in enumerate(schedule):
+        if scheduled.phase is not Phase.COLLECT:
+            continue
+        step = scheduled.step
+        target = plan.node(step.target)
+        aliases = held.get(step.source) or frozenset({plan.node(step.source).alias})
+        carried[index] = aliases
+        held[step.target] = aliases | {target.alias} if target.is_relation else aliases
+    return carried
 
 
 def superstep_phase(schedule: Sequence[ScheduledStep], superstep: int) -> str:

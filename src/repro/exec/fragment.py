@@ -10,6 +10,16 @@ at run time, and compiles each per-step merge, the residual conditions
 checked right after it, every filter, the output list, the GROUP BY key
 and the aggregate accumulators into slot-index closures.
 
+A schema holds only live columns, not every column the query names: an
+alias's own row carries the columns its
+:attr:`~repro.core.vertex_program.FragmentConfig.required_columns` lists
+(what a residual at a collection merge, an output, a GROUP BY key or an
+aggregate argument reads), so it may be zero columns wide.  It carries
+the tuple's ordinal as a provenance slot only when a later collection
+step re-ascends onto the alias, which
+:func:`~repro.core.vertex_program.carried_aliases` finds from the aliases
+a table already carries.
+
 The result rides along inside the cached
 :class:`~repro.core.compiler.CompiledFragment`, so a plan-cache hit hands
 back ready-to-run closures and the per-row work left at execution time is
@@ -46,15 +56,22 @@ def provenance_key(alias: Optional[str]) -> str:
 
 class OwnRowSpec:
     """How one relation alias projects a tuple vertex into a slotted row:
-    the values of ``columns`` read off its row, then its ordinal."""
+    the values of ``columns`` read off its row, then its ordinal when
+    ``provenance`` (a later collection step re-ascends onto the alias)."""
 
-    __slots__ = ("alias", "columns", "schema")
+    __slots__ = ("alias", "columns", "provenance", "schema")
 
-    def __init__(self, alias: str, columns: Tuple[str, ...]) -> None:
+    def __init__(self, alias: str, columns: Tuple[str, ...], provenance: bool) -> None:
         self.alias = alias
         self.columns = columns
+        self.provenance = provenance
         qualified = tuple(f"{alias}.{column}" for column in columns)
-        self.schema = RowSchema(qualified + (provenance_key(alias),))
+        self.schema = RowSchema(qualified + ((provenance_key(alias),) if provenance else ()))
+
+    def describe(self) -> str:
+        """What the alias's rows carry (EXPLAIN)."""
+        carried = ", ".join(self.columns) or "no columns"
+        return f"carries {carried}{' + provenance' if self.provenance else ''}"
 
 
 #: verdict array entries: not judged yet, judged to pass, judged to fail
@@ -120,9 +137,9 @@ class CollectAction:
 
     At an attribute node (``at_relation`` False) tables pass through.  At
     a relation node an incoming row meets the vertex's own row in one of
-    two ways.  If it carries none of the alias's columns, the own row is
-    appended.  If it carries all of them (an Euler re-ascent),
-    ``prov_slot`` is the provenance column's slot in it: rows whose
+    two ways.  If its table does not carry the alias yet, the own row is
+    appended.  If it does (an Euler re-ascent), ``prov_slot`` is the
+    provenance column's slot in it: rows whose
     recorded contributor for this alias is a different vertex are
     dropped, mirroring the reference program's ``row.get(provenance,
     vid) == vid`` check, and the rest pass unchanged.
@@ -160,13 +177,22 @@ def compile_slotted_fragment(config: Any, catalog: Catalog) -> SlottedFragment:
 
     Raises ValueError for configs the compiler never produces and the
     kernel cannot run: open-ended ``required_columns`` (row shapes must be
-    fixed at compile time), a collection schedule that does not start at
-    a relation node, or a step whose incoming rows carry only part of an
-    alias's columns.
+    fixed at compile time), or a collection schedule that does not start
+    at a relation node.
     """
-    from ..core.vertex_program import Phase  # local: avoid import cycle at package init
+    from ..core.vertex_program import carried_aliases  # local: avoid import cycle
 
     plan = config.plan
+    schedule = config.schedule
+    carried = carried_aliases(plan, schedule)
+    # only the own rows of an alias some collection step re-ascends onto
+    # carry a provenance slot
+    targets = {index: plan.node(schedule[index].step.target) for index in carried}
+    reascended = {
+        target.alias
+        for index, target in targets.items()
+        if target.is_relation and target.alias in carried[index]
+    }
 
     # 1. own-row projections (one fixed shape per alias)
     own: Dict[str, OwnRowSpec] = {}
@@ -179,7 +205,7 @@ def compile_slotted_fragment(config: Any, catalog: Catalog) -> SlottedFragment:
         # keep only columns the tuple vertices actually store, in a fixed
         # deterministic order (mirrors project_tuple's membership filter)
         columns = tuple(sorted(column for column in required if column in table_columns))
-        own[alias] = OwnRowSpec(alias, columns)
+        own[alias] = OwnRowSpec(alias, columns, alias in reascended)
 
     # 2. pushed-down filters, compiled against the tuple of the table
     #    columns they reference (a qualified reference names its column
@@ -211,12 +237,10 @@ def compile_slotted_fragment(config: Any, catalog: Catalog) -> SlottedFragment:
     collect: Dict[int, CollectAction] = {}
     step_schemas: Dict[int, RowSchema] = {}
     sent_row_bytes: Dict[int, int] = {}
-    for index, scheduled in enumerate(config.schedule):
-        if scheduled.phase is not Phase.COLLECT:
-            continue
-        step = scheduled.step
+    for index, aliases in carried.items():
+        step = schedule[index].step
         source_node = plan.node(step.source)
-        target_node = plan.node(step.target)
+        target_node = targets[index]
         source_schema = schema_at.get(step.source)
         if source_schema is None:
             if not source_node.is_relation:
@@ -226,26 +250,15 @@ def compile_slotted_fragment(config: Any, catalog: Catalog) -> SlottedFragment:
         if not target_node.is_relation:
             action = CollectAction()
             schema = source_schema
+        elif target_node.alias in aliases:
+            # Euler re-ascent: the provenance filter guarantees the rows
+            # came from this very vertex's own row, so they pass as they are
+            prov_slot = source_schema.slot(provenance_key(target_node.alias))
+            action = CollectAction(at_relation=True, prov_slot=prov_slot)
+            schema = source_schema
         else:
-            # an alias's columns and its provenance slot enter a row schema
-            # together, so the incoming rows carry all of the own row's
-            # columns or none of them
-            own_columns = own[target_node.alias].schema.columns
-            present = sum(column in source_schema for column in own_columns)
-            if present == len(own_columns):
-                # Euler re-ascent: the provenance filter guarantees the rows
-                # came from this very vertex's own row, so they pass as they are
-                prov_slot = source_schema.slot(provenance_key(target_node.alias))
-                action = CollectAction(at_relation=True, prov_slot=prov_slot)
-                schema = source_schema
-            elif present == 0:
-                action = CollectAction(at_relation=True)
-                schema = RowSchema(source_schema.columns + own_columns)
-            else:
-                raise ValueError(
-                    f"collection step {index} carries part of alias "
-                    f"{target_node.alias!r}'s columns"
-                )
+            action = CollectAction(at_relation=True)
+            schema = RowSchema(source_schema.columns + own[target_node.alias].schema.columns)
         check = compile_residual(config.step_residuals.get(index, ()), schema)
         if check is not None:
             action = replace(action, check=check)

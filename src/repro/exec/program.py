@@ -99,7 +99,7 @@ from ..core.vertex_program import (
     superstep_phase,
 )
 from ..tag.encoder import TagGraph, tuple_vertex_id
-from .fragment import FAIL, PASS, UNKNOWN, AliasFilter, SlottedFragment
+from .fragment import FAIL, PASS, UNKNOWN, AliasFilter, OwnRowSpec, SlottedFragment
 from .operations import SlottedAggregates
 from .schema import SlottedRow
 from .vectorized.batch import ColumnBatch, full_column
@@ -173,14 +173,14 @@ class TagJoinKernel(VertexProgram):
         self._start_node = config.plan.node(config.start_node_id)
         # per relation alias, bound to the relation's rows and code arrays
         # as they are at run start (a cached plan outlives them): the
-        # reader of its own-row columns by physical position, and the
-        # admission test of its tuple vertices (restrictions, then the
-        # pushed-down filter; None = all pass)
-        self._read_own: Dict[str, Callable[[int], SlottedRow]] = {}
+        # reader of a tuple vertex's own row, and the admission test of its
+        # tuple vertices (restrictions, then the pushed-down filter; None =
+        # all pass)
+        self._own_row: Dict[str, Callable[[Vertex], SlottedRow]] = {}
         self._admit: Dict[str, Optional[Callable[[Vertex], bool]]] = {}
         for node in config.plan.relation_nodes():
             relation = graph.catalog.relation(node.table)
-            self._read_own[node.alias] = relation.encoded_reader(slotted.own[node.alias].columns)
+            self._own_row[node.alias] = own_row_reader(relation, slotted.own[node.alias])
             self._admit[node.alias] = self._admission(node.alias, relation)
         # run-scoped scratch, keyed by what the schedule names, then vertex:
         # plan edge id -> vertex id -> ids of the neighbours that marked it
@@ -253,9 +253,8 @@ class TagJoinKernel(VertexProgram):
         """Assemble a single-relation plan's frontier, already admitted by
         :meth:`initial_active_vertices`, as one table in frontier order;
         each vertex holds one row and is charged one aggregator message."""
-        read_own = self._read_own[self._start_node.alias]
-        vertices = map(graph.vertex, active)
-        rows = [read_own(vertex.index - 1) + (vertex.ordinal,) for vertex in vertices]
+        own_row = self._own_row[self._start_node.alias]
+        rows = [own_row(vertex) for vertex in map(graph.vertex, active)]
         table = ColumnBatch.from_rows(rows) if len(rows) >= self.columnar_threshold else rows
         self._assemble(table, context)
         engine = context.engine
@@ -317,25 +316,28 @@ class TagJoinKernel(VertexProgram):
         # and drops them.
         # Right after the merge, the residual conditions placed at this step
         # drop the rows whose aliases have met but do not agree.
-        read_own = self._read_own[target_node.alias] if action.at_relation else None
+        own_row = self._own_row[target_node.alias] if action.at_relation else None
+        prov_slot = action.prov_slot
         check = action.check
         batch_check = self.vectorized.checks.get(step_index)
         for vertex_id in active:
             messages = inbox[vertex_id]
             rows = combine(messages)
-            if read_own is not None:
+            if own_row is not None:
                 vertex = graph_vertex(vertex_id)
-                # provenance is the graph-assigned integer ordinal, not the
-                # string vertex id: it keeps the hidden provenance column
-                # native int64 when a table is columnarised
-                ordinal = vertex.ordinal
-                own_row = read_own(vertex.index - 1) + (ordinal,)
-                if type(rows) is ColumnBatch:
-                    rows = self._merge_batch(rows, own_row, action.prov_slot, ordinal)
-                elif rows:
-                    rows = self._merge_rows(rows, own_row, action.prov_slot, ordinal)
+                if not rows:
+                    rows = [own_row(vertex)]
+                elif prov_slot is not None:
+                    # Euler re-ascent: keep the rows this very vertex seeded
+                    rows = self._keep_own(rows, prov_slot, vertex.ordinal)
+                elif type(rows) is ColumnBatch:
+                    row = own_row(vertex)
+                    rows = rows.with_appended([full_column(rows.length, value) for value in row])
                 else:
-                    rows = [own_row]
+                    # a zero-width own row (an alias only joined or filtered
+                    # on) leaves the incoming rows as they are
+                    row = own_row(vertex)
+                    rows = [incoming + row for incoming in rows] if row else rows
             if check is not None and rows:
                 if type(rows) is ColumnBatch:
                     rows = rows.mask(as_mask(batch_check(rows), rows))
@@ -381,21 +383,11 @@ class TagJoinKernel(VertexProgram):
         return ColumnBatch.concat(batches)
 
     @staticmethod
-    def _merge_rows(incoming, own_row, prov_slot: Optional[int], vid: int) -> List[SlottedRow]:
-        if prov_slot is None:
-            return [row + own_row for row in incoming]
-        return [row for row in incoming if row[prov_slot] == vid]
-
-    @staticmethod
-    def _merge_batch(
-        incoming: ColumnBatch, own_row, prov_slot: Optional[int], vid: int
-    ) -> ColumnBatch:
-        if not incoming:
-            return ColumnBatch.from_row(own_row)
-        if prov_slot is not None:
-            return incoming.mask(np.equal(incoming.arrays[prov_slot], vid))
-        length = incoming.length
-        return incoming.with_appended([full_column(length, value) for value in own_row])
+    def _keep_own(incoming: Any, prov_slot: int, ordinal: int) -> Any:
+        """The rows of ``incoming`` whose provenance slot names this vertex."""
+        if type(incoming) is ColumnBatch:
+            return incoming.mask(np.equal(incoming.arrays[prov_slot], ordinal))
+        return [row for row in incoming if row[prov_slot] == ordinal]
 
     # ------------------------------------------------------------------
     # send: one edge-map over the senders, straight into the next inbox
@@ -418,7 +410,7 @@ class TagJoinKernel(VertexProgram):
         if collecting:
             values = self._values.get(step.source, {})
             source_node = self.config.plan.node(step.source)
-            read_own = self._read_own[source_node.alias] if source_node.is_relation else None
+            own_row = self._own_row[source_node.alias] if source_node.is_relation else None
             row_bytes = self.slotted.sent_row_bytes[step_index]
         engine = context.engine
         partition_of = engine.partition_of if engine.num_workers > 1 else None
@@ -441,9 +433,8 @@ class TagJoinKernel(VertexProgram):
                 # propagate this node's value: its table, or at the start
                 # relation (no table yet) the vertex's own row
                 payload = values.get(vertex_id)
-                if payload is None and read_own is not None:
-                    vertex = graph.vertex(vertex_id)
-                    payload = [read_own(vertex.index - 1) + (vertex.ordinal,)]
+                if payload is None and own_row is not None:
+                    payload = [own_row(graph.vertex(vertex_id))]
                 if not payload:
                     continue
                 size = TABLE_HEADER_BYTES + len(payload) * row_bytes
@@ -583,6 +574,16 @@ class TagJoinKernel(VertexProgram):
             return predicate is None or predicate(vertex)
 
         return admit
+
+
+def own_row_reader(relation: Any, own: OwnRowSpec) -> Callable[[Vertex], SlottedRow]:
+    """A tuple vertex's own row: the values of ``own.columns`` at its
+    position, then, when the alias carries provenance, its ordinal (an
+    int, not the string vertex id, so the column stays native int64)."""
+    read = relation.encoded_reader(own.columns)
+    if own.provenance:
+        return lambda vertex: read(vertex.index - 1) + (vertex.ordinal,)
+    return lambda vertex: read(vertex.index - 1)
 
 
 def memoised_filter(

@@ -11,10 +11,12 @@ access is slot arithmetic (``row[3]`` instead of ``row["l.L_QTY"]``).
 Schemas compose the same way the dict rows did:
 
 * a relation node's *own row* schema is its alias-qualified projection
-  plus the hidden provenance column;
+  onto the live columns (possibly none), plus the hidden provenance
+  column only when a later collection step re-ascends onto the alias;
 * a collection step appends the own row's columns to the incoming
-  schema, or finds them all there already (an Euler re-ascent), so the
-  slotted path produces byte-identical logical rows to the dict path.
+  schema, or, when the incoming table already carries the alias (an
+  Euler re-ascent), keeps it as it is.  The dict path's rows hold the
+  same live columns, plus a provenance key on every alias.
 """
 
 from __future__ import annotations

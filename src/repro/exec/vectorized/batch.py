@@ -33,12 +33,13 @@ from ..schema import SlottedRow
 #: dtype kinds considered "native" (vectorizable maths, NULL-free)
 _NATIVE_KINDS = frozenset("biuf")
 
-#: observability for the encode-once contract: every call to
-#: :func:`column_array` records whether the column materialised native or
-#: fell back to ``dtype=object``.  With dictionary/sentinel encoding on,
-#: string- and date-backed slots arrive as int codes and must stay native;
-#: the hot-path guard test resets these counters, runs a TPC-H q1-like
-#: plan fully columnar and asserts zero object fallbacks.
+#: observability for the encode-once contract: every column
+#: :func:`column_array` or :func:`full_column` builds records whether it
+#: materialised native or fell back to ``dtype=object``.  With
+#: dictionary/sentinel encoding on, string- and date-backed slots arrive
+#: as int codes and must stay native; the hot-path guard test resets
+#: these counters, runs TPC-H q1- and q3-like plans fully columnar and
+#: asserts zero object fallbacks.
 OBJECT_COLUMN_STATS = {"object_columns": 0, "object_values": 0, "native_columns": 0}
 
 
@@ -64,9 +65,12 @@ def full_column(length: int, value: Any) -> "np.ndarray":
         try:
             column = np.empty(length, dtype=dtype)
             column.fill(value)
+            OBJECT_COLUMN_STATS["native_columns"] += 1
             return column
         except OverflowError:
             pass
+    OBJECT_COLUMN_STATS["object_columns"] += 1
+    OBJECT_COLUMN_STATS["object_values"] += length
     column = np.empty(length, dtype=object)
     column.fill(value)
     return column
@@ -153,18 +157,14 @@ class ColumnBatch:
     # ------------------------------------------------------------------
     @classmethod
     def from_rows(cls, rows: Sequence[SlottedRow]) -> "ColumnBatch":
-        """Columnarise a (usually tiny) list of slotted tuple rows."""
+        """Columnarise a (usually tiny) list of slotted tuple rows; rows of
+        zero width (aliases only joined or filtered on) keep their count."""
         if not rows:
             return cls((), 0)
         return cls(
             [column_array(column) for column in zip(*rows)],
             len(rows),
         )
-
-    @classmethod
-    def from_row(cls, row: SlottedRow) -> "ColumnBatch":
-        """A single-row batch (a relation vertex's own row entering the flow)."""
-        return cls([full_column(1, value) for value in row], 1)
 
     @classmethod
     def concat(cls, batches: Sequence["ColumnBatch"]) -> "ColumnBatch":

@@ -28,7 +28,7 @@ def explain(name, analyze, engine="tag"):
 
 def test_plain_explain_says_the_subquery_filters_are_not_shown():
     plan = explain("q4", analyze=False)
-    assert "    o (ORDERS: 206 rows, 2 filters)\n" in plan
+    assert "    o (ORDERS: 206 rows, 2 filters) carries O_ORDERPRIORITY\n" in plan
     assert plan.endswith(
         "  subquery predicates: 1 (evaluated first; the filters they fold into are not in "
         "the plan shown, EXPLAIN ANALYZE shows the plan that ran)"
@@ -39,7 +39,7 @@ def test_plain_explain_says_the_subquery_filters_are_not_shown():
 @pytest.mark.parametrize("engine", ["tag", "tag_dict"])
 def test_analyze_shows_the_lookup_and_the_plan_that_ran(engine):
     plan = explain("q4", analyze=True, engine=engine)
-    assert "    o (ORDERS: 206 rows, 3 filters)\n" in plan
+    assert "    o (ORDERS: 206 rows, 3 filters) carries O_ORDERPRIORITY\n" in plan
     assert (
         "  subquery predicates: 1 (evaluated first, folded into the pushed-down filters shown)\n"
         "    forward lookup on l.L_ORDERKEY: 14 keys -> 45 of 626 LINEITEM tuples\n"
@@ -57,7 +57,10 @@ def test_analyze_renders_the_reduction_order_with_the_subquery_filter():
         "q21", analyze=False
     )
     plan = explain("q21", analyze=True)
-    assert "      l1 (LINEITEM: 626 rows, 2 filters) via l1.L_SUPPKEY = s.S_SUPPKEY\n" in plan
+    assert (
+        "      l1 (LINEITEM: 626 rows, 2 filters) via l1.L_SUPPKEY = s.S_SUPPKEY "
+        "carries no columns + provenance\n"
+    ) in plan
     assert "reduction order: n -> s -> l1 -> o (estimated 161.3 bottom-up messages)" in plan
     assert (
         "    l3.L_ORDERKEY: inner block runs in full (estimated to reach 634 of 626 LINEITEM "

@@ -109,15 +109,17 @@ def test_kernel_equals_the_reference(monkeypatch, threshold, num_workers, eager,
 def test_a_vertex_is_charged_one_aggregator_message_of_the_plan_width():
     """``SUM(t.F) ... GROUP BY t.K1, t.K2`` over the rows with X > 0.
 
-    The own row holds the required columns F, K1, K2, X and the provenance
-    ordinal: 5 slots.  An aggregator message carries the 2-slot key, the
-    1-slot SUM partial and that 5-slot sample row: 8 slots of 8 bytes.
+    The own row carries only the columns assembly reads, F, K1 and K2: 3
+    slots.  The filter-only X is judged at admission, and no step
+    re-ascends onto the one alias, so there is no provenance slot.  An
+    aggregator message carries the 2-slot key, the 1-slot SUM partial and
+    that 3-slot sample row: 6 slots of 8 bytes.
     """
     db = DATABASES[(3, True)]
     sql = "SELECT t.K1, t.K2, SUM(t.F) AS s FROM T t WHERE t.X > 0 GROUP BY t.K1, t.K2"
     admitted = sum(1 for row in rows() if row[3] is not None and row[3] > 0)
     (step,) = db.connect(engine="tag").sql(sql).metrics.supersteps
     assert step.messages_sent == admitted
-    assert step.message_bytes == admitted * (2 + 1 + 5) * SLOT_BYTES
+    assert step.message_bytes == admitted * (2 + 1 + 3) * SLOT_BYTES
     assert 0 < step.network_messages < admitted
-    assert step.network_bytes == step.network_messages * (2 + 1 + 5) * SLOT_BYTES
+    assert step.network_bytes == step.network_messages * (2 + 1 + 3) * SLOT_BYTES
